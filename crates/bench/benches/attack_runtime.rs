@@ -7,7 +7,8 @@
 //! binaries measure the full-size runtimes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sm_attack::attack::{AttackConfig, Kernel, ScoreOptions, TrainedAttack};
+use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use sm_attack::oracle;
 use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, SplitView, Suite};
 
@@ -87,8 +88,9 @@ fn bench_y_limit_speedup(c: &mut Criterion) {
 }
 
 fn bench_scoring_kernels(c: &mut Criterion) {
-    // Compiled (flattened ensemble + SoA features, batched) vs reference
-    // per-pair scoring — same model, same design, bit-identical output.
+    // The shipped path (spatial queries, flattened ensemble + SoA
+    // features, batched) vs the brute-force oracle — same model, same
+    // design, bit-identical output.
     // The `BENCH_attack.json` emitter reports the same comparison
     // end-to-end; this group tracks it with criterion statistics.
     let suite = Suite::ispd2011_like(BENCH_SCALE).expect("suite");
@@ -100,20 +102,24 @@ fn bench_scoring_kernels(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(3));
     for config in [AttackConfig::ml9(), AttackConfig::imp9()] {
         let model = TrainedAttack::train(&config, &train, None).expect("train");
-        for kernel in [Kernel::Compiled, Kernel::Reference] {
-            let opts = ScoreOptions {
-                kernel,
-                parallelism: Parallelism::Sequential,
-                ..ScoreOptions::default()
-            };
-            group.bench_with_input(
-                BenchmarkId::new(config.name.clone(), kernel),
-                &opts,
-                |b, o| {
-                    b.iter(|| model.score(&views[0], o));
-                },
-            );
-        }
+        let opts = ScoreOptions {
+            parallelism: Parallelism::Sequential,
+            ..ScoreOptions::default()
+        };
+        group.bench_with_input(
+            BenchmarkId::new(config.name.clone(), "compiled"),
+            &opts,
+            |b, o| {
+                b.iter(|| model.score(&views[0], o));
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(config.name.clone(), "reference"),
+            &opts,
+            |b, o| {
+                b.iter(|| oracle::score(&model, &views[0], o));
+            },
+        );
     }
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Criterion benchmark for the training kernel: the binned (histogram
-//! split-finding) tree backend versus the reference exact-scan backend on
-//! the same synthetic sample set. The `bench_train` harness binary gates
+//! split-finding) tree fit versus the oracle's per-node scan on the same
+//! synthetic sample set. The `bench_train` harness binary gates
 //! CI on the real attack workload; this group tracks the kernel in
 //! isolation across dataset sizes.
 
@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use sm_ml::{Bagging, Dataset, RepTreeLearner, TreeBackend};
+use sm_ml::{oracle, Bagging, Dataset, RepTreeLearner};
 
 /// Synthetic pair-classification-like dataset: a distance-dominated signal
 /// with noisy secondary features, similar in shape to the attack's samples.
@@ -38,12 +38,14 @@ fn bench_training(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(5));
     for n in [2_000usize, 8_000] {
         let ds = training_set(n);
-        for backend in [TreeBackend::Reference, TreeBackend::Binned] {
-            let learner = RepTreeLearner::with_backend(backend);
-            group.bench_function(BenchmarkId::new(format!("{backend}"), n), |b| {
-                b.iter(|| Bagging::fit(&ds, &learner, 10, 1).expect("fit"));
-            });
-        }
+        group.bench_function(BenchmarkId::new("reference", n), |b| {
+            let learner = oracle::RepTreeLearner::default();
+            b.iter(|| Bagging::fit(&ds, &learner, 10, 1).expect("fit"));
+        });
+        group.bench_function(BenchmarkId::new("binned", n), |b| {
+            let learner = RepTreeLearner::default();
+            b.iter(|| Bagging::fit(&ds, &learner, 10, 1).expect("fit"));
+        });
     }
     group.finish();
 }

@@ -1,16 +1,17 @@
-//! Training-kernel benchmark: the binned (histogram split-finding with
-//! sibling subtraction) tree backend versus the reference exact-sort
-//! backend, fitting the same ensemble on the same sample set.
+//! Training-kernel benchmark: the shipped binned tree fit (histogram
+//! split-finding with sibling subtraction, `TrainedAttack::from_samples`)
+//! versus the oracle's per-node scan (`oracle::train`), fitting the same
+//! ensemble on the same sample set.
 //!
 //! Training is forced to `Parallelism::Sequential` so the reported ratio
 //! is a pure single-thread kernel comparison (the CI host has one CPU;
 //! thread-level parallelism would only add noise). Sample extraction is
-//! backend-independent, so it is timed once and reported separately: the
-//! gate compares fit time only, where the backends actually differ.
+//! shared, so it is timed once and reported separately: the gate compares
+//! fit time only, where the two fits actually differ.
 //!
 //! Emits a machine-readable report (`BENCH_train.json` shape) and exits
-//! nonzero if the binned backend is not faster than the reference — the
-//! CI guard against training-performance regressions. The two fitted
+//! nonzero if the binned fit is not faster than the oracle — the CI guard
+//! against training-performance regressions. The two fitted
 //! models are also asserted equal, so the guard doubles as an end-to-end
 //! bit-identity check on the benchmark workload.
 //!
@@ -22,12 +23,12 @@ use std::time::Instant;
 
 use serde::Serialize;
 use sm_attack::attack::{AttackConfig, TrainOptions, TrainedAttack};
-use sm_attack::{Parallelism, TreeBackend};
+use sm_attack::{oracle, AttackError, Parallelism};
 use sm_bench::Harness;
 use sm_layout::SplitView;
 use sm_ml::Dataset;
 
-/// Measured iterations per backend; the fastest is reported (standard
+/// Measured iterations per fit; the fastest is reported (standard
 /// best-of-N to shed scheduler noise without a long run).
 const ITERS: usize = 3;
 
@@ -47,10 +48,12 @@ struct Report {
     n_trees: usize,
     num_samples: usize,
     num_features: usize,
-    /// Seconds spent extracting the sample set (backend-independent,
+    /// Seconds spent extracting the sample set (shared by both fits,
     /// measured once, outside the gated comparison).
     sample_extraction_s: f64,
+    /// `oracle::train`, the per-node scan the binned fit is checked against.
     reference: BackendResult,
+    /// `TrainedAttack::from_samples`, the shipped binned fit.
     binned: BackendResult,
     /// Fit-stage speedup: reference best fit / binned best fit.
     fit_speedup: f64,
@@ -59,20 +62,18 @@ struct Report {
     train_speedup: f64,
 }
 
+/// Times `fit` on copies of `samples`, best of [`ITERS`] passes.
 fn time_fit(
-    config: &AttackConfig,
     samples: &Dataset,
-    radius: Option<i64>,
-    backend: TreeBackend,
+    fit: impl Fn(Dataset) -> Result<TrainedAttack, AttackError>,
 ) -> (f64, TrainedAttack) {
-    let options = TrainOptions { backend };
     let mut best = f64::INFINITY;
     let mut model = None;
     // First pass doubles as warm-up; it can only lose the min race.
     for _ in 0..=ITERS {
         let owned = samples.clone();
         let t = Instant::now();
-        let fitted = TrainedAttack::from_samples(config, owned, radius, options).expect("fit");
+        let fitted = fit(owned).expect("fit");
         best = best.min(t.elapsed().as_secs_f64());
         model = Some(fitted);
     }
@@ -111,13 +112,15 @@ fn main() {
         samples.num_features()
     );
 
-    eprintln!("[bench_train] fitting with reference backend ...");
-    let (ref_s, ref_model) = time_fit(&config, &samples, radius, TreeBackend::Reference);
-    eprintln!("[bench_train] fitting with binned backend ...");
-    let (bin_s, bin_model) = time_fit(&config, &samples, radius, TreeBackend::Binned);
+    eprintln!("[bench_train] fitting with the oracle ...");
+    let (ref_s, ref_model) = time_fit(&samples, |s| oracle::train(&config, s, radius));
+    eprintln!("[bench_train] fitting with the binned kernel ...");
+    let (bin_s, bin_model) = time_fit(&samples, |s| {
+        TrainedAttack::from_samples(&config, s, radius, TrainOptions::default())
+    });
     assert_eq!(
         ref_model, bin_model,
-        "backends must produce bit-identical models"
+        "the binned fit must reproduce the oracle's model bit for bit"
     );
 
     let report = Report {
@@ -147,7 +150,7 @@ fn main() {
     }
     if bin_s >= ref_s {
         eprintln!(
-            "[bench_train] FAIL: binned backend ({bin_s:.3}s) is not faster than reference ({ref_s:.3}s)"
+            "[bench_train] FAIL: binned fit ({bin_s:.3}s) is not faster than the oracle ({ref_s:.3}s)"
         );
         std::process::exit(1);
     }

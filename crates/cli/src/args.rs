@@ -17,6 +17,9 @@ pub enum ParseArgsError {
     MissingCommand,
     /// A `--flag` had no value.
     MissingValue(String),
+    /// A token after the subcommand that is neither a `--flag` nor a
+    /// flag's value.
+    UnexpectedArgument(String),
     /// A flag value failed to parse as the requested type.
     BadValue {
         /// Flag name without dashes.
@@ -40,6 +43,12 @@ impl std::fmt::Display for ParseArgsError {
         match self {
             ParseArgsError::MissingCommand => write!(f, "no subcommand given (try 'help')"),
             ParseArgsError::MissingValue(k) => write!(f, "flag --{k} needs a value"),
+            ParseArgsError::UnexpectedArgument(a) => {
+                write!(
+                    f,
+                    "unexpected argument '{a}' (flags take the form --name value)"
+                )
+            }
             ParseArgsError::BadValue { flag, value } => {
                 write!(f, "flag --{flag} has malformed value '{value}'")
             }
@@ -58,19 +67,20 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseArgsError`] when the command is missing or a flag is
-    /// dangling.
+    /// Returns [`ParseArgsError`] when the command is missing, a flag is
+    /// dangling, or a stray token is neither a flag nor a flag's value.
     pub fn parse<I: IntoIterator<Item = String>>(tokens: I) -> Result<Self, ParseArgsError> {
         let mut it = tokens.into_iter().peekable();
         let command = it.next().ok_or(ParseArgsError::MissingCommand)?;
         let mut flags = HashMap::new();
         while let Some(tok) = it.next() {
-            if let Some(name) = tok.strip_prefix("--") {
-                let value = it
-                    .next()
-                    .ok_or_else(|| ParseArgsError::MissingValue(name.to_owned()))?;
-                flags.insert(name.to_owned(), value);
-            }
+            let Some(name) = tok.strip_prefix("--") else {
+                return Err(ParseArgsError::UnexpectedArgument(tok));
+            };
+            let value = it
+                .next()
+                .ok_or_else(|| ParseArgsError::MissingValue(name.to_owned()))?;
+            flags.insert(name.to_owned(), value);
         }
         Ok(Self { command, flags })
     }
@@ -174,6 +184,20 @@ mod tests {
             parse(&["gen", "--scale"]),
             Err(ParseArgsError::MissingValue("scale".into()))
         );
+    }
+
+    #[test]
+    fn stray_positional_token_is_an_error() {
+        let err = parse(&["attack", "--dir", "d", "--target", "sb1", "sequential"])
+            .expect_err("a stray token must not be dropped");
+        assert_eq!(err, ParseArgsError::UnexpectedArgument("sequential".into()));
+        assert_eq!(
+            err.to_string(),
+            "unexpected argument 'sequential' (flags take the form --name value)"
+        );
+        // A value that merely looks positional is still a flag's value.
+        let a = parse(&["attack", "--target", "sequential"]).expect("parses");
+        assert_eq!(a.get_str("target"), Some("sequential"));
     }
 
     #[test]

@@ -5,16 +5,14 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use sm_attack::attack::{
-    AttackConfig, Enumeration, Kernel, ScoreOptions, ScoredView, TrainOptions, TrainedAttack,
-};
+use sm_attack::attack::{AttackConfig, ScoreOptions, ScoredView, TrainedAttack};
 use sm_attack::checkpoint::{
     score_resumable_as, CheckpointError, CheckpointSpec, Resume, ScoreOutcome,
     DEFAULT_CHECKPOINT_EVERY,
 };
 use sm_attack::interrupt;
-use sm_attack::proximity::{proximity_attack, validate_pa_fraction_opt, DEFAULT_PA_FRACTIONS};
-use sm_attack::{Parallelism, TreeBackend};
+use sm_attack::proximity::{proximity_attack, validate_pa_fraction, DEFAULT_PA_FRACTIONS};
+use sm_attack::Parallelism;
 use sm_layout::io::{read_challenge, write_challenge, write_truth};
 use sm_layout::{SplitLayer, SplitView, Suite};
 use sm_serve::artifact::{ArtifactError, ModelArtifact, TrainMeta};
@@ -157,9 +155,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "threshold",
                 "threads",
                 "model",
-                "kernel",
-                "enumeration",
-                "tree-backend",
                 "checkpoint-dir",
                 "checkpoint-every",
                 "resume",
@@ -175,9 +170,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "threads",
                 "seed",
                 "model",
-                "kernel",
-                "enumeration",
-                "tree-backend",
                 "checkpoint-dir",
                 "checkpoint-every",
                 "resume",
@@ -191,7 +183,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "config",
                 "threads",
                 "out",
-                "tree-backend",
                 "registry",
                 "model-id",
                 "make-default",
@@ -208,8 +199,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "addr",
                 "threads",
                 "batch-threads",
-                "kernel",
-                "enumeration",
                 "request-timeout-ms",
                 "idle-timeout-ms",
                 "max-request-bytes",
@@ -264,28 +253,21 @@ pub fn print_help() {
          \x20 info        --dir DIR                                   summarise challenge files\n\
          \x20 attack      --dir DIR --target NAME [--config imp-11]\n\
          \x20             [--model FILE] [--threshold 0.5]\n\
-         \x20             [--threads auto] [--kernel compiled]\n\
-         \x20             [--enumeration spatial]\n\
-         \x20             [--tree-backend binned]\n\
-         \x20             [--checkpoint-dir DIR]\n\
+         \x20             [--threads auto] [--checkpoint-dir DIR]\n\
          \x20             [--checkpoint-every 2048] [--resume false]\n\
          \x20             [--json FILE]                               leave-one-out ML attack\n\
          \x20 pa          --dir DIR --target NAME [--config imp-9]\n\
          \x20             [--model FILE] [--threads auto]\n\
-         \x20             [--kernel compiled] [--enumeration spatial]\n\
-         \x20             [--tree-backend binned]\n\
          \x20             [--checkpoint-dir DIR]\n\
          \x20             [--checkpoint-every 2048] [--resume false]  validated proximity attack\n\
          \x20 train       --dir DIR (--out FILE | --registry DIR --model-id ID\n\
          \x20             [--make-default false]) [--target NAME]\n\
-         \x20             [--config imp-11] [--threads auto]\n\
-         \x20             [--tree-backend binned]                     fit once, write/publish an artifact\n\
+         \x20             [--config imp-11] [--threads auto]          fit once, write/publish an artifact\n\
          \x20 serve       (--model FILE | --registry DIR\n\
          \x20             [--default-model ID] [--shadow-model ID]\n\
          \x20             [--shadow-fraction 0.1])\n\
          \x20             [--addr 127.0.0.1:7878]\n\
          \x20             [--threads auto] [--batch-threads seq]\n\
-         \x20             [--kernel compiled] [--enumeration spatial]\n\
          \x20             [--request-timeout-ms 10000]\n\
          \x20             [--idle-timeout-ms 60000]\n\
          \x20             [--max-request-bytes 67108864]\n\
@@ -306,13 +288,6 @@ pub fn print_help() {
          configs: ml-9, imp-9, imp-7, imp-11, and Y variants (imp-9y, ...)\n\
          --threads takes 'auto', 'sequential', or a worker count; results\n\
          are identical for every setting (deterministic parallelism).\n\
-         --kernel takes 'compiled' (flattened ensemble, batched; default)\n\
-         or 'reference'; scores are bit-identical either way.\n\
-         --enumeration takes 'spatial' (grid radius queries, memory-bounded\n\
-         at paper scale; default) or 'all-pairs' (the quadratic oracle);\n\
-         scores are bit-identical either way.\n\
-         --tree-backend takes 'binned' (histogram split-finding; default)\n\
-         or 'reference'; trained models are bit-identical either way.\n\
          --model FILE loads a 'train' artifact instead of retraining; the\n\
          artifact records its own configuration, so --config is rejected.\n\
          serve timeouts/caps take 0 to disable (--max-queue 0 = 2x pool);\n\
@@ -564,9 +539,6 @@ fn cmd_attack(args: &Args) -> Result<(), CliError> {
     let target: String = args.require("target")?;
     let parallelism: Parallelism = args.get_or("threads", Parallelism::Auto)?;
     let threshold: f64 = args.get_or("threshold", 0.5)?;
-    let kernel: Kernel = args.get_or("kernel", Kernel::Compiled)?;
-    let enumeration: Enumeration = args.get_or("enumeration", Enumeration::Spatial)?;
-    let backend: TreeBackend = args.get_or("tree-backend", TreeBackend::Binned)?;
     let checkpoint = checkpoint_flags(args, &format!("attack-{target}.ckpt"))?;
 
     let views = load_dir(&dir)?;
@@ -577,7 +549,7 @@ fn cmd_attack(args: &Args) -> Result<(), CliError> {
             let config = parse_config(args.get_str("config").unwrap_or("imp-11"))?
                 .with_parallelism(parallelism);
             eprintln!("training {} on {} designs ...", config.name, train.len());
-            TrainedAttack::train_opt(&config, &train, None, TrainOptions { backend })?
+            TrainedAttack::train(&config, &train, None)?
         }
     };
     eprintln!(
@@ -593,8 +565,6 @@ fn cmd_attack(args: &Args) -> Result<(), CliError> {
         test,
         &ScoreOptions {
             parallelism,
-            kernel,
-            enumeration,
             ..ScoreOptions::default()
         },
         checkpoint.as_ref(),
@@ -646,9 +616,6 @@ fn cmd_pa(args: &Args) -> Result<(), CliError> {
     let target: String = args.require("target")?;
     let parallelism: Parallelism = args.get_or("threads", Parallelism::Auto)?;
     let seed: u64 = args.get_or("seed", 17)?;
-    let kernel: Kernel = args.get_or("kernel", Kernel::Compiled)?;
-    let enumeration: Enumeration = args.get_or("enumeration", Enumeration::Spatial)?;
-    let backend: TreeBackend = args.get_or("tree-backend", TreeBackend::Binned)?;
     let checkpoint = checkpoint_flags(args, &format!("pa-{target}.ckpt"))?;
 
     let views = load_dir(&dir)?;
@@ -669,13 +636,7 @@ fn cmd_pa(args: &Args) -> Result<(), CliError> {
         interrupt::install_handlers();
     }
     eprintln!("validating PA-LoC fractions on {} designs ...", train.len());
-    let val = validate_pa_fraction_opt(
-        &config,
-        &train,
-        &DEFAULT_PA_FRACTIONS,
-        seed,
-        TrainOptions { backend },
-    )?;
+    let val = validate_pa_fraction(&config, &train, &DEFAULT_PA_FRACTIONS, seed)?;
     for (f, r) in &val.rates {
         println!(
             "fraction {:>7.3}% -> validation success {:>6.2}%",
@@ -691,7 +652,7 @@ fn cmd_pa(args: &Args) -> Result<(), CliError> {
     }
     let model = match preloaded {
         Some(model) => model,
-        None => TrainedAttack::train_opt(&config, &train, None, TrainOptions { backend })?,
+        None => TrainedAttack::train(&config, &train, None)?,
     };
     let scored = score_maybe_resumable(
         "pa",
@@ -699,8 +660,6 @@ fn cmd_pa(args: &Args) -> Result<(), CliError> {
         test,
         &ScoreOptions {
             parallelism,
-            kernel,
-            enumeration,
             ..ScoreOptions::default()
         },
         checkpoint.as_ref(),
@@ -762,7 +721,6 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
         .into();
     let sink = train_sink(args)?;
     let parallelism: Parallelism = args.get_or("threads", Parallelism::Auto)?;
-    let backend: TreeBackend = args.get_or("tree-backend", TreeBackend::Binned)?;
     let config =
         parse_config(args.get_str("config").unwrap_or("imp-11"))?.with_parallelism(parallelism);
 
@@ -777,7 +735,7 @@ fn cmd_train(args: &Args) -> Result<(), CliError> {
         None => (views.iter().collect::<Vec<_>>(), None),
     };
     eprintln!("training {} on {} designs ...", config.name, train.len());
-    let model = TrainedAttack::train_opt(&config, &train, None, TrainOptions { backend })?;
+    let model = TrainedAttack::train(&config, &train, None)?;
     let meta = TrainMeta {
         benchmarks: train.iter().map(|v| v.name.clone()).collect(),
         split_layer: train[0].split.to_string(),
@@ -899,8 +857,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let options = ServeOptions {
         workers: args.get_or("threads", Parallelism::Auto)?,
         batch: args.get_or("batch-threads", Parallelism::Sequential)?,
-        kernel: args.get_or("kernel", Kernel::Compiled)?,
-        enumeration: args.get_or("enumeration", Enumeration::Spatial)?,
         request_timeout_ms: args.get_or("request-timeout-ms", defaults.request_timeout_ms)?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", defaults.idle_timeout_ms)?,
         max_request_bytes: args.get_or("max-request-bytes", defaults.max_request_bytes)?,
@@ -1304,109 +1260,35 @@ mod tests {
     }
 
     #[test]
-    fn bad_tree_backend_is_a_typed_bad_value() {
-        // Must fail on flag parsing — before any challenge file is read.
+    fn oracle_selector_flags_are_unknown_everywhere() {
+        // The test oracles live in tests and benches, not behind flags:
+        // each former selector must fail on flag checking, before any
+        // challenge file or model is read.
         for cmd in [
             &["attack", "--dir", "x", "--target", "sb1"][..],
             &["pa", "--dir", "x", "--target", "sb1"][..],
             &["train", "--dir", "x", "--out", "y"][..],
-        ] {
-            let mut tokens: Vec<&str> = cmd.to_vec();
-            tokens.extend(["--tree-backend", "histogramish"]);
-            let err = dispatch_tokens(&tokens).expect_err("must reject");
-            assert!(
-                matches!(
-                    err,
-                    CliError::Args(crate::args::ParseArgsError::BadValue { ref flag, .. })
-                        if flag == "tree-backend"
-                ),
-                "{tokens:?} -> {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_enumeration_is_a_typed_bad_value() {
-        // Must fail on flag parsing — before any challenge file is read.
-        for cmd in [
-            &["attack", "--dir", "x", "--target", "sb1"][..],
-            &["pa", "--dir", "x", "--target", "sb1"][..],
             &["serve", "--model", "x"][..],
         ] {
-            let mut tokens: Vec<&str> = cmd.to_vec();
-            tokens.extend(["--enumeration", "exhaustive"]);
-            let err = dispatch_tokens(&tokens).expect_err("must reject");
-            assert!(
-                matches!(
-                    err,
-                    CliError::Args(crate::args::ParseArgsError::BadValue { ref flag, .. })
-                        if flag == "enumeration"
-                ),
-                "{tokens:?} -> {err:?}"
-            );
+            for (flag, value) in [
+                ("kernel", "reference"),
+                ("enumeration", "all-pairs"),
+                ("tree-backend", "reference"),
+            ] {
+                let mut tokens: Vec<&str> = cmd.to_vec();
+                let dashed = format!("--{flag}");
+                tokens.extend([dashed.as_str(), value]);
+                let err = dispatch_tokens(&tokens).expect_err("must reject");
+                assert!(
+                    matches!(
+                        err,
+                        CliError::Args(crate::args::ParseArgsError::UnknownFlag { flag: ref f, .. })
+                            if f == flag
+                    ),
+                    "{tokens:?} -> {err:?}"
+                );
+            }
         }
-    }
-
-    #[test]
-    fn enumeration_flag_accepts_both_strategies() {
-        let dir = std::env::temp_dir().join("splitmfg_cli_test_enumeration");
-        let _ = fs::remove_dir_all(&dir);
-        dispatch_tokens(&[
-            "gen",
-            "--out",
-            dir.to_str().expect("utf8"),
-            "--scale",
-            "0.01",
-            "--split",
-            "8",
-        ])
-        .expect("gen runs");
-        for enumeration in ["spatial", "all-pairs"] {
-            dispatch_tokens(&[
-                "attack",
-                "--dir",
-                dir.to_str().expect("utf8"),
-                "--target",
-                "sb1",
-                "--config",
-                "imp-9",
-                "--enumeration",
-                enumeration,
-            ])
-            .expect("attack runs with either enumeration");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn tree_backend_flag_accepts_both_backends() {
-        let dir = std::env::temp_dir().join("splitmfg_cli_test_tree_backend");
-        let _ = fs::remove_dir_all(&dir);
-        dispatch_tokens(&[
-            "gen",
-            "--out",
-            dir.to_str().expect("utf8"),
-            "--scale",
-            "0.01",
-            "--split",
-            "8",
-        ])
-        .expect("gen runs");
-        for backend in ["binned", "reference"] {
-            dispatch_tokens(&[
-                "attack",
-                "--dir",
-                dir.to_str().expect("utf8"),
-                "--target",
-                "sb1",
-                "--config",
-                "imp-9",
-                "--tree-backend",
-                backend,
-            ])
-            .expect("attack runs with either backend");
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use sm_layout::SplitView;
 use sm_ml::parallel::par_chunks;
-use sm_ml::{Bagging, Dataset, Parallelism, RandomTreeLearner, RepTreeLearner, TreeBackend};
+use sm_ml::{Bagging, Dataset, Parallelism, RandomTreeLearner, RepTreeLearner};
 
 use crate::error::AttackError;
 use crate::features::{FeatureSet, PairKernel};
@@ -31,121 +31,11 @@ pub const SCORE_BATCH: usize = 256;
 /// Default [`ScoreOptions::top_floor`].
 pub const DEFAULT_TOP_FLOOR: usize = 16;
 
-/// Which scoring implementation [`TrainedAttack::score`] runs.
-///
-/// Both kernels produce bit-identical [`ScoredView`]s (proven by the
-/// parity test suite); the choice only affects wall-clock time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Kernel {
-    /// Batched flat-array path: [`sm_ml::CompiledEnsemble`] over rows
-    /// filled by [`PairKernel`], [`SCORE_BATCH`] candidates at a time.
-    #[default]
-    Compiled,
-    /// The original per-pair path: [`FeatureSet::compute_into`] +
-    /// [`sm_ml::Bagging::proba`] per candidate. Kept as the
-    /// bit-for-bit-checkable baseline.
-    Reference,
-}
-
-/// Error parsing a [`Kernel`] from a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseKernelError(String);
-
-impl std::fmt::Display for ParseKernelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected 'compiled' or 'reference', got '{}'", self.0)
-    }
-}
-
-impl std::error::Error for ParseKernelError {}
-
-impl std::str::FromStr for Kernel {
-    type Err = ParseKernelError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "compiled" => Ok(Kernel::Compiled),
-            "reference" | "ref" => Ok(Kernel::Reference),
-            _ => Err(ParseKernelError(s.to_owned())),
-        }
-    }
-}
-
-impl std::fmt::Display for Kernel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Kernel::Compiled => write!(f, "compiled"),
-            Kernel::Reference => write!(f, "reference"),
-        }
-    }
-}
-
-/// How [`TrainedAttack::score`] enumerates candidate pairs per target.
-///
-/// Both strategies visit exactly the same candidate *set* per target, and
-/// the top-K keeper orders candidates under a total preference order (see
-/// `cand_cmp`), so the resulting [`ScoredView`]s are bit-identical — proven
-/// by `tests/enumeration_parity.rs` over all benchmarks and split layers.
-/// The choice only affects time and memory: spatial enumeration is
-/// O(neighbors) per target instead of O(n), which is what makes
-/// paper-scale (`SM_SCALE >= 10`, 10⁸+ candidate pairs) attacks feasible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Enumeration {
-    /// Radius / same-track queries against the [`VpinIndex`] spatial grid
-    /// (the streaming default).
-    #[default]
-    Spatial,
-    /// Per-target scan over all n v-pins with a distance/track filter —
-    /// the oracle the spatial path is checked against.
-    AllPairs,
-}
-
-/// Error parsing an [`Enumeration`] from a string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseEnumerationError(String);
-
-impl std::fmt::Display for ParseEnumerationError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "expected 'spatial' or 'all-pairs', got '{}'", self.0)
-    }
-}
-
-impl std::error::Error for ParseEnumerationError {}
-
-impl std::str::FromStr for Enumeration {
-    type Err = ParseEnumerationError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "spatial" => Ok(Enumeration::Spatial),
-            "all-pairs" | "allpairs" | "oracle" => Ok(Enumeration::AllPairs),
-            _ => Err(ParseEnumerationError(s.to_owned())),
-        }
-    }
-}
-
-impl std::fmt::Display for Enumeration {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Enumeration::Spatial => write!(f, "spatial"),
-            Enumeration::AllPairs => write!(f, "all-pairs"),
-        }
-    }
-}
-
-/// Training-time execution options.
-///
-/// These knobs change how a model is *computed*, never what it computes:
-/// every [`TreeBackend`] grows bit-identical ensembles (proven by the
-/// parity suites), so none of this belongs in [`AttackConfig`] and nothing
-/// here is serialized into artifacts — the artifact wire format and
-/// checksums are untouched by the choice.
+/// Training-time execution options. There are none today: the type stays
+/// so that [`TrainedAttack::train_opt`] and [`TrainedAttack::from_samples`]
+/// keep their signatures for callers that pass `TrainOptions::default()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TrainOptions {
-    /// Split-finding implementation used to grow each tree (binned
-    /// histogram kernel by default; `reference` is the oracle scan).
-    pub backend: TreeBackend,
-}
+pub struct TrainOptions {}
 
 /// The ensemble used to classify pairs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -312,8 +202,7 @@ impl TrainedAttack {
         Self::train_opt(config, training_views, vpin_filter, TrainOptions::default())
     }
 
-    /// [`TrainedAttack::train`] with explicit [`TrainOptions`]. The options
-    /// never change the resulting model, only how fast it is computed.
+    /// [`TrainedAttack::train`] with explicit [`TrainOptions`].
     ///
     /// # Errors
     ///
@@ -376,7 +265,7 @@ impl TrainedAttack {
         config: &AttackConfig,
         samples: Dataset,
         radius: Option<i64>,
-        options: TrainOptions,
+        _options: TrainOptions,
     ) -> Result<Self, AttackError> {
         if samples.is_empty() {
             return Err(AttackError::NoSamples);
@@ -384,14 +273,14 @@ impl TrainedAttack {
         let model = match config.base {
             BaseClassifier::RepTreeBagging { n_trees } => Bagging::fit_with(
                 &samples,
-                &RepTreeLearner::with_backend(options.backend),
+                &RepTreeLearner::default(),
                 n_trees,
                 config.seed,
                 config.parallelism,
             )?,
             BaseClassifier::RandomTreeBagging { n_trees } => Bagging::fit_with(
                 &samples,
-                &RandomTreeLearner::with_backend(options.backend),
+                &RandomTreeLearner::default(),
                 n_trees,
                 config.seed,
                 config.parallelism,
@@ -486,13 +375,6 @@ pub struct ScoreOptions {
     /// Worker threads for pair scoring. The scored result is bit-identical
     /// across settings; only wall-clock changes.
     pub parallelism: Parallelism,
-    /// Scoring implementation; results are bit-identical, wall-clock is
-    /// not (the compiled kernel is the fast default).
-    pub kernel: Kernel,
-    /// Candidate enumeration strategy; results are bit-identical, time and
-    /// memory are not (spatial queries are the streaming default, the
-    /// all-pairs scan is the oracle).
-    pub enumeration: Enumeration,
 }
 
 impl Default for ScoreOptions {
@@ -502,8 +384,6 @@ impl Default for ScoreOptions {
             top_floor: DEFAULT_TOP_FLOOR,
             targets: None,
             parallelism: Parallelism::Auto,
-            kernel: Kernel::Compiled,
-            enumeration: Enumeration::Spatial,
         }
     }
 }
@@ -595,7 +475,6 @@ pub(crate) fn score_with(
         .max(options.top_floor)
         .min(n);
     let need_index = matches!(source, CandidateSource::Config)
-        && options.enumeration == Enumeration::Spatial
         && (attack.radius.is_some() || attack.config.limit_diff_vpin_y);
     let index = if need_index {
         Some(match attack.radius {
@@ -606,17 +485,11 @@ pub(crate) fn score_with(
         None
     };
 
-    // The compiled kernel's shared tables are built once per scoring call:
-    // the SoA feature columns of this view and the flattened ensemble.
-    // Both are read-only during the sharded loop.
-    let compiled = match options.kernel {
-        Kernel::Compiled => Some((
-            PairKernel::new(view.vpins(), &attack.config.features),
-            attack.model.compile(),
-        )),
-        Kernel::Reference => None,
-    };
-    let compiled = compiled.as_ref();
+    // The kernel's shared tables are built once per scoring call: the SoA
+    // feature columns of this view and the flattened ensemble. Both are
+    // read-only during the sharded loop.
+    let kernel = PairKernel::new(view.vpins(), &attack.config.features);
+    let ensemble = attack.model.compile();
 
     // Shard the targets into contiguous v-pin ranges: each worker fills its
     // own slot list, feature buffer and local histogram, and the parts are
@@ -629,85 +502,48 @@ pub(crate) fn score_with(
         let mut local_pairs = 0u64;
         let mut local_slots = Vec::with_capacity(range.len());
         let nf = attack.config.features.len();
-        let mut buf = Vec::with_capacity(nf);
         let mut cands: Vec<u32> = Vec::new();
         let mut legal: Vec<u32> = Vec::new();
         let mut rows: Vec<f64> = Vec::with_capacity(SCORE_BATCH * nf);
         let mut probs: Vec<f64> = Vec::with_capacity(SCORE_BATCH);
         let mut top = TopK::new(top_k);
+        let drives = kernel.drives();
         for slot_idx in range {
             let i = targets[slot_idx];
             let iu = i as usize;
             let truth = view.true_match(iu);
-            enumerate_candidates(
-                attack,
-                view,
-                source,
-                index,
-                options.enumeration,
-                slot_idx,
-                i,
-                n,
-                &mut cands,
-            );
+            enumerate_candidates(attack, view, source, index, slot_idx, i, n, &mut cands);
             let mut slot = VpinScore {
                 vpin: i,
                 true_prob: None,
                 top: Vec::new(),
             };
-            match compiled {
-                Some((kernel, ensemble)) => {
-                    // Batched fast path: legality-filter the enumeration,
-                    // then score SCORE_BATCH candidates per kernel call.
-                    // Candidate order, histogram updates and top-list
-                    // pushes follow the exact reference sequence.
-                    legal.clear();
-                    let drives = kernel.drives();
-                    if drives[iu] {
-                        legal.extend(
-                            cands
-                                .iter()
-                                .copied()
-                                .filter(|&j| j != i && !drives[j as usize]),
-                        );
-                    } else {
-                        legal.extend(cands.iter().copied().filter(|&j| j != i));
+            // Legality-filter the enumeration, then score SCORE_BATCH
+            // candidates per kernel call.
+            legal.clear();
+            if drives[iu] {
+                legal.extend(
+                    cands
+                        .iter()
+                        .copied()
+                        .filter(|&j| j != i && !drives[j as usize]),
+                );
+            } else {
+                legal.extend(cands.iter().copied().filter(|&j| j != i));
+            }
+            for chunk in legal.chunks(SCORE_BATCH) {
+                kernel.fill_batch(i, chunk, &mut rows);
+                probs.clear();
+                probs.resize(chunk.len(), 0.0);
+                ensemble.proba_batch(&rows, nf, &mut probs);
+                for (&j, &p) in chunk.iter().zip(&probs) {
+                    let ju = j as usize;
+                    local_pairs += 1;
+                    local_hist[hist_bin(p)] += 1;
+                    if ju == truth {
+                        slot.true_prob = Some(p);
                     }
-                    for chunk in legal.chunks(SCORE_BATCH) {
-                        kernel.fill_batch(i, chunk, &mut rows);
-                        probs.clear();
-                        probs.resize(chunk.len(), 0.0);
-                        ensemble.proba_batch(&rows, nf, &mut probs);
-                        for (&j, &p) in chunk.iter().zip(&probs) {
-                            let ju = j as usize;
-                            local_pairs += 1;
-                            local_hist[hist_bin(p)] += 1;
-                            if ju == truth {
-                                slot.true_prob = Some(p);
-                            }
-                            top.offer(p, j, || view.distance(iu, ju));
-                        }
-                    }
-                }
-                None => {
-                    for &j in &*cands {
-                        let ju = j as usize;
-                        if !view.is_legal_pair(iu, ju) {
-                            continue;
-                        }
-                        attack.config.features.compute_into(
-                            &view.vpins()[iu],
-                            &view.vpins()[ju],
-                            &mut buf,
-                        );
-                        let p = attack.model.proba(&buf);
-                        local_pairs += 1;
-                        local_hist[hist_bin(p)] += 1;
-                        if ju == truth {
-                            slot.true_prob = Some(p);
-                        }
-                        top.offer(p, j, || view.distance(iu, ju));
-                    }
+                    top.offer(p, j, || view.distance(iu, ju));
                 }
             }
             slot.top = top.take_sorted();
@@ -741,7 +577,6 @@ fn enumerate_candidates(
     view: &SplitView,
     source: &CandidateSource<'_>,
     index: Option<&VpinIndex>,
-    enumeration: Enumeration,
     slot_idx: usize,
     i: u32,
     n: usize,
@@ -755,46 +590,20 @@ fn enumerate_candidates(
         }
         CandidateSource::Config => {
             let iu = i as usize;
-            let y_limited = attack.config.limit_diff_vpin_y;
-            if !y_limited && attack.radius.is_none() {
+            if attack.config.limit_diff_vpin_y {
+                let index = index.expect("index exists for Y-limited configs");
+                index.same_y(view.vpins()[iu].loc.y, i, out);
+                if let Some(r) = attack.radius {
+                    out.retain(|&j| view.distance(iu, j as usize) <= r);
+                }
+            } else if let Some(r) = attack.radius {
+                let index = index.expect("index exists for neighborhood configs");
+                index.within_radius_unordered(view, view.vpins()[iu].loc, r, i, out);
+            } else {
                 // Unrestricted (`ML`) configuration: every other v-pin is
-                // a candidate whichever enumeration is selected.
+                // a candidate.
                 out.clear();
                 out.extend((0..n as u32).filter(|&j| j != i));
-                return;
-            }
-            match enumeration {
-                Enumeration::Spatial => {
-                    if y_limited {
-                        let index = index.expect("index exists for Y-limited configs");
-                        index.same_y(view.vpins()[iu].loc.y, i, out);
-                        if let Some(r) = attack.radius {
-                            out.retain(|&j| view.distance(iu, j as usize) <= r);
-                        }
-                    } else {
-                        let r = attack.radius.expect("radius exists on this path");
-                        let index = index.expect("index exists for neighborhood configs");
-                        index.within_radius_unordered(view, view.vpins()[iu].loc, r, i, out);
-                    }
-                }
-                Enumeration::AllPairs => {
-                    out.clear();
-                    let yi = view.vpins()[iu].loc.y;
-                    for j in 0..n as u32 {
-                        if j == i {
-                            continue;
-                        }
-                        if y_limited && view.vpins()[j as usize].loc.y != yi {
-                            continue;
-                        }
-                        if let Some(r) = attack.radius {
-                            if view.distance(iu, j as usize) > r {
-                                continue;
-                            }
-                        }
-                        out.push(j);
-                    }
-                }
             }
         }
     }
@@ -804,9 +613,9 @@ fn enumerate_candidates(
 /// distance ascending, then index ascending, where `Ordering::Greater`
 /// means `a` is preferred. Every tie is broken down to the v-pin index, so
 /// the retained top-K list is a pure function of the candidate *set* —
-/// independent of enumeration order — which is what makes the spatial and
-/// all-pairs enumerations bit-identical.
-fn cand_cmp(a: &Cand, b: &Cand) -> std::cmp::Ordering {
+/// independent of enumeration order — which is what makes the spatial
+/// queries bit-identical to the all-pairs scan of [`crate::oracle::score`].
+pub(crate) fn cand_cmp(a: &Cand, b: &Cand) -> std::cmp::Ordering {
     a.p.total_cmp(&b.p)
         .then(b.dist.cmp(&a.dist))
         .then(b.index.cmp(&a.index))
@@ -1060,64 +869,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn compiled_and_reference_kernels_score_identically() {
-        let views = suite_views(6);
-        let (train, test) = leave_one_out(&views, 0);
-        for cfg in [AttackConfig::imp9(), AttackConfig::ml9()] {
-            let model = TrainedAttack::train(&cfg, &train, None).expect("train");
-            let compiled = model.score(
-                test,
-                &ScoreOptions {
-                    kernel: Kernel::Compiled,
-                    ..ScoreOptions::default()
-                },
-            );
-            let reference = model.score(
-                test,
-                &ScoreOptions {
-                    kernel: Kernel::Reference,
-                    ..ScoreOptions::default()
-                },
-            );
-            assert_eq!(compiled, reference, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn spatial_and_all_pairs_enumerations_score_identically() {
-        for (split, cfg) in [
-            (6u8, AttackConfig::imp11()),
-            (8u8, AttackConfig::imp9().with_y_limit()),
-            (6u8, AttackConfig::ml9()),
-        ] {
-            let views = suite_views(split);
-            let (train, test) = leave_one_out(&views, 0);
-            let model = TrainedAttack::train(&cfg, &train, None).expect("train");
-            let spatial = model.score(test, &ScoreOptions::default());
-            let oracle = model.score(
-                test,
-                &ScoreOptions {
-                    enumeration: Enumeration::AllPairs,
-                    ..ScoreOptions::default()
-                },
-            );
-            assert_eq!(spatial, oracle, "{}", cfg.name);
-        }
-    }
-
-    #[test]
-    fn enumeration_parses_and_displays() {
-        assert_eq!("spatial".parse(), Ok(Enumeration::Spatial));
-        assert_eq!("ALL-PAIRS".parse(), Ok(Enumeration::AllPairs));
-        assert_eq!("oracle".parse(), Ok(Enumeration::AllPairs));
-        assert_eq!(Enumeration::default(), Enumeration::Spatial);
-        assert!("grid".parse::<Enumeration>().is_err());
-        for e in [Enumeration::Spatial, Enumeration::AllPairs] {
-            assert_eq!(e.to_string().parse(), Ok(e));
-        }
-    }
-
     /// Runs `cands` through a keeper of width `k`.
     fn keep(cands: &[Cand], k: usize) -> Vec<Cand> {
         let mut top = TopK::new(k);
@@ -1209,17 +960,6 @@ mod tests {
         // exactly the view, instead of sizing a buffer from it.
         assert_eq!(width(1e300, 0), width(1.0, 0));
         assert_eq!(width(0.0, usize::MAX), width(1.0, 0));
-    }
-
-    #[test]
-    fn kernel_parses_and_displays() {
-        assert_eq!("compiled".parse(), Ok(Kernel::Compiled));
-        assert_eq!("REF".parse(), Ok(Kernel::Reference));
-        assert_eq!(Kernel::default(), Kernel::Compiled);
-        assert!("fast".parse::<Kernel>().is_err());
-        for k in [Kernel::Compiled, Kernel::Reference] {
-            assert_eq!(k.to_string().parse(), Ok(k));
-        }
     }
 
     #[test]

@@ -35,8 +35,8 @@
 //! suite and the parity tests in `tests/checkpoint_resume.rs`).
 //!
 //! Because the fingerprint covers only result-affecting inputs, a resume
-//! may legally change `--threads`, `--kernel`, `--enumeration` and
-//! `--checkpoint-every` — all proven bit-identical knobs — while a
+//! may legally change `--threads` and `--checkpoint-every` — both proven
+//! bit-identical knobs — while a
 //! different config, model, view or top-K shape is a typed
 //! [`CheckpointError::Mismatch`] refusal.
 //!

@@ -14,7 +14,8 @@
 //! threshold ([`loc`]), two-level pruned refinements ([`two_level`]), and
 //! validation-based proximity attacks ([`proximity`]). The prior-work
 //! comparator [5] lives in [`baseline`]; the obfuscation defence in
-//! [`obfuscate`].
+//! [`obfuscate`]; the brute-force scans the fast scoring and training
+//! paths are checked against in [`oracle`].
 //!
 //! ## Quick start
 //!
@@ -52,6 +53,7 @@ pub mod loc;
 pub mod matching;
 pub mod neighborhood;
 pub mod obfuscate;
+pub mod oracle;
 pub mod proximity;
 pub mod refine;
 pub mod samples;
@@ -59,8 +61,8 @@ pub mod two_level;
 pub mod xval;
 
 pub use attack::{
-    AttackConfig, BaseClassifier, Enumeration, Kernel, ScoreOptions, ScoredView, TrainOptions,
-    TrainedAttack, TrainedParts,
+    AttackConfig, BaseClassifier, ScoreOptions, ScoredView, TrainOptions, TrainedAttack,
+    TrainedParts,
 };
 pub use checkpoint::{
     score_resumable, Checkpoint, CheckpointError, CheckpointSpec, Fingerprint, Resume, ScoreOutcome,
@@ -69,7 +71,5 @@ pub use error::AttackError;
 pub use features::{FeatureSet, PairFeature, PairKernel, ALL_FEATURES};
 pub use loc::{CurvePoint, LocCurve, LocCurveBuilder};
 pub use matching::{greedy_matching, mutual_best, MatchingOutcome};
-pub use proximity::{
-    proximity_attack, validate_pa_fraction, validate_pa_fraction_opt, PaOutcome, PaValidation,
-};
-pub use sm_ml::{Parallelism, TreeBackend};
+pub use proximity::{proximity_attack, validate_pa_fraction, PaOutcome, PaValidation};
+pub use sm_ml::Parallelism;

@@ -15,7 +15,7 @@ use sm_layout::SplitView;
 use sm_ml::parallel::par_map;
 use sm_ml::Parallelism;
 
-use crate::attack::{AttackConfig, ScoreOptions, ScoredView, TrainOptions, TrainedAttack};
+use crate::attack::{AttackConfig, ScoreOptions, ScoredView, TrainedAttack};
 use crate::error::AttackError;
 
 /// The PA-LoC fractions validated by default.
@@ -181,33 +181,6 @@ pub fn validate_pa_fraction(
     fractions: &[f64],
     seed: u64,
 ) -> Result<PaValidation, AttackError> {
-    validate_pa_fraction_opt(
-        config,
-        training_views,
-        fractions,
-        seed,
-        TrainOptions::default(),
-    )
-}
-
-/// [`validate_pa_fraction`] with explicit [`TrainOptions`] for the
-/// validation model's training pass. The options never change the
-/// validation outcome, only training wall-clock.
-///
-/// # Errors
-///
-/// Same contract as [`validate_pa_fraction`].
-///
-/// # Panics
-///
-/// Panics if `fractions` is empty.
-pub fn validate_pa_fraction_opt(
-    config: &AttackConfig,
-    training_views: &[&SplitView],
-    fractions: &[f64],
-    seed: u64,
-    train_options: TrainOptions,
-) -> Result<PaValidation, AttackError> {
     assert!(
         !fractions.is_empty(),
         "need at least one candidate fraction"
@@ -224,7 +197,7 @@ pub fn validate_pa_fraction_opt(
                 .collect()
         })
         .collect();
-    let model = TrainedAttack::train_opt(config, training_views, Some(&masks), train_options)?;
+    let model = TrainedAttack::train(config, training_views, Some(&masks))?;
 
     // Each training view is scored and attacked independently, so the
     // per-view evaluation parallelises per `config.parallelism`; the inner
@@ -249,9 +222,7 @@ pub fn validate_pa_fraction_opt(
                 top_fraction: (max_fraction * 1.05).max(0.01),
                 targets: Some(targets),
                 parallelism: Parallelism::Sequential,
-                // Inherits the default compiled kernel, spatial
-                // enumeration and top floor; PA validation sees the same
-                // bit-identical scores either way.
+                // Inherits the default top floor.
                 ..ScoreOptions::default()
             },
         );

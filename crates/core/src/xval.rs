@@ -76,21 +76,6 @@ pub fn leave_one_out(
     views: &[SplitView],
     score_options: &ScoreOptions,
 ) -> Result<Vec<FoldResult>, AttackError> {
-    leave_one_out_opt(config, views, score_options, TrainOptions::default())
-}
-
-/// [`leave_one_out`] with explicit [`TrainOptions`]. The options never
-/// change the fold results, only training wall-clock.
-///
-/// # Errors
-///
-/// Same contract as [`leave_one_out`].
-pub fn leave_one_out_opt(
-    config: &AttackConfig,
-    views: &[SplitView],
-    score_options: &ScoreOptions,
-    train_options: TrainOptions,
-) -> Result<Vec<FoldResult>, AttackError> {
     if views.len() < 2 {
         return Err(AttackError::NoTrainingData);
     }
@@ -149,7 +134,8 @@ pub fn leave_one_out_opt(
                     .expect("cached sample sets share the config's feature arity");
             }
         }
-        let model = TrainedAttack::from_samples(config, samples, radii[t], train_options)?;
+        let model =
+            TrainedAttack::from_samples(config, samples, radii[t], TrainOptions::default())?;
         let train_time = t0.elapsed();
         let t1 = Instant::now();
         let scored = model.score(test, score_options);
@@ -175,7 +161,7 @@ pub fn leave_one_out_opt(
 /// [`leave_one_out`] would hold all N at once plus the per-design sample
 /// cache). The trade-off is recomputation: each fold re-extracts its N−1
 /// training sample sets instead of sharing a cache, which is exactly
-/// [`TrainedAttack::train_opt`] — so every fold is bit-identical to the
+/// [`TrainedAttack::train`] — so every fold is bit-identical to the
 /// batch driver's output (proven by the cached-vs-uncached parity test and
 /// the streaming parity test below).
 ///
@@ -187,7 +173,6 @@ pub fn for_each_fold<F>(
     config: &AttackConfig,
     views: &[SplitView],
     score_options: &ScoreOptions,
-    train_options: TrainOptions,
     mut visit: F,
 ) -> Result<(), AttackError>
 where
@@ -197,7 +182,7 @@ where
         return Err(AttackError::NoTrainingData);
     }
     for t in 0..views.len() {
-        visit(run_fold(config, views, t, score_options, train_options)?);
+        visit(run_fold(config, views, t, score_options)?);
     }
     Ok(())
 }
@@ -209,7 +194,6 @@ fn run_fold(
     views: &[SplitView],
     t: usize,
     score_options: &ScoreOptions,
-    train_options: TrainOptions,
 ) -> Result<FoldResult, AttackError> {
     let test = &views[t];
     let train: Vec<&SplitView> = views
@@ -219,7 +203,7 @@ fn run_fold(
         .map(|(_, v)| v)
         .collect();
     let t0 = Instant::now();
-    let model = TrainedAttack::train_opt(config, &train, None, train_options)?;
+    let model = TrainedAttack::train(config, &train, None)?;
     let train_time = t0.elapsed();
     let t1 = Instant::now();
     let scored = model.score(test, score_options);
@@ -283,7 +267,6 @@ pub fn for_each_fold_resumable<F>(
     config: &AttackConfig,
     views: &[SplitView],
     score_options: &ScoreOptions,
-    train_options: TrainOptions,
     spec: &CheckpointSpec,
     resume: Resume,
     should_stop: &dyn Fn() -> bool,
@@ -332,7 +315,7 @@ where
         }
     };
     for t in folds_done..views.len() {
-        let fold = run_fold(config, views, t, score_options, train_options)?;
+        let fold = run_fold(config, views, t, score_options)?;
         builder.add_view(&fold.scored);
         fold_names.push(fold.test_name.clone());
         let done = t + 1;
@@ -378,7 +361,7 @@ mod tests {
         let opts = ScoreOptions::default();
         let batch = leave_one_out(&config, &views, &opts).expect("batch xval runs");
         let mut streamed = Vec::new();
-        for_each_fold(&config, &views, &opts, TrainOptions::default(), |fold| {
+        for_each_fold(&config, &views, &opts, |fold| {
             streamed.push((fold.test_name, fold.scored));
         })
         .expect("streaming xval runs");
@@ -399,7 +382,6 @@ mod tests {
             &AttackConfig::imp9(),
             &one,
             &ScoreOptions::default(),
-            TrainOptions::default(),
             |_| panic!("no fold should be produced"),
         );
         assert!(matches!(res, Err(AttackError::NoTrainingData)));

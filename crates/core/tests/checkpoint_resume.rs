@@ -1,8 +1,8 @@
 //! Resume bit-identity and corruption-refusal proofs for the crash-safe
 //! attack pipeline (`sm_attack::checkpoint` / `xval::for_each_fold_resumable`).
 //!
-//! The central claims, proven the way `enumeration_parity` proves spatial
-//! == all-pairs:
+//! The central claims, proven the way `enumeration_parity` proves scoring ==
+//! `oracle::score`:
 //!
 //! 1. an uninterrupted resumable run equals a plain `score` call bit for
 //!    bit, for any shard size and parallelism;
@@ -12,7 +12,7 @@
 //! 3. a corrupt, truncated, or foreign checkpoint is a typed refusal,
 //!    never a partial resume.
 
-use sm_attack::attack::{AttackConfig, ScoreOptions, TrainOptions, TrainedAttack};
+use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
 use sm_attack::checkpoint::{
     score_resumable, score_resumable_as, Checkpoint, CheckpointError, CheckpointSpec, Resume,
     ScoreOutcome,
@@ -34,7 +34,7 @@ fn train(config: &AttackConfig, views: &[SplitView], target: usize) -> TrainedAt
         .filter(|(i, _)| *i != target)
         .map(|(_, v)| v)
         .collect();
-    TrainedAttack::train_opt(config, &train, None, TrainOptions::default()).expect("trains")
+    TrainedAttack::train(config, &train, None).expect("trains")
 }
 
 fn temp_spec(tag: &str, every: usize) -> CheckpointSpec {
@@ -371,7 +371,7 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
     // Reference: the plain streaming driver folded into a curve builder.
     let mut reference = LocCurveBuilder::new();
     let mut reference_names = Vec::new();
-    for_each_fold(&config, &views, &opts, TrainOptions::default(), |fold| {
+    for_each_fold(&config, &views, &opts, |fold| {
         reference.add_view(&fold.scored);
         reference_names.push(fold.test_name.clone());
     })
@@ -384,7 +384,6 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
         &config,
         &views,
         &opts,
-        TrainOptions::default(),
         &spec,
         Resume::Fresh,
         &|| false,
@@ -413,16 +412,9 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
         } else {
             Resume::IfPresent
         };
-        match for_each_fold_resumable(
-            &config,
-            &views,
-            &opts,
-            TrainOptions::default(),
-            &spec,
-            resume,
-            &|| true,
-            |fold| visited.push(fold.test_name.clone()),
-        )
+        match for_each_fold_resumable(&config, &views, &opts, &spec, resume, &|| true, |fold| {
+            visited.push(fold.test_name.clone())
+        })
         .expect("leg runs")
         {
             XvalOutcome::Complete { curve, .. } => break curve,

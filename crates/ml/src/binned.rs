@@ -1,8 +1,7 @@
 //! Pre-binned datasets for the histogram training kernel.
 //!
-//! [`Tree::fit`](crate::tree::Tree::fit) with the default
-//! [`TreeBackend::Binned`](crate::tree::TreeBackend) encodes every sample's
-//! feature values into `u16` bin codes once per tree, after which node
+//! [`Tree::fit`](crate::tree::Tree::fit) encodes every sample's feature
+//! values into `u16` bin codes once per tree, after which node
 //! split-finding never touches raw `f64` features again: per-node work is a
 //! direct-indexed `(pos, neg)` count accumulation instead of a binary search
 //! per sample per feature. Codes are laid out column-major (one contiguous
@@ -11,10 +10,10 @@
 //!
 //! Bin code `c` for feature `j` is `ts.partition_point(|t| *t < v)` over
 //! that feature's candidate thresholds `ts` — the *same* expression the
-//! reference `best_split` evaluates per node — so for the strictly
-//! increasing `ts` produced by `quantile_thresholds`, `code <= k` holds iff
-//! `v <= ts[k]`. That makes the histogram scan's split counts, and
-//! therefore the grown tree, bit-identical to the reference backend.
+//! per-node scan of [`crate::oracle::fit_tree`] evaluates — so for the
+//! strictly increasing `ts` produced by `quantile_thresholds`, `code <= k`
+//! holds iff `v <= ts[k]`. That makes the histogram scan's split counts, and
+//! therefore the grown tree, bit-identical to the oracle.
 //!
 //! Histogram buffers come from a [`HistPool`] so a tree fit allocates
 //! `O(depth)` buffers total rather than one per node, and each larger
@@ -44,7 +43,7 @@ impl BinnedDataset {
     /// Encodes every row of `data` against `thresholds`. Returns the
     /// thresholds back as the error value if any feature has more distinct
     /// thresholds than a `u16` code can address, so the caller can fall
-    /// back to the reference build path.
+    /// back to the oracle's scan.
     pub(crate) fn encode(data: &Dataset, thresholds: Vec<Vec<f64>>) -> Result<Self, Vec<Vec<f64>>> {
         if thresholds.iter().any(|ts| ts.len() > usize::from(u16::MAX)) {
             return Err(thresholds);
@@ -95,7 +94,7 @@ impl BinnedDataset {
 
     /// Accumulates the `(pos, neg)` counts of the rows in `idx` into every
     /// feature's region of `hist`. Features without thresholds are skipped —
-    /// the reference scan never histograms them either.
+    /// the oracle's scan never histograms them either.
     pub(crate) fn accumulate(&self, labels: &[bool], idx: &[u32], hist: &mut [u32]) {
         for j in 0..self.thresholds.len() {
             if self.thresholds[j].is_empty() {

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::error::TrainError;
-use crate::tree::{Tree, TreeBackend, TreeParams};
+use crate::tree::{Tree, TreeParams};
 
 /// A strategy for fitting one decision tree on an index subset.
 ///
@@ -61,12 +61,32 @@ impl Default for RepTreeLearner {
     }
 }
 
+/// The tree grower a learner runs: [`Tree::fit`], or the oracle's scan
+/// ([`crate::oracle::fit_tree`]) in the oracle learners.
+pub(crate) type GrowFn =
+    fn(&Dataset, &[u32], TreeParams, &mut ChaCha8Rng) -> Result<Tree, TrainError>;
+
 impl RepTreeLearner {
-    /// The default learner with an explicit split-finding backend.
-    pub fn with_backend(backend: TreeBackend) -> Self {
-        let mut learner = Self::default();
-        learner.params.backend = backend;
-        learner
+    /// Grows with `grow`, prunes and backfits.
+    pub(crate) fn fit_tree_with(
+        &self,
+        grow: GrowFn,
+        data: &Dataset,
+        idx: &[u32],
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Tree, TrainError> {
+        if idx.is_empty() {
+            return Err(TrainError::EmptyDataset);
+        }
+        if idx.len() < 4 {
+            // Too small to hold anything out; grow unpruned.
+            return grow(data, idx, self.params, rng);
+        }
+        let (grow_idx, held) = split_indices(idx, self.grow_fraction, rng);
+        let mut tree = grow(data, &grow_idx, self.params, rng)?;
+        tree.prune_with(data, &held);
+        tree.backfit(data, idx);
+        Ok(tree)
     }
 }
 
@@ -77,18 +97,7 @@ impl TreeLearner for RepTreeLearner {
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        if idx.is_empty() {
-            return Err(TrainError::EmptyDataset);
-        }
-        if idx.len() < 4 {
-            // Too small to hold anything out; grow unpruned.
-            return Tree::fit(data, idx, self.params, rng);
-        }
-        let (grow, held) = split_indices(idx, self.grow_fraction, rng);
-        let mut tree = Tree::fit(data, &grow, self.params, rng)?;
-        tree.prune_with(data, &held);
-        tree.backfit(data, idx);
-        Ok(tree)
+        self.fit_tree_with(Tree::fit, data, idx, rng)
     }
 }
 
@@ -116,17 +125,10 @@ impl Default for RandomTreeLearner {
 }
 
 impl RandomTreeLearner {
-    /// The default learner with an explicit split-finding backend.
-    pub fn with_backend(backend: TreeBackend) -> Self {
-        let mut learner = Self::default();
-        learner.params.backend = backend;
-        learner
-    }
-}
-
-impl TreeLearner for RandomTreeLearner {
-    fn fit_tree(
+    /// Grows with `grow` on `k` random candidate features per node.
+    pub(crate) fn fit_tree_with(
         &self,
+        grow: GrowFn,
         data: &Dataset,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
@@ -140,7 +142,18 @@ impl TreeLearner for RandomTreeLearner {
             feature_subset: Some(k),
             ..self.params
         };
-        Tree::fit(data, idx, params, rng)
+        grow(data, idx, params, rng)
+    }
+}
+
+impl TreeLearner for RandomTreeLearner {
+    fn fit_tree(
+        &self,
+        data: &Dataset,
+        idx: &[u32],
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Tree, TrainError> {
+        self.fit_tree_with(Tree::fit, data, idx, rng)
     }
 }
 

@@ -6,7 +6,8 @@
 //! [`learners::RandomTreeLearner`] (Weka `RandomTree`),
 //! [`bagging::Bagging`] (bootstrap aggregation with soft voting, Eq. (1)–(3)
 //! of the paper), [`forest::RandomForest`], and the feature-importance
-//! metrics of Section IV-A ([`metrics`]).
+//! metrics of Section IV-A ([`metrics`]). The slow per-node scan that the
+//! histogram tree fit is checked against lives in [`oracle`].
 //!
 //! ## Quick start
 //!
@@ -37,6 +38,7 @@ pub mod knn;
 pub mod learners;
 pub mod linear;
 pub mod metrics;
+pub mod oracle;
 pub mod parallel;
 pub mod tree;
 
@@ -50,4 +52,4 @@ pub use knn::KNearest;
 pub use learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
 pub use linear::{LogisticParams, LogisticRegression};
 pub use parallel::{par_chunks, par_map, Parallelism, MAX_THREADS};
-pub use tree::{ParseTreeBackendError, Tree, TreeBackend, TreeParams};
+pub use tree::{Tree, TreeParams};

@@ -17,66 +17,10 @@ use serde::{Deserialize, Serialize};
 use crate::binned::{BinnedDataset, HistPool};
 use crate::data::Dataset;
 use crate::error::TrainError;
+use crate::oracle;
 
 /// Sentinel feature id marking a leaf node.
 const LEAF: i32 = -1;
-
-/// Which split-finding implementation [`Tree::fit`] runs.
-///
-/// Both backends grow *bit-identical* trees: the binned kernel reuses the
-/// same quantile thresholds, assigns every sample the same bin, accumulates
-/// counts in the same order and evaluates the gain expression with the same
-/// operand order as the reference scan — it only replaces the per-node
-/// binary search with a direct `u16` bin-code lookup and derives the larger
-/// sibling's histogram by parent-minus-smaller-child subtraction. The
-/// reference path is the seed implementation kept verbatim as the oracle
-/// for the parity suites, mirroring the scoring side's
-/// `Kernel::{Compiled, Reference}` convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum TreeBackend {
-    /// Histogram kernel over pre-binned `u16` codes (default).
-    #[default]
-    Binned,
-    /// The original per-node binary-search scan, kept as the oracle.
-    Reference,
-}
-
-/// Error for unrecognized [`TreeBackend`] names.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseTreeBackendError(String);
-
-impl std::fmt::Display for ParseTreeBackendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown tree backend `{}` (expected `binned` or `reference`)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseTreeBackendError {}
-
-impl std::str::FromStr for TreeBackend {
-    type Err = ParseTreeBackendError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "binned" => Ok(TreeBackend::Binned),
-            "reference" | "ref" => Ok(TreeBackend::Reference),
-            other => Err(ParseTreeBackendError(other.to_string())),
-        }
-    }
-}
-
-impl std::fmt::Display for TreeBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            TreeBackend::Binned => "binned",
-            TreeBackend::Reference => "reference",
-        })
-    }
-}
 
 /// Growth parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -90,8 +34,6 @@ pub struct TreeParams {
     pub feature_subset: Option<usize>,
     /// Number of quantile bins per feature for candidate thresholds.
     pub bins: usize,
-    /// Split-finding implementation; both grow bit-identical trees.
-    pub backend: TreeBackend,
 }
 
 impl Default for TreeParams {
@@ -101,7 +43,6 @@ impl Default for TreeParams {
             min_samples_split: 2,
             feature_subset: None,
             bins: 256,
-            backend: TreeBackend::default(),
         }
     }
 }
@@ -110,13 +51,13 @@ impl Default for TreeParams {
 /// per tree; nodes that need a random subset (RandomTree) shuffle a copy,
 /// nodes that consider every feature borrow the stable order directly —
 /// no per-node allocation either way.
-struct FeatureOrder {
+pub(crate) struct FeatureOrder {
     full: Vec<usize>,
     shuffled: Vec<usize>,
 }
 
 impl FeatureOrder {
-    fn new(m: usize) -> Self {
+    pub(crate) fn new(m: usize) -> Self {
         FeatureOrder {
             full: (0..m).collect(),
             shuffled: (0..m).collect(),
@@ -126,7 +67,11 @@ impl FeatureOrder {
     /// Candidate features for one node. Consumes RNG exactly like the seed
     /// implementation: a shuffle of a fresh `(0..m)` vector happens if and
     /// only if `feature_subset` is `Some`.
-    fn candidates<R: Rng>(&mut self, feature_subset: Option<usize>, rng: &mut R) -> &[usize] {
+    pub(crate) fn candidates<R: Rng>(
+        &mut self,
+        feature_subset: Option<usize>,
+        rng: &mut R,
+    ) -> &[usize] {
         match feature_subset {
             Some(k) => {
                 let m = self.full.len();
@@ -215,6 +160,14 @@ pub struct Tree {
 impl Tree {
     /// Fits a tree on the samples selected by `idx`.
     ///
+    /// Split-finding runs on a histogram kernel: every sample's feature
+    /// values are encoded once into `u16` bin codes against the tree's
+    /// quantile thresholds, and each larger sibling's histogram comes from
+    /// parent-minus-smaller-child subtraction. The grown tree is
+    /// bit-identical to the per-node scan of [`crate::oracle::fit_tree`],
+    /// which this also falls back to when a feature has more thresholds
+    /// than a `u16` code can address.
+    ///
     /// # Errors
     ///
     /// Returns [`TrainError::EmptyDataset`] if `idx` is empty. A
@@ -230,102 +183,98 @@ impl Tree {
             return Err(TrainError::EmptyDataset);
         }
         let thresholds = quantile_thresholds(data, idx, params.bins);
-        let mut tree = Tree {
-            nodes: Vec::new(),
-            num_features: data.num_features(),
-        };
+        let mut tree = Tree::empty(data.num_features());
         let mut scratch = idx.to_vec();
         let mut order = FeatureOrder::new(data.num_features());
-        match params.backend {
-            TreeBackend::Reference => {
-                tree.build(data, &mut scratch, &thresholds, &params, 0, rng, &mut order);
+        match BinnedDataset::encode(data, thresholds) {
+            Ok(binned) => {
+                let mut pool = HistPool::new(binned.hist_len());
+                // REPTree-style all-feature nodes thread a full histogram
+                // down the recursion so each larger sibling comes from a
+                // subtraction; the RandomTree subset path accumulates only
+                // the node's candidate features instead.
+                let root_hist = if params.feature_subset.is_none() {
+                    let mut h = pool.acquire();
+                    binned.accumulate(data.labels(), &scratch, &mut h);
+                    Some(h)
+                } else {
+                    None
+                };
+                tree.build_binned(
+                    data,
+                    &binned,
+                    &mut scratch,
+                    &params,
+                    0,
+                    rng,
+                    &mut order,
+                    &mut pool,
+                    root_hist,
+                );
             }
-            TreeBackend::Binned => match BinnedDataset::encode(data, thresholds) {
-                Ok(binned) => {
-                    let mut pool = HistPool::new(binned.hist_len());
-                    // REPTree-style all-feature nodes thread a full histogram
-                    // down the recursion so each larger sibling comes from a
-                    // subtraction; the RandomTree subset path accumulates only
-                    // the node's candidate features instead.
-                    let root_hist = if params.feature_subset.is_none() {
-                        let mut h = pool.acquire();
-                        binned.accumulate(data.labels(), &scratch, &mut h);
-                        Some(h)
-                    } else {
-                        None
-                    };
-                    tree.build_binned(
-                        data,
-                        &binned,
-                        &mut scratch,
-                        &params,
-                        0,
-                        rng,
-                        &mut order,
-                        &mut pool,
-                        root_hist,
-                    );
-                }
-                // More distinct thresholds than a u16 code can address:
-                // fall back to the (bit-identical) reference scan.
-                Err(thresholds) => {
-                    tree.build(data, &mut scratch, &thresholds, &params, 0, rng, &mut order);
-                }
-            },
+            Err(thresholds) => {
+                oracle::build(
+                    &mut tree,
+                    data,
+                    &mut scratch,
+                    &thresholds,
+                    &params,
+                    0,
+                    rng,
+                    &mut order,
+                );
+            }
         }
         Ok(tree)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn build<R: Rng>(
+    /// An empty tree over `num_features` features, for a builder to grow.
+    pub(crate) fn empty(num_features: usize) -> Self {
+        Tree {
+            nodes: Vec::new(),
+            num_features,
+        }
+    }
+
+    /// Opens the node of the samples `idx` at `depth`: pushes it as a leaf
+    /// holding their class counts and returns its id, plus the counts when
+    /// the stop rules still let it split.
+    pub(crate) fn open_node(
         &mut self,
         data: &Dataset,
-        idx: &mut [u32],
-        thresholds: &[Vec<f64>],
+        idx: &[u32],
         params: &TreeParams,
         depth: usize,
-        rng: &mut R,
-        order: &mut FeatureOrder,
-    ) -> u32 {
+    ) -> (u32, Option<(u32, u32)>) {
         let (pos, neg) = count_labels(data, idx);
         let me = self.nodes.len() as u32;
         self.nodes.push(Node::leaf(pos, neg));
-        if pos == 0 || neg == 0 || idx.len() < params.min_samples_split || depth >= params.max_depth
-        {
-            return me;
-        }
+        let stop = pos == 0
+            || neg == 0
+            || idx.len() < params.min_samples_split
+            || depth >= params.max_depth;
+        (me, (!stop).then_some((pos, neg)))
+    }
 
-        // Candidate features: all, or a random subset (RandomTree).
-        let best = {
-            let candidates = order.candidates(params.feature_subset, rng);
-            best_split(data, idx, thresholds, candidates, pos, neg)
-        };
-        let Some((feature, threshold, gain)) = best else {
-            return me;
-        };
-        if gain <= 1e-12 {
-            return me;
-        }
-
-        // In-place partition: `x[feature] <= threshold` to the front.
-        let cut = partition(idx, |&i| data.feature(i as usize, feature) <= threshold);
-        if cut == 0 || cut == idx.len() {
-            return me; // numeric degeneracy: no progress
-        }
-        let (left_idx, right_idx) = idx.split_at_mut(cut);
-        let left = self.build(data, left_idx, thresholds, params, depth + 1, rng, order);
-        let right = self.build(data, right_idx, thresholds, params, depth + 1, rng, order);
+    /// Turns the leaf `me` into a split on `x[feature] <= threshold`.
+    pub(crate) fn close_node(
+        &mut self,
+        me: u32,
+        feature: usize,
+        threshold: f64,
+        left: u32,
+        right: u32,
+    ) {
         let node = &mut self.nodes[me as usize];
         node.feature = feature as i32;
         node.threshold = threshold;
         node.left = left;
         node.right = right;
-        me
     }
 
-    /// Histogram-kernel twin of [`Tree::build`]. Stop conditions, candidate
-    /// order, gain operands and the raw-`f64` partition predicate are all
-    /// identical to the reference path, so the grown tree is bit-identical.
+    /// Grows the subtree of `idx` from histograms. Stop conditions, candidate
+    /// order, gain operands and the raw-`f64` partition predicate are those
+    /// of the oracle's per-node scan, so the grown tree is bit-identical.
     ///
     /// `hist` is the node's full (pos, neg)-per-bin histogram on the
     /// all-feature path, `None` on the random-subset path. Buffers are
@@ -343,14 +292,11 @@ impl Tree {
         pool: &mut HistPool,
         hist: Option<Vec<u32>>,
     ) -> u32 {
-        let (pos, neg) = count_labels(data, idx);
-        let me = self.nodes.len() as u32;
-        self.nodes.push(Node::leaf(pos, neg));
-        if pos == 0 || neg == 0 || idx.len() < params.min_samples_split || depth >= params.max_depth
-        {
+        let (me, counts) = self.open_node(data, idx, params, depth);
+        let Some((pos, neg)) = counts else {
             release_node_hist(pool, binned, idx, hist);
             return me;
-        }
+        };
 
         // Find the best split from histograms: either the one threaded down
         // from the parent (all-feature path) or a fresh accumulation of just
@@ -375,22 +321,10 @@ impl Tree {
                 (best, None)
             }
         };
-        let Some((feature, threshold, gain)) = best else {
+        let Some((feature, threshold, cut)) = split_samples(data, idx, best) else {
             release_node_hist(pool, binned, idx, hist);
             return me;
         };
-        if gain <= 1e-12 {
-            release_node_hist(pool, binned, idx, hist);
-            return me;
-        }
-
-        // In-place partition over the *raw* feature values — same predicate
-        // as the reference path, so even NaN rows land on the same side.
-        let cut = partition(idx, |&i| data.feature(i as usize, feature) <= threshold);
-        if cut == 0 || cut == idx.len() {
-            release_node_hist(pool, binned, idx, hist);
-            return me; // numeric degeneracy: no progress
-        }
         let (left_idx, right_idx) = idx.split_at_mut(cut);
 
         // Two exact ways to derive the child histograms; pick the cheaper.
@@ -453,11 +387,7 @@ impl Tree {
             pool,
             right_hist,
         );
-        let node = &mut self.nodes[me as usize];
-        node.feature = feature as i32;
-        node.threshold = threshold;
-        node.left = left;
-        node.right = right;
+        self.close_node(me, feature, threshold, left, right);
         me
     }
 
@@ -635,6 +565,24 @@ fn partition<T, F: Fn(&T) -> bool>(xs: &mut [T], pred: F) -> usize {
     store
 }
 
+/// Applies a node's best split: moves the samples with
+/// `x[feature] <= threshold` to the front of `idx` and returns the feature,
+/// the threshold and their count, or `None` when the split gains nothing
+/// or sends every sample one way. The partition reads the *raw* feature
+/// values, so even NaN rows land on the same side under every builder.
+pub(crate) fn split_samples(
+    data: &Dataset,
+    idx: &mut [u32],
+    best: Option<(usize, f64, f64)>,
+) -> Option<(usize, f64, usize)> {
+    let (feature, threshold, gain) = best?;
+    if gain <= 1e-12 {
+        return None;
+    }
+    let cut = partition(idx, |&i| data.feature(i as usize, feature) <= threshold);
+    (cut != 0 && cut != idx.len()).then_some((feature, threshold, cut))
+}
+
 fn count_labels(data: &Dataset, idx: &[u32]) -> (u32, u32) {
     let mut pos = 0u32;
     let mut neg = 0u32;
@@ -649,7 +597,7 @@ fn count_labels(data: &Dataset, idx: &[u32]) -> (u32, u32) {
 }
 
 /// Binary entropy of a (pos, neg) count pair, in nats.
-fn entropy(pos: f64, neg: f64) -> f64 {
+pub(crate) fn entropy(pos: f64, neg: f64) -> f64 {
     let n = pos + neg;
     if n == 0.0 || pos == 0.0 || neg == 0.0 {
         return 0.0;
@@ -701,61 +649,9 @@ pub(crate) fn quantile_thresholds(data: &Dataset, idx: &[u32], bins: usize) -> V
     out
 }
 
-/// Best (feature, threshold, information gain) over the candidate features.
-fn best_split(
-    data: &Dataset,
-    idx: &[u32],
-    thresholds: &[Vec<f64>],
-    candidates: &[usize],
-    pos: u32,
-    neg: u32,
-) -> Option<(usize, f64, f64)> {
-    let parent = entropy(f64::from(pos), f64::from(neg));
-    let n = idx.len() as f64;
-    let mut best: Option<(usize, f64, f64)> = None;
-    // Histogram scratch: (pos, neg) per bin.
-    let mut hist: Vec<(u32, u32)> = Vec::new();
-    for &j in candidates {
-        let ts = &thresholds[j];
-        if ts.is_empty() {
-            continue;
-        }
-        hist.clear();
-        hist.resize(ts.len() + 1, (0, 0));
-        for &i in idx {
-            let v = data.feature(i as usize, j);
-            let bin = ts.partition_point(|t| *t < v);
-            let e = &mut hist[bin];
-            if data.label(i as usize) {
-                e.0 += 1;
-            } else {
-                e.1 += 1;
-            }
-        }
-        let mut lp = 0u32;
-        let mut ln = 0u32;
-        for (k, &(hp, hn)) in hist[..ts.len()].iter().enumerate() {
-            lp += hp;
-            ln += hn;
-            let l = f64::from(lp + ln);
-            let r = n - l;
-            if l == 0.0 || r == 0.0 {
-                continue;
-            }
-            let gain = parent
-                - (l / n) * entropy(f64::from(lp), f64::from(ln))
-                - (r / n) * entropy(f64::from(pos - lp), f64::from(neg - ln));
-            if best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((j, ts[k], gain));
-            }
-        }
-    }
-    best
-}
-
-/// [`best_split`]'s gain scan over a pre-accumulated flat histogram. The
-/// candidate iteration order, the left/right accumulators and every operand
-/// of the gain expression mirror the reference loop exactly — only the
+/// The oracle's per-node gain scan over a pre-accumulated flat histogram.
+/// The candidate iteration order, the left/right accumulators and every
+/// operand of the gain expression mirror the scan exactly — only the
 /// per-sample binning (already folded into `hist`) differs.
 fn best_split_binned(
     binned: &BinnedDataset,
@@ -986,36 +882,20 @@ mod tests {
         assert!(t.num_nodes() <= pruned.num_nodes());
     }
 
-    /// Fit the same data/params/seed under both backends.
+    /// Fit the same data/params/seed with the oracle scan and with
+    /// [`Tree::fit`].
     fn fit_both(ds: &Dataset, params: TreeParams) -> (Tree, Tree) {
-        let reference = Tree::fit(
-            ds,
-            &ds.all_indices(),
-            TreeParams {
-                backend: TreeBackend::Reference,
-                ..params
-            },
-            &mut rng(),
-        )
-        .expect("reference fit");
-        let binned = Tree::fit(
-            ds,
-            &ds.all_indices(),
-            TreeParams {
-                backend: TreeBackend::Binned,
-                ..params
-            },
-            &mut rng(),
-        )
-        .expect("binned fit");
-        (reference, binned)
+        let oracle =
+            oracle::fit_tree(ds, &ds.all_indices(), params, &mut rng()).expect("oracle fit");
+        let binned = Tree::fit(ds, &ds.all_indices(), params, &mut rng()).expect("binned fit");
+        (oracle, binned)
     }
 
     #[test]
     fn binned_backend_is_bit_identical_on_xor() {
         let ds = xor_data(400);
-        let (reference, binned) = fit_both(&ds, TreeParams::default());
-        assert_eq!(reference, binned);
+        let (oracle, binned) = fit_both(&ds, TreeParams::default());
+        assert_eq!(oracle, binned);
     }
 
     #[test]
@@ -1025,13 +905,13 @@ mod tests {
             feature_subset: Some(1),
             ..TreeParams::default()
         };
-        let (reference, binned) = fit_both(&ds, params);
-        assert_eq!(reference, binned);
+        let (oracle, binned) = fit_both(&ds, params);
+        assert_eq!(oracle, binned);
     }
 
     /// Regression for the NaN-hostile `partial_cmp(..).unwrap_or(Equal)`
     /// sort: a NaN-bearing column must not poison threshold selection, and
-    /// both backends must still agree bit-for-bit.
+    /// the binned fit must still agree with the oracle bit-for-bit.
     #[test]
     fn nan_feature_column_is_handled_consistently() {
         let mut ds = Dataset::new(2);
@@ -1048,12 +928,12 @@ mod tests {
             let finite: Vec<f64> = col.iter().copied().filter(|v| v.is_finite()).collect();
             assert!(finite.windows(2).all(|w| w[0] < w[1]), "misordered {col:?}");
         }
-        let (reference, binned) = fit_both(&ds, TreeParams::default());
-        assert_eq!(reference, binned);
+        let (oracle, binned) = fit_both(&ds, TreeParams::default());
+        assert_eq!(oracle, binned);
         // The clean feature fully determines the label, so NaNs in the
         // noisy twin column must not break learning.
-        assert!(reference.predict(&[0.9, f64::NAN]));
-        assert!(!reference.predict(&[0.1, f64::NAN]));
+        assert!(oracle.predict(&[0.9, f64::NAN]));
+        assert!(!oracle.predict(&[0.1, f64::NAN]));
     }
 
     /// -0.0 and 0.0 compare equal, so `dedup()` keeps one representative

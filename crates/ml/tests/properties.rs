@@ -6,7 +6,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use sm_ml::learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
 use sm_ml::metrics::{correlation, fisher_ratio, information_gain};
-use sm_ml::tree::{Tree, TreeBackend, TreeParams};
+use sm_ml::oracle;
+use sm_ml::tree::{Tree, TreeParams};
 use sm_ml::{Bagging, Dataset, Parallelism};
 
 /// A random small binary dataset with at least one sample per class.
@@ -177,7 +178,7 @@ proptest! {
         seed in any::<u64>()
     ) {
         // The training-kernel parity property: the binned histogram build
-        // must grow the exact tree the reference scan grows — same node
+        // must grow the exact tree the oracle's scan grows — same node
         // layout, same thresholds bit-for-bit, same counts — across random
         // datasets, depth caps, bin counts, feature subsets and RNG seeds.
         let params = TreeParams {
@@ -187,25 +188,16 @@ proptest! {
             ..TreeParams::default()
         };
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let reference = Tree::fit(
-            &ds,
-            &ds.all_indices(),
-            TreeParams { backend: TreeBackend::Reference, ..params },
-            &mut rng,
-        ).expect("reference fit");
+        let oracle = oracle::fit_tree(&ds, &ds.all_indices(), params, &mut rng)
+            .expect("oracle fit");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let binned = Tree::fit(
-            &ds,
-            &ds.all_indices(),
-            TreeParams { backend: TreeBackend::Binned, ..params },
-            &mut rng,
-        ).expect("binned fit");
-        prop_assert_eq!(&reference, &binned);
+        let binned = Tree::fit(&ds, &ds.all_indices(), params, &mut rng).expect("binned fit");
+        prop_assert_eq!(&oracle, &binned);
         // Bitwise equality including every f64 threshold: the vendored
         // serde_json prints shortest-roundtrip floats, so equal strings
         // mean equal bits.
         prop_assert_eq!(
-            serde_json::to_string(&reference).expect("serialize"),
+            serde_json::to_string(&oracle).expect("serialize"),
             serde_json::to_string(&binned).expect("serialize")
         );
     }
@@ -218,38 +210,39 @@ proptest! {
     ) {
         // End-to-end learner parity: REPTree (grow + reduced-error prune +
         // backfit) and RandomTree (random subsets), alone and under
-        // Bagging's per-tree bootstrap/seeding, must be backend-invariant.
+        // Bagging's per-tree bootstrap/seeding, must match the oracle
+        // learners.
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rep_ref = RepTreeLearner::with_backend(TreeBackend::Reference)
+        let rep_oracle = oracle::RepTreeLearner::default()
             .fit_tree(&ds, &ds.all_indices(), &mut rng).expect("fit");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rep_bin = RepTreeLearner::with_backend(TreeBackend::Binned)
+        let rep = RepTreeLearner::default()
             .fit_tree(&ds, &ds.all_indices(), &mut rng).expect("fit");
-        prop_assert_eq!(rep_ref, rep_bin);
+        prop_assert_eq!(rep_oracle, rep);
 
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rt_ref = RandomTreeLearner::with_backend(TreeBackend::Reference)
+        let rt_oracle = oracle::RandomTreeLearner::default()
             .fit_tree(&ds, &ds.all_indices(), &mut rng).expect("fit");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rt_bin = RandomTreeLearner::with_backend(TreeBackend::Binned)
+        let rt = RandomTreeLearner::default()
             .fit_tree(&ds, &ds.all_indices(), &mut rng).expect("fit");
-        prop_assert_eq!(rt_ref, rt_bin);
+        prop_assert_eq!(rt_oracle, rt);
 
-        let bag_ref = Bagging::fit_with(
+        let bag_oracle = Bagging::fit_with(
             &ds,
-            &RepTreeLearner::with_backend(TreeBackend::Reference),
+            &oracle::RepTreeLearner::default(),
             n_trees,
             seed,
             Parallelism::Sequential,
         );
-        let bag_bin = Bagging::fit_with(
+        let bag = Bagging::fit_with(
             &ds,
-            &RepTreeLearner::with_backend(TreeBackend::Binned),
+            &RepTreeLearner::default(),
             n_trees,
             seed,
             Parallelism::Threads(3),
         );
-        match (bag_ref, bag_bin) {
+        match (bag_oracle, bag) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert_eq!(a.is_err(), b.is_err()),
         }

@@ -538,7 +538,7 @@ pub struct ModelEntry {
     pub schema_version: u32,
     /// Training provenance from the artifact.
     pub meta: TrainMeta,
-    /// The live model (reference scoring path, attack entry points).
+    /// The live model (attack entry points, configuration, metadata).
     pub model: TrainedAttack,
     /// The ensemble lowered once at load time (compiled scoring path).
     pub compiled: CompiledEnsemble,

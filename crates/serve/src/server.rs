@@ -76,7 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sm_attack::attack::{Enumeration, Kernel, ScoreOptions, SCORE_BATCH};
+use sm_attack::attack::{ScoreOptions, SCORE_BATCH};
 use sm_attack::TrainedAttack;
 use sm_layout::io::read_challenge;
 use sm_ml::{par_chunks, Parallelism};
@@ -149,13 +149,6 @@ pub struct ServeOptions {
     /// batch. Sequential by default — the executor already provides
     /// cross-request parallelism; results are identical either way.
     pub batch: Parallelism,
-    /// Scoring kernel for `ScorePairs` and `Attack` requests. Results are
-    /// bit-identical across kernels; `Compiled` is the fast default.
-    pub kernel: Kernel,
-    /// Candidate enumeration for `Attack` requests. Results are
-    /// bit-identical across enumerations; `Spatial` (grid radius queries)
-    /// is the memory-bounded default, `AllPairs` the quadratic oracle.
-    pub enumeration: Enumeration,
     /// Mid-request deadline in milliseconds: once the first byte of a
     /// request has arrived, the full request must arrive (and the
     /// response must make write progress) within this budget, or the
@@ -260,8 +253,6 @@ impl Default for ServeOptions {
         Self {
             workers: Parallelism::Auto,
             batch: Parallelism::Sequential,
-            kernel: Kernel::Compiled,
-            enumeration: Enumeration::Spatial,
             request_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
             max_request_bytes: 64 * 1024 * 1024,
@@ -2144,12 +2135,10 @@ fn score_coalesced(
         JobKind::Pairs { entry, nrows, .. } => (entry.clone(), *nrows),
         JobKind::Attack { .. } => unreachable!("caller matched Pairs"),
     };
-    // Coalescing applies only to the hot default path: the compiled
-    // kernel with no intra-batch parallelism. Anything else is scored
-    // exactly as the blocking server scored it, one request at a time.
-    let coalescible = |nrows: usize| {
-        matches!(opts.kernel, Kernel::Compiled) && opts.batch.worker_count(nrows.max(1)) <= 1
-    };
+    // Coalescing applies only to the hot default path: no intra-batch
+    // parallelism. Anything else is scored exactly as the blocking server
+    // scored it, one request at a time.
+    let coalescible = |nrows: usize| opts.batch.worker_count(nrows.max(1)) <= 1;
     if !coalescible(first_nrows) {
         let response = score_single(state, &first);
         post(state, completion_txs, wakers, &first, response);
@@ -2260,8 +2249,8 @@ fn score_coalesced(
     stash
 }
 
-/// Scores one `Pairs` job without coalescing — the reference kernel and
-/// intra-batch parallel paths, exactly as the blocking server ran them.
+/// Scores one `Pairs` job without coalescing — the intra-batch parallel
+/// path, exactly as the blocking server ran it.
 fn score_single(state: &ServerState, job: &Job) -> Response {
     let JobKind::Pairs {
         catalog,
@@ -2275,26 +2264,12 @@ fn score_single(state: &ServerState, job: &Job) -> Response {
     let (nrows, width) = (*nrows, entry.model.config().features.len());
     let mut probs = vec![0.0; nrows];
     if state.options.batch.worker_count(nrows) <= 1 {
-        match state.options.kernel {
-            Kernel::Compiled => entry.compiled.proba_batch(rows, width, &mut probs),
-            Kernel::Reference => {
-                for (slot, row) in probs.iter_mut().zip(rows.chunks_exact(width.max(1))) {
-                    *slot = entry.model.model().proba(row);
-                }
-            }
-        }
+        entry.compiled.proba_batch(rows, width, &mut probs);
     } else {
         let parts = par_chunks(state.options.batch, nrows, |range| {
             let sub = &rows[range.start * width..range.end * width];
             let mut out = vec![0.0; range.len()];
-            match state.options.kernel {
-                Kernel::Compiled => entry.compiled.proba_batch(sub, width, &mut out),
-                Kernel::Reference => {
-                    for (slot, row) in out.iter_mut().zip(sub.chunks_exact(width.max(1))) {
-                        *slot = entry.model.model().proba(row);
-                    }
-                }
-            }
+            entry.compiled.proba_batch(sub, width, &mut out);
             out
         });
         probs = parts.into_iter().flatten().collect();
@@ -2464,8 +2439,6 @@ fn run_attack(
         &view,
         &ScoreOptions {
             parallelism: state.options.batch,
-            kernel: state.options.kernel,
-            enumeration: state.options.enumeration,
             ..ScoreOptions::default()
         },
     );
@@ -2496,8 +2469,6 @@ mod tests {
     fn default_options_pool_with_sequential_batches() {
         let opts = ServeOptions::default();
         assert_eq!(opts.batch, Parallelism::Sequential);
-        assert_eq!(opts.kernel, Kernel::Compiled);
-        assert_eq!(opts.enumeration, Enumeration::Spatial);
         assert!(opts.workers.worker_count(usize::MAX) >= 1);
         assert!(opts.request_timeout_ms > 0);
         assert!(opts.idle_timeout_ms >= opts.request_timeout_ms);

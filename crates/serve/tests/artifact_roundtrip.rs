@@ -4,8 +4,8 @@
 //! the workspace's parallel-determinism guarantee across a save/load
 //! cycle (and therefore across processes).
 
-use sm_attack::attack::{AttackConfig, ScoreOptions, TrainOptions, TrainedAttack};
-use sm_attack::{Parallelism, TreeBackend};
+use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use sm_attack::{oracle, Parallelism};
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ArtifactError, ModelArtifact, TrainMeta};
 
@@ -81,11 +81,11 @@ fn loaded_model_reproduces_the_loc_histogram_bit_for_bit() {
     }
 }
 
-/// The training backend is a how, not a what: a binned-trained model must
-/// serialize to the byte-identical artifact of a reference-trained one
-/// (same payload, same checksum — `TrainOptions` is not part of the wire
-/// format), and reloading it must reproduce the LoC histogram of both the
-/// in-process binned model and the reference-trained model, bit for bit.
+/// The training kernel is a how, not a what: a model from the binned tree
+/// fit must serialize to the byte-identical artifact of one the oracle's
+/// per-node scan fits (same payload, same checksum), and reloading it must
+/// reproduce the LoC histogram of both the in-process model and the
+/// oracle-trained model, bit for bit.
 #[test]
 fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
     let views = Suite::ispd2011_like(0.01)
@@ -93,30 +93,15 @@ fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
         .split_all(SplitLayer::new(8).expect("valid layer"));
     let train: Vec<_> = views[1..].iter().collect();
     let config = AttackConfig::imp9();
-    let reference = TrainedAttack::train_opt(
-        &config,
-        &train,
-        None,
-        TrainOptions {
-            backend: TreeBackend::Reference,
-        },
-    )
-    .expect("reference train");
-    let binned = TrainedAttack::train_opt(
-        &config,
-        &train,
-        None,
-        TrainOptions {
-            backend: TreeBackend::Binned,
-        },
-    )
-    .expect("binned train");
+    let (samples, radius) = TrainedAttack::prepare_samples(&config, &train, None).expect("samples");
+    let reference = oracle::train(&config, samples, radius).expect("oracle train");
+    let binned = TrainedAttack::train(&config, &train, None).expect("binned train");
 
     let encoded_ref = ModelArtifact::from_trained(&reference, TrainMeta::default()).encode();
     let encoded_bin = ModelArtifact::from_trained(&binned, TrainMeta::default()).encode();
     assert_eq!(
         encoded_ref, encoded_bin,
-        "artifact bytes (payload + checksum) must not depend on the training backend"
+        "artifact bytes (payload + checksum) must not depend on the tree-fitting kernel"
     );
 
     let dir = std::env::temp_dir().join("smserve_roundtrip_binned");
@@ -141,7 +126,7 @@ fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
     );
     assert_eq!(
         scored_loaded.hist, scored_reference.hist,
-        "reloaded binned model must reproduce the reference-trained LoC histogram"
+        "reloaded binned model must reproduce the oracle-trained LoC histogram"
     );
     assert_eq!(scored_loaded, scored_reference);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,13 +1,13 @@
-//! The binned training backend must be invisible in results: for every
-//! benchmark and split layer, a model trained with `TreeBackend::Binned`
+//! The binned training kernel must be invisible in results: for every
+//! benchmark and split layer, a model trained by `TrainedAttack::train`
 //! (histogram split-finding with sibling subtraction) equals the model
-//! trained with `TreeBackend::Reference` bit for bit — same ensemble,
-//! same radius, same scoring — including the REPTree grow/prune/backfit
-//! pipeline the paper's classifier runs.
+//! `oracle::train` fits with the per-node scan bit for bit — same
+//! ensemble, same radius, same scoring — including the REPTree
+//! grow/prune/backfit pipeline the paper's classifier runs.
 
-use splitmfg::attack::attack::{AttackConfig, ScoreOptions, TrainOptions, TrainedAttack};
-use splitmfg::attack::xval::leave_one_out_opt;
-use splitmfg::attack::TreeBackend;
+use splitmfg::attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use splitmfg::attack::oracle;
+use splitmfg::attack::xval::leave_one_out;
 use splitmfg::layout::{SplitLayer, SplitView, Suite};
 
 const SCALE: f64 = 0.02;
@@ -18,8 +18,19 @@ fn views(split: u8) -> Vec<SplitView> {
         .split_all(SplitLayer::new(split).expect("valid"))
 }
 
-fn with_backend(backend: TreeBackend) -> TrainOptions {
-    TrainOptions { backend }
+/// Every view but the `t`-th.
+fn training(vs: &[SplitView], t: usize) -> Vec<&SplitView> {
+    vs.iter()
+        .enumerate()
+        .filter(|(i, _)| *i != t)
+        .map(|(_, v)| v)
+        .collect()
+}
+
+/// The oracle model for `train`: same sample extraction, scan-fit trees.
+fn oracle_train(cfg: &AttackConfig, train: &[&SplitView]) -> TrainedAttack {
+    let (samples, radius) = TrainedAttack::prepare_samples(cfg, train, None).expect("samples");
+    oracle::train(cfg, samples, radius).expect("oracle train")
 }
 
 #[test]
@@ -27,19 +38,10 @@ fn binned_backend_reproduces_reference_on_every_benchmark_and_layer() {
     for split in [4u8, 6, 8] {
         let vs = views(split);
         for t in 0..vs.len() {
-            let train: Vec<&SplitView> = vs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != t)
-                .map(|(_, v)| v)
-                .collect();
+            let train = training(&vs, t);
             let cfg = AttackConfig::imp9();
-            let reference =
-                TrainedAttack::train_opt(&cfg, &train, None, with_backend(TreeBackend::Reference))
-                    .expect("reference train");
-            let binned =
-                TrainedAttack::train_opt(&cfg, &train, None, with_backend(TreeBackend::Binned))
-                    .expect("binned train");
+            let reference = oracle_train(&cfg, &train);
+            let binned = TrainedAttack::train(&cfg, &train, None).expect("binned train");
             assert_eq!(
                 reference, binned,
                 "layer {split}, target {}: trained models diverged",
@@ -70,17 +72,20 @@ fn binned_backend_reproduces_reference_on_every_benchmark_and_layer() {
 #[test]
 fn cross_validation_is_backend_invariant() {
     // The full leave-one-out driver — per-design sample cache, fold
-    // assembly, training, scoring — must fold the backend away entirely.
+    // assembly, training, scoring — must score each fold exactly like a
+    // model the oracle trains from scratch on that fold's designs.
     let vs = views(8);
     let cfg = AttackConfig::imp11();
     let opts = ScoreOptions::default();
-    let reference = leave_one_out_opt(&cfg, &vs, &opts, with_backend(TreeBackend::Reference))
-        .expect("reference xval");
-    let binned = leave_one_out_opt(&cfg, &vs, &opts, with_backend(TreeBackend::Binned))
-        .expect("binned xval");
-    assert_eq!(reference.len(), binned.len());
-    for (r, b) in reference.iter().zip(&binned) {
-        assert_eq!(r.test_name, b.test_name);
-        assert_eq!(r.scored, b.scored, "{}: fold scoring diverged", r.test_name);
+    let folds = leave_one_out(&cfg, &vs, &opts).expect("xval");
+    assert_eq!(folds.len(), vs.len());
+    for (t, fold) in folds.iter().enumerate() {
+        assert_eq!(fold.test_name, vs[t].name);
+        let reference = oracle_train(&cfg, &training(&vs, t)).score(&vs[t], &opts);
+        assert_eq!(
+            reference, fold.scored,
+            "{}: fold scoring diverged",
+            fold.test_name
+        );
     }
 }
