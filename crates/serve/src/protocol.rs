@@ -1274,9 +1274,11 @@ mod tests {
             model_id: Some("incumbent".into()),
         };
         let frame = binary::encode_request(&req);
-        let header =
-            binary::decode_header(frame[..binary::HEADER_LEN].try_into().expect("header"), 1 << 20)
-                .expect("valid header");
+        let header = binary::decode_header(
+            frame[..binary::HEADER_LEN].try_into().expect("header"),
+            1 << 20,
+        )
+        .expect("valid header");
         assert_eq!(
             header.frame_type,
             binary::FRAME_ATTACK,
@@ -1309,15 +1311,22 @@ mod tests {
             scored: Some(sample_scored_view()),
         };
         let frame = binary::encode_response(&resp);
-        let header =
-            binary::decode_header(frame[..binary::HEADER_LEN].try_into().expect("header"), 1 << 20)
-                .expect("valid header");
+        let header = binary::decode_header(
+            frame[..binary::HEADER_LEN].try_into().expect("header"),
+            1 << 20,
+        )
+        .expect("valid header");
         assert_eq!(header.frame_type, binary::FRAME_ATTACK_RESULT);
         let back = frame_roundtrip_response(&resp);
         // PartialEq on f64 treats -0.0 == 0.0; check the bits explicitly
         // for the fields that travel as raw f64.
-        let (Response::AttackResult { summary, scored }, Response::AttackResult { summary: s2, scored: sc2 }) =
-            (&resp, &back)
+        let (
+            Response::AttackResult { summary, scored },
+            Response::AttackResult {
+                summary: s2,
+                scored: sc2,
+            },
+        ) = (&resp, &back)
         else {
             panic!("wrong variant");
         };
@@ -1368,9 +1377,11 @@ mod tests {
             model_id: None,
         };
         let frame = binary::encode_request_json(&req);
-        let header =
-            binary::decode_header(frame[..binary::HEADER_LEN].try_into().expect("header"), 1 << 20)
-                .expect("valid header");
+        let header = binary::decode_header(
+            frame[..binary::HEADER_LEN].try_into().expect("header"),
+            1 << 20,
+        )
+        .expect("valid header");
         assert_eq!(header.frame_type, binary::FRAME_JSON_REQUEST);
         assert_eq!(
             binary::decode_request(header.frame_type, &frame[binary::HEADER_LEN..])
@@ -1390,9 +1401,11 @@ mod tests {
             scored: Some(sample_scored_view()),
         };
         let frame = binary::encode_response_json(&resp);
-        let header =
-            binary::decode_header(frame[..binary::HEADER_LEN].try_into().expect("header"), 1 << 20)
-                .expect("valid header");
+        let header = binary::decode_header(
+            frame[..binary::HEADER_LEN].try_into().expect("header"),
+            1 << 20,
+        )
+        .expect("valid header");
         assert_eq!(header.frame_type, binary::FRAME_JSON_RESPONSE);
         assert_eq!(
             binary::decode_response(header.frame_type, &frame[binary::HEADER_LEN..])
@@ -1455,8 +1468,7 @@ mod tests {
             model_id: Some("m".into()),
         };
         let frame = binary::encode_request(&req);
-        let view =
-            binary::decode_score_pairs(&frame[binary::HEADER_LEN..]).expect("view decodes");
+        let view = binary::decode_score_pairs(&frame[binary::HEADER_LEN..]).expect("view decodes");
         assert_eq!(view.model_id, Some("m"));
         assert_eq!((view.rows, view.cols), (2, 2));
         let mut flat = Vec::new();

@@ -969,7 +969,10 @@ mod tests {
         assert!(!dir.join("orphan.model").exists(), "stale artifact removed");
         assert!(dir.join("live.model").exists(), "live artifact survives");
         assert!(dir.join("second.model").exists(), "new artifact survives");
-        assert!(dir.join("notes.txt").exists(), "non-artifact files untouched");
+        assert!(
+            dir.join("notes.txt").exists(),
+            "non-artifact files untouched"
+        );
         // The swept registry still verifies clean end to end.
         let report = verify(&dir).expect("verifies");
         assert_eq!(report.len(), 2);

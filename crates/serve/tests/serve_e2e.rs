@@ -374,7 +374,9 @@ fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
     };
     let a = ndjson.call_ok(&attack_req).expect("ndjson attack");
     let b = dense.call_ok(&attack_req).expect("dense attack");
-    let c = json_framed.call_ok(&attack_req).expect("json-framed attack");
+    let c = json_framed
+        .call_ok(&attack_req)
+        .expect("json-framed attack");
     assert_eq!(a, b, "dense binary attack must equal ndjson");
     assert_eq!(b, c, "json-framed binary attack must equal dense");
     match b {
