@@ -103,8 +103,7 @@ impl PriorWorkModel {
         let mut pa_hits = 0usize;
         for i in 0..n {
             let r = self.radius(view, i, margin);
-            index.within_radius(view, view.vpins()[i].loc, r, i as u32, &mut cands);
-            cands.retain(|&j| view.is_legal_pair(i, j as usize));
+            index.partners_within_radius(view, i, r, &mut cands);
             total_loc += cands.len() as u64;
             let m = view.true_match(i);
             if cands.iter().any(|&j| j as usize == m) {

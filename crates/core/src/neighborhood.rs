@@ -107,6 +107,10 @@ pub fn neighborhood_radius(views: &[&SplitView], quantile: f64) -> Option<i64> {
 pub struct VpinIndex {
     grid: Grid,
     buckets: Vec<Vec<u32>>,
+    /// Per cell, the non-driving v-pins of `buckets`, in ascending index
+    /// order: the legal partners of a driver (see
+    /// [`SplitView::is_legal_pair`]).
+    sink_buckets: Vec<Vec<u32>>,
     by_y: HashMap<i64, Vec<u32>>,
 }
 
@@ -119,46 +123,37 @@ impl VpinIndex {
     pub fn new(view: &SplitView, cell: i64) -> Self {
         let grid = Grid::new(view.die, cell);
         let mut buckets = vec![Vec::new(); grid.len()];
+        let mut sink_buckets = vec![Vec::new(); grid.len()];
         let mut by_y: HashMap<i64, Vec<u32>> = HashMap::new();
         for (i, vp) in view.vpins().iter().enumerate() {
-            buckets[grid.flat_of(vp.loc)].push(i as u32);
+            let flat = grid.flat_of(vp.loc);
+            buckets[flat].push(i as u32);
+            if !vp.drives() {
+                sink_buckets[flat].push(i as u32);
+            }
             by_y.entry(vp.loc.y).or_default().push(i as u32);
         }
         Self {
             grid,
             buckets,
+            sink_buckets,
             by_y,
         }
     }
 
     /// Builds the index with a cell size matched to `radius` (clamped to a
     /// sane range), the right granularity for subsequent
-    /// [`Self::within_radius`] queries.
+    /// [`Self::within_radius_unordered`] and
+    /// [`Self::partners_within_radius`] queries.
     pub fn with_radius(view: &SplitView, radius: i64) -> Self {
         let cell = (radius / 2).clamp(1_000, 50_000);
         Self::new(view, cell)
     }
 
     /// Indices of all v-pins within Manhattan `radius` of `from` (excluding
-    /// `exclude`), written to `out` (cleared first) in **ascending index
-    /// order** — the canonical form sample generation draws from, so the
-    /// negative-pair stream is independent of grid traversal order.
-    pub fn within_radius(
-        &self,
-        view: &SplitView,
-        from: Point,
-        radius: i64,
-        exclude: u32,
-        out: &mut Vec<u32>,
-    ) {
-        self.within_radius_unordered(view, from, radius, exclude, out);
-        out.sort_unstable();
-    }
-
-    /// [`Self::within_radius`] without the sorted-output guarantee: exactly
-    /// the same candidate *set*, in an implementation-defined order. This
-    /// is the streaming hot path — the scoring loop's top-K keeper is
-    /// enumeration-order-independent, so it can skip the sort.
+    /// `exclude`), written to `out` (cleared first) in an
+    /// implementation-defined order. This is the streaming hot path: the
+    /// scoring loop's top-K keeper depends only on the candidate *set*.
     ///
     /// Cells of the query window are classified by their min/max Manhattan
     /// distance to `from`: cells entirely inside the ball are bulk-appended
@@ -166,6 +161,46 @@ impl VpinIndex {
     /// and only boundary cells pay a per-pin check.
     pub fn within_radius_unordered(
         &self,
+        view: &SplitView,
+        from: Point,
+        radius: i64,
+        exclude: u32,
+        out: &mut Vec<u32>,
+    ) {
+        self.collect_within(&self.buckets, view, from, radius, exclude, out);
+    }
+
+    /// The legal partners of v-pin `i` within Manhattan `radius` of it:
+    /// [`Self::within_radius_unordered`] around `i`'s location, excluding
+    /// `i`, with [`SplitView::is_legal_pair`] applied by the choice of
+    /// buckets rather than per candidate. A driver walks only the
+    /// non-driving v-pins; any other v-pin is legal with every other pin.
+    /// Written to `out` (cleared first) in an implementation-defined order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a v-pin of `view`.
+    pub fn partners_within_radius(
+        &self,
+        view: &SplitView,
+        i: usize,
+        radius: i64,
+        out: &mut Vec<u32>,
+    ) {
+        let vp = &view.vpins()[i];
+        let buckets = if vp.drives() {
+            &self.sink_buckets
+        } else {
+            &self.buckets
+        };
+        self.collect_within(buckets, view, vp.loc, radius, i as u32, out);
+    }
+
+    /// The cell-classification walk behind the radius queries, over one
+    /// bucket table (`buckets` or `sink_buckets`).
+    fn collect_within(
+        &self,
+        buckets: &[Vec<u32>],
         view: &SplitView,
         from: Point,
         radius: i64,
@@ -211,7 +246,7 @@ impl VpinIndex {
                     continue;
                 }
                 let flat = iy * nx + ix;
-                let bucket = &self.buckets[flat];
+                let bucket = &buckets[flat];
                 if bucket.is_empty() {
                     continue;
                 }
@@ -305,23 +340,17 @@ mod tests {
         let v = &vs[0];
         let idx = VpinIndex::new(v, 5_000);
         let mut out = Vec::new();
-        let mut unordered = Vec::new();
         for probe in 0..v.num_vpins().min(20) {
             let from = v.vpins()[probe].loc;
             let radius = 40_000;
-            idx.within_radius(v, from, radius, probe as u32, &mut out);
+            idx.within_radius_unordered(v, from, radius, probe as u32, &mut out);
+            out.sort_unstable();
             let brute: Vec<u32> = (0..v.num_vpins() as u32)
                 .filter(|&j| {
                     j != probe as u32 && v.vpins()[j as usize].loc.manhattan(from) <= radius
                 })
                 .collect();
-            // The sorted-ascending output IS the contract: no normalisation
-            // before comparing.
             assert_eq!(out, brute, "probe {probe}");
-            // The unordered hot-path variant returns the same set.
-            idx.within_radius_unordered(v, from, radius, probe as u32, &mut unordered);
-            unordered.sort_unstable();
-            assert_eq!(unordered, brute, "probe {probe} (unordered)");
         }
     }
 

@@ -166,17 +166,17 @@ pub fn generate_view_samples(
         ds.push(&buf, true).expect("buffer arity matches");
 
         // One matching negative, drawn from the same candidate pool the
-        // testing stage will use. The pool is canonical — `within_radius`
-        // and `same_y` return ascending v-pin indices — so the uniform
-        // draw below is a pure function of the seed and the candidate
-        // *set*, not of any spatial-index traversal order.
+        // testing stage will use. The draw takes the k-th smallest v-pin
+        // index of the candidate *set*, so it is a pure function of the
+        // seed and that set, not of the order in which the spatial index
+        // returns it.
         let drew = draw_negative(
             view,
             i,
             m,
             &opts,
             index.as_ref(),
-            &included,
+            filter,
             &mut rng,
             &mut cands,
         );
@@ -195,52 +195,70 @@ fn draw_negative(
     m: usize,
     opts: &SampleOptions,
     index: Option<&VpinIndex>,
-    included: &dyn Fn(usize) -> bool,
+    filter: Option<&[bool]>,
     rng: &mut ChaCha8Rng,
     cands: &mut Vec<u32>,
 ) -> Option<usize> {
     let n = view.num_vpins();
-    if let Some(index) = index {
-        // Enumerate the candidate pool once, then sample from it.
-        if opts.limit_diff_vpin_y {
-            index.same_y(view.vpins()[i].loc.y, i as u32, cands);
-            if let Some(r) = opts.radius {
-                cands.retain(|&j| view.distance(i, j as usize) <= r);
+    // Every check a negative needs; the radius pool below makes the
+    // legality check through its choice of buckets instead.
+    let negative = |j: usize| j != m && filter.is_none_or(|f| f[j]) && view.is_legal_pair(i, j);
+    let Some(index) = index else {
+        // Unrestricted: rejection-sample a uniform non-match.
+        for _ in 0..64 {
+            let j = rng.gen_range(0..n);
+            if negative(j) {
+                return Some(j);
             }
-        } else if let Some(r) = opts.radius {
-            index.within_radius(view, view.vpins()[i].loc, r, i as u32, cands);
         }
+        return None;
+    };
+    // Enumerate the candidate pool once, then sample from it.
+    if opts.limit_diff_vpin_y {
+        index.same_y(view.vpins()[i].loc.y, i as u32, cands);
         cands.retain(|&j| {
             let j = j as usize;
-            j != m && included(j) && view.is_legal_pair(i, j)
+            opts.radius.is_none_or(|r| view.distance(i, j) <= r) && negative(j)
         });
-        if cands.is_empty() && opts.limit_diff_vpin_y {
+        if cands.is_empty() {
             // A v-pin alone on its track has no same-track negative; fall
             // back to its spatial neighborhood so the classes stay
             // balanced. (At testing time these pairs are never evaluated,
             // so the model only becomes *more* conservative.)
             match opts.radius {
-                Some(r) => index.within_radius(view, view.vpins()[i].loc, r, i as u32, cands),
-                None => cands.extend((0..n as u32).filter(|&j| j != i as u32)),
-            }
-            cands.retain(|&j| {
-                let j = j as usize;
-                j != m && included(j) && view.is_legal_pair(i, j)
-            });
-        }
-        if cands.is_empty() {
-            return None;
-        }
-        Some(cands[rng.gen_range(0..cands.len())] as usize)
-    } else {
-        // Unrestricted: rejection-sample a uniform non-match.
-        for _ in 0..64 {
-            let j = rng.gen_range(0..n);
-            if j != i && j != m && included(j) && view.is_legal_pair(i, j) {
-                return Some(j);
+                Some(r) => radius_pool(index, view, i, m, r, filter, cands),
+                None => cands.extend((0..n as u32).filter(|&j| negative(j as usize))),
             }
         }
-        None
+    } else if let Some(r) = opts.radius {
+        radius_pool(index, view, i, m, r, filter, cands);
+    }
+    if cands.is_empty() {
+        return None;
+    }
+    let k = rng.gen_range(0..cands.len());
+    Some(*cands.select_nth_unstable(k).1 as usize)
+}
+
+/// The legal partners of `i` within radius `r`, less its true match `m`
+/// and any v-pin `filter` masks out, written to `cands` in no set order.
+fn radius_pool(
+    index: &VpinIndex,
+    view: &SplitView,
+    i: usize,
+    m: usize,
+    r: i64,
+    filter: Option<&[bool]>,
+    cands: &mut Vec<u32>,
+) {
+    index.partners_within_radius(view, i, r, cands);
+    match filter {
+        None => {
+            if let Some(p) = cands.iter().position(|&j| j as usize == m) {
+                cands.swap_remove(p);
+            }
+        }
+        Some(f) => cands.retain(|&j| j as usize != m && f[j as usize]),
     }
 }
 

@@ -1,10 +1,10 @@
-//! Property tests of the [`VpinIndex`] spatial queries: radius and
-//! same-track queries must return exactly the brute-force candidate set —
-//! sorted order included — over random v-pin layouts, radii and grid
-//! sizes. This is the parity foundation the streaming enumeration's
-//! bit-identity claim rests on: if the index returns the exact candidate
-//! set in canonical order, the order-invariant scoring keeper does the
-//! rest.
+//! Property tests of the [`VpinIndex`] spatial queries: radius,
+//! legal-partner and same-track queries must return exactly the
+//! brute-force candidate set over random v-pin layouts, radii and grid
+//! sizes. This is the parity foundation the streaming enumeration's and
+//! the sample draw's bit-identity claims rest on: if the index returns the
+//! exact candidate set, the order-invariant scoring keeper and the
+//! k-th-smallest draw do the rest.
 
 use proptest::prelude::*;
 use sm_attack::neighborhood::VpinIndex;
@@ -62,6 +62,36 @@ fn brute_within(view: &SplitView, from: Point, radius: i64, exclude: u32) -> Vec
         .collect()
 }
 
+/// `within_radius_unordered`'s output, sorted.
+fn sorted_within(
+    idx: &VpinIndex,
+    view: &SplitView,
+    from: Point,
+    radius: i64,
+    exclude: u32,
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    idx.within_radius_unordered(view, from, radius, exclude, &mut out);
+    out.sort_unstable();
+    out
+}
+
+/// `partners_within_radius` around v-pin `i`, sorted, and what it must
+/// equal: `within_radius_unordered` filtered by `is_legal_pair`, sorted.
+fn partners_and_legal_filter(
+    idx: &VpinIndex,
+    view: &SplitView,
+    i: usize,
+    radius: i64,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut got = Vec::new();
+    idx.partners_within_radius(view, i, radius, &mut got);
+    got.sort_unstable();
+    let mut expected = sorted_within(idx, view, view.vpins()[i].loc, radius, i as u32);
+    expected.retain(|&j| view.is_legal_pair(i, j as usize));
+    (got, expected)
+}
+
 proptest! {
     #[test]
     fn within_radius_equals_sorted_brute_force(
@@ -79,15 +109,25 @@ proptest! {
         let probe = probe % view.num_vpins();
         let from = view.vpins()[probe].loc;
         let brute = brute_within(&view, from, radius, probe as u32);
-        let mut out = Vec::new();
-        idx.within_radius(&view, from, radius, probe as u32, &mut out);
-        // Sorted ascending output IS the contract: compare directly.
-        prop_assert_eq!(&out, &brute);
-        // The unordered hot-path variant returns exactly the same set.
-        let mut unordered = Vec::new();
-        idx.within_radius_unordered(&view, from, radius, probe as u32, &mut unordered);
-        unordered.sort_unstable();
-        prop_assert_eq!(&unordered, &brute);
+        prop_assert_eq!(sorted_within(&idx, &view, from, radius, probe as u32), brute);
+    }
+
+    #[test]
+    fn partners_within_radius_equals_legal_filter(
+        view in arb_view(),
+        cell in 500i64..80_000,
+        radius in 0i64..2_000_000,
+        target in 0usize..48,
+        radius_sized_cells in prop::bool::ANY,
+    ) {
+        let idx = if radius_sized_cells {
+            VpinIndex::with_radius(&view, radius.max(1))
+        } else {
+            VpinIndex::new(&view, cell)
+        };
+        let (got, expected) =
+            partners_and_legal_filter(&idx, &view, target % view.num_vpins(), radius);
+        prop_assert_eq!(got, expected);
     }
 
     #[test]
@@ -103,9 +143,7 @@ proptest! {
         let idx = VpinIndex::new(&view, cell);
         let from = Point::new(qx, qy);
         let brute = brute_within(&view, from, radius, u32::MAX);
-        let mut out = Vec::new();
-        idx.within_radius(&view, from, radius, u32::MAX, &mut out);
-        prop_assert_eq!(&out, &brute);
+        prop_assert_eq!(sorted_within(&idx, &view, from, radius, u32::MAX), brute);
     }
 
     #[test]
@@ -131,7 +169,7 @@ proptest! {
 
 /// Out-of-die v-pins (possible through `io::read_feol` or hand-built
 /// views) clamp into edge cells of the grid; the bulk fast path must not
-/// mistake them for in-cell pins.
+/// mistake them for in-cell pins, in either bucket table.
 #[test]
 fn out_of_die_vpins_are_still_found_exactly() {
     let w = 100_000;
@@ -145,15 +183,22 @@ fn out_of_die_vpins_are_still_found_exactly() {
         vpin_at(5, 40_001, 40_000),
     ];
     let view = view_of(vpins, w, h);
-    let mut out = Vec::new();
     for cell in [1_000i64, 7_000, 50_000, 200_000] {
         let idx = VpinIndex::new(&view, cell);
         for radius in [0i64, 30_000, 80_000, 500_000, 1_000_000] {
             for probe in 0..view.num_vpins() {
                 let from = view.vpins()[probe].loc;
-                idx.within_radius(&view, from, radius, probe as u32, &mut out);
                 let brute = brute_within(&view, from, radius, probe as u32);
-                assert_eq!(out, brute, "cell {cell} radius {radius} probe {probe}");
+                assert_eq!(
+                    sorted_within(&idx, &view, from, radius, probe as u32),
+                    brute,
+                    "cell {cell} radius {radius} probe {probe}"
+                );
+                let (got, expected) = partners_and_legal_filter(&idx, &view, probe, radius);
+                assert_eq!(
+                    got, expected,
+                    "partners: cell {cell} radius {radius} probe {probe}"
+                );
             }
         }
     }
