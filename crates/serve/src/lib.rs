@@ -63,6 +63,7 @@
 
 pub mod artifact;
 pub mod client;
+mod framing;
 pub mod protocol;
 pub mod registry;
 pub mod server;

@@ -24,20 +24,25 @@
 //!   connection is a small state machine — read buffer → framed request
 //!   → scoring queue → write buffer — with the wire format auto-detected
 //!   from the first byte (`0xB5` means binary v2, anything else NDJSON)
-//!   and sticky for the connection's life. Framing is zero-copy: requests
-//!   are parsed from borrowed slices of the read buffer behind a cursor,
-//!   and the buffer compacts once per service turn (at most one partial
-//!   frame moves), not once per request. Deadlines are enforced from the
-//!   loop: an *idle* deadline between requests, a stricter *mid-request*
-//!   deadline from the first byte of a request (slow-loris defence), and
-//!   a write-stall deadline while a response is draining. Request
-//!   payloads are capped at `max_request_bytes`; the binary header's
-//!   declared length is checked against the cap before any payload is
-//!   buffered. Control requests (`Health`, `Stats`, `ListModels`,
-//!   `Reload`, `Shutdown`) are answered inline on the loop; scoring
-//!   requests are dispatched to the executor, one in flight per
-//!   connection (pipelined bytes wait in the read buffer, preserving
-//!   per-connection order, and reads pause for backpressure).
+//!   and sticky for the connection's life. Framing is zero-copy and
+//!   sans-io (the `framing` module's `ReadBuf`): requests are parsed
+//!   from borrowed slices of the read buffer behind a read cursor that
+//!   persists across turns. Consumed bytes are not moved per turn: the
+//!   unread tail moves to the front only when the consumed head has
+//!   outgrown it or a read would otherwise grow the buffer. A backlog
+//!   drained one frame per turn, as it is while a job is in flight, is
+//!   thus copied less than once in total rather than once per turn.
+//!   Deadlines are enforced from the loop: an *idle* deadline between
+//!   requests, a stricter *mid-request* deadline from the first byte of
+//!   a request (slow-loris defence), and a write-stall deadline while a
+//!   response is draining. Request payloads are capped at
+//!   `max_request_bytes`; the binary header's declared length is checked
+//!   against the cap before any payload is buffered. Control requests
+//!   (`Health`, `Stats`, `ListModels`, `Reload`, `Shutdown`) are answered
+//!   inline on the loop; scoring requests are dispatched to the executor,
+//!   one in flight per connection (pipelined bytes wait in the read
+//!   buffer, preserving per-connection order, and reads pause for
+//!   backpressure).
 //! - **Scoring executor** (`pool_size(workers)` threads): pulls
 //!   [`ScorePairs`]/[`Attack`] jobs from a shared queue. On the default
 //!   compiled-sequential path, concurrent small `ScorePairs` jobs that
@@ -83,6 +88,7 @@ use sm_ml::{par_chunks, Parallelism};
 
 use crate::artifact::ARTIFACT_VERSION;
 use crate::client::percentile_rank;
+use crate::framing::{Frame, ReadBuf, Split};
 use crate::protocol::{
     binary, AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot,
     Wire,
@@ -1047,29 +1053,6 @@ enum Phase {
     Processing,
 }
 
-/// What the NDJSON scanner found at the front of the read buffer.
-#[derive(Debug, PartialEq, Eq)]
-enum LineScan {
-    /// A full line ends at this byte index (exclusive of the newline).
-    Complete(usize),
-    /// The line already exceeds the byte cap; unrecoverable.
-    TooLarge,
-    /// No newline yet; keep reading.
-    Incomplete,
-}
-
-/// Scans for the end of the NDJSON request line at the front of `rbuf`.
-/// A line longer than `cap` is rejected whether or not its newline has
-/// arrived yet — the pre-reactor bounded reader behaved identically.
-fn scan_line(rbuf: &[u8], cap: usize) -> LineScan {
-    match rbuf.iter().position(|&b| b == b'\n') {
-        Some(pos) if pos > cap => LineScan::TooLarge,
-        Some(pos) => LineScan::Complete(pos),
-        None if rbuf.len() > cap => LineScan::TooLarge,
-        None => LineScan::Incomplete,
-    }
-}
-
 /// One live connection owned by an event loop.
 struct Conn {
     stream: TcpStream,
@@ -1077,7 +1060,7 @@ struct Conn {
     seq: u64,
     /// Detected wire format; `None` until the first byte arrives.
     wire: Option<Wire>,
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
     wbuf: Vec<u8>,
     /// Bytes of `wbuf` already written to the socket.
     wpos: usize,
@@ -1117,7 +1100,7 @@ impl Conn {
             stream,
             seq,
             wire: None,
-            rbuf: Vec::new(),
+            rbuf: ReadBuf::default(),
             wbuf: Vec::new(),
             wpos: 0,
             phase: Phase::Idle,
@@ -1415,9 +1398,9 @@ impl<'a> EventLoop<'a> {
                 return;
             };
             // Backpressure: never buffer more than one request's cap
-            // (plus a frame header) ahead of processing. `read_ready`
-            // stays true — the bytes are still there; the next turn
-            // resumes after the buffer drains.
+            // (plus a frame header) of unread bytes ahead of processing.
+            // `read_ready` stays true — the bytes are still there; the
+            // next turn resumes after the buffer drains.
             if conn.rbuf.len() > cap + binary::HEADER_LEN {
                 break;
             }
@@ -1427,7 +1410,7 @@ impl<'a> EventLoop<'a> {
                     break;
                 }
                 Ok(n) => {
-                    conn.rbuf.extend_from_slice(&buf[..n]);
+                    conn.rbuf.push(&buf[..n]);
                     // A request has started; the mid-request clock runs.
                     if conn.phase == Phase::Idle {
                         conn.phase = Phase::Receiving(Instant::now());
@@ -1447,18 +1430,18 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    /// Consumes complete requests from the front of the read buffer
-    /// until it runs dry, a scoring job goes in flight, the fairness
-    /// budget is spent, or the connection turns unrecoverable.
+    /// Consumes complete requests at the read cursor until the buffer
+    /// runs dry, a scoring job goes in flight, the fairness budget is
+    /// spent, or the connection turns unrecoverable.
     ///
-    /// Zero-copy: the buffer is taken out of the connection and walked
-    /// with a cursor; every frame (NDJSON line or binary payload) is
-    /// handed to its handler as a borrowed slice, and the leftover tail
-    /// compacts **once** at the end of the walk — at most one partial
-    /// frame moves per turn, where the old `drain().collect()` copied
-    /// every frame and memmoved the whole tail per request (quadratic
-    /// under pipelining). Handlers never touch `conn.rbuf`, which sits
-    /// empty while the walk borrows from the taken buffer.
+    /// Zero-copy: the [`ReadBuf`] is taken out of the connection and
+    /// walked; every frame (NDJSON line or binary payload) is handed to
+    /// its handler as a borrowed slice. The cursor persists across
+    /// turns, so a turn that takes one frame (the in-flight path) moves
+    /// no bytes; the buffer compacts only when its consumed head outgrows
+    /// the unread tail or a read would otherwise grow it. Handlers never
+    /// touch `conn.rbuf`, which sits empty while the walk borrows from
+    /// the taken buffer.
     ///
     /// Returns true when complete frames may remain buffered (the budget
     /// ran out) — the caller must keep the connection on the ready list.
@@ -1473,98 +1456,66 @@ impl<'a> EventLoop<'a> {
             conn.phase = Phase::Idle;
             return false;
         }
-        let wire = *conn.wire.get_or_insert_with(|| match conn.rbuf.first() {
-            Some(&binary::MAGIC0) => Wire::Binary,
-            _ => Wire::Ndjson,
-        });
+        let wire = *conn
+            .wire
+            .get_or_insert_with(|| match conn.rbuf.unread().first() {
+                Some(&binary::MAGIC0) => Wire::Binary,
+                _ => Wire::Ndjson,
+            });
         let cap = self.state.options.max_request_bytes;
-        let buf = std::mem::take(&mut conn.rbuf);
-        let mut rpos = 0usize;
+        let mut rbuf = std::mem::take(&mut conn.rbuf);
         let mut budget = FRAME_BUDGET;
         let mut more = false;
         loop {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 return false; // closed mid-walk; the buffer dies with it
             };
-            if conn.phase == Phase::Processing || conn.close_after_flush {
-                break;
-            }
-            if rpos >= buf.len() {
+            if conn.phase == Phase::Processing || conn.close_after_flush || rbuf.is_empty() {
                 break;
             }
             if budget == 0 {
                 more = true;
                 break;
             }
-            match wire {
-                Wire::Ndjson => match scan_line(&buf[rpos..], cap) {
-                    LineScan::TooLarge => {
-                        self.reject_too_large(idx);
-                        break;
+            match rbuf.next_frame(wire, cap) {
+                Split::NeedMore => break,
+                Split::TooLarge => {
+                    self.reject_too_large(idx);
+                    break;
+                }
+                Split::BadHeader(e) => {
+                    // Bad magic/version/type: the stream cannot be
+                    // re-framed; reply and close, like a garbage NDJSON
+                    // line that also lost sync.
+                    self.state.requests.fetch_add(1, Ordering::Relaxed);
+                    self.state.errors.fetch_add(1, Ordering::Relaxed);
+                    let resp = Response::Error {
+                        code: ErrorCode::BadRequest,
+                        message: e.to_string(),
+                    };
+                    self.enqueue_response(idx, &resp, true);
+                    if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+                        conn.io_on_write_fail = true;
                     }
-                    LineScan::Incomplete => break,
-                    LineScan::Complete(pos) => {
-                        let line = &buf[rpos..rpos + pos];
-                        rpos += pos + 1;
-                        budget -= 1;
-                        self.handle_line(idx, line);
-                    }
-                },
-                Wire::Binary => {
-                    if buf.len() - rpos < binary::HEADER_LEN {
-                        break;
-                    }
-                    let header_bytes: [u8; binary::HEADER_LEN] = buf
-                        [rpos..rpos + binary::HEADER_LEN]
-                        .try_into()
-                        .expect("8 bytes");
-                    match binary::decode_header(header_bytes, cap as u64) {
-                        Err(binary::FrameError::TooLarge { .. }) => {
-                            self.reject_too_large(idx);
-                            break;
-                        }
-                        Err(e) => {
-                            // Bad magic/version/type: the stream cannot
-                            // be re-framed; reply and close, like a
-                            // garbage NDJSON line that also lost sync.
-                            self.state.requests.fetch_add(1, Ordering::Relaxed);
-                            self.state.errors.fetch_add(1, Ordering::Relaxed);
-                            let resp = Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: e.to_string(),
-                            };
-                            self.enqueue_response(idx, &resp, true);
-                            if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                                conn.io_on_write_fail = true;
-                            }
-                            break;
-                        }
-                        Ok(h) => {
-                            let total = binary::HEADER_LEN + h.len as usize;
-                            if buf.len() - rpos < total {
-                                break;
-                            }
-                            let payload = &buf[rpos + binary::HEADER_LEN..rpos + total];
-                            rpos += total;
-                            budget -= 1;
-                            self.handle_binary_frame(idx, h.frame_type, payload);
-                        }
+                    break;
+                }
+                Split::Frame(frame) => {
+                    budget -= 1;
+                    match frame {
+                        Frame::Line(line) => self.handle_line(idx, line),
+                        Frame::Binary {
+                            frame_type,
+                            payload,
+                        } => self.handle_binary_frame(idx, frame_type, payload),
                     }
                 }
             }
         }
-        // Put the unconsumed tail back: one compaction per turn.
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return false;
         };
-        let mut buf = buf;
-        if rpos >= buf.len() {
-            buf.clear();
-        } else if rpos > 0 {
-            buf.copy_within(rpos.., 0);
-            buf.truncate(buf.len() - rpos);
-        }
-        conn.rbuf = buf;
+        rbuf.settle();
+        conn.rbuf = rbuf;
         if conn.phase == Phase::Processing || conn.close_after_flush {
             return false;
         }
@@ -2637,28 +2588,5 @@ mod tests {
     fn timeout_of_treats_zero_as_disabled() {
         assert_eq!(timeout_of(0), None);
         assert_eq!(timeout_of(250), Some(Duration::from_millis(250)));
-    }
-
-    #[test]
-    fn line_scanner_matches_bounded_reader_semantics() {
-        // Complete line within the cap.
-        assert_eq!(scan_line(b"{\"Health\"}\nrest", 64), LineScan::Complete(10));
-        // Empty line is complete at 0 (blank keep-alives stay free).
-        assert_eq!(scan_line(b"\nx", 64), LineScan::Complete(0));
-        // No newline yet, under the cap: keep reading.
-        assert_eq!(scan_line(b"partial", 64), LineScan::Incomplete);
-        // A line exactly at the cap is fine; one past is rejected, with
-        // or without its terminator in the buffer yet.
-        let at_cap = vec![b'y'; 64];
-        let mut terminated = at_cap.clone();
-        terminated.push(b'\n');
-        assert_eq!(scan_line(&terminated, 64), LineScan::Complete(64));
-        assert_eq!(scan_line(&[b'y'; 65], 64), LineScan::TooLarge);
-        let mut over = vec![b'y'; 65];
-        over.push(b'\n');
-        assert_eq!(scan_line(&over, 64), LineScan::TooLarge);
-        // At the cap but unterminated: could still become TooLarge or
-        // Complete — must keep reading.
-        assert_eq!(scan_line(&at_cap, 64), LineScan::Incomplete);
     }
 }

@@ -18,7 +18,7 @@
 //! whose framing faults have their own shapes — torn length prefixes,
 //! headers declaring payloads past the cap, frames that lose sync.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -829,6 +829,121 @@ fn pipelined_flood_on_one_connection_cannot_starve_the_reactor() {
     assert_eq!(stats.io_errors, 0, "{stats:?}");
     assert_eq!(stats.shed, 0, "{stats:?}");
     assert_eq!(stats.timeouts, 0, "{stats:?}");
+}
+
+/// One connection pipelines `BACKLOG_FRAMES` `ScorePairs` requests in
+/// odd-sized writes to a server with a single event loop, and reads the
+/// replies concurrently. Every request goes in flight on the executor,
+/// so the server takes one frame per service turn while the rest of the
+/// backlog waits in its read buffer: the path whose copy cost the read
+/// cursor bounds. Request `k` scores its own window of rows, so a
+/// reordered, dropped or torn frame shows as a wrong reply.
+fn backlog_of_in_flight_requests_drains_in_order(wire: Wire) {
+    const BACKLOG_FRAMES: usize = 2_000;
+    /// Prime, so write boundaries cut through headers, payloads and
+    /// newlines at shifting offsets.
+    const WRITE: usize = 4_093;
+    let fx = fixture();
+    let n = fx.features.len();
+    let windows: Vec<(usize, usize)> = (0..BACKLOG_FRAMES)
+        .map(|k| {
+            let rows = 1 + k % n.min(16);
+            (k % (n - rows + 1), rows)
+        })
+        .collect();
+    let mut blob = Vec::new();
+    for &(at, rows) in &windows {
+        let request = Request::ScorePairs {
+            features: fx.features[at..at + rows].to_vec(),
+            model_id: None,
+        };
+        match wire {
+            Wire::Binary => blob.extend(binary::encode_request(&request)),
+            Wire::Ndjson => {
+                blob.extend(serde_json::to_string(&request).expect("encodes").bytes());
+                blob.push(b'\n');
+            }
+        }
+    }
+
+    let mut options = chaos_options(30_000, 30_000);
+    options.event_loops = 1;
+    let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", options).expect("binds");
+    let stream = TcpStream::connect(handle.addr()).expect("connects");
+    let _ = stream.set_nodelay(true);
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("read timeout");
+    let mut write_half = stream.try_clone().expect("clone");
+    // Reads run concurrently with the writes: the server may push back
+    // mid-backlog, and write-everything-then-read could deadlock.
+    let writer = std::thread::spawn(move || {
+        for chunk in blob.chunks(WRITE) {
+            write_half.write_all(chunk).expect("backlog lands");
+        }
+    });
+    let mut reader = std::io::BufReader::new(stream);
+    for (k, &(at, rows)) in windows.iter().enumerate() {
+        let reply = match wire {
+            Wire::Binary => {
+                let mut header = [0u8; binary::HEADER_LEN];
+                reader
+                    .read_exact(&mut header)
+                    .unwrap_or_else(|e| panic!("reply {k} header: {e}"));
+                let h = binary::decode_header(header, u64::MAX).expect("valid header");
+                let mut payload = vec![0u8; h.len as usize];
+                reader
+                    .read_exact(&mut payload)
+                    .unwrap_or_else(|e| panic!("reply {k} payload: {e}"));
+                binary::decode_response(h.frame_type, &payload).expect("reply decodes")
+            }
+            Wire::Ndjson => {
+                let mut line = String::new();
+                reader
+                    .read_line(&mut line)
+                    .unwrap_or_else(|e| panic!("reply {k}: {e}"));
+                serde_json::from_str(&line).unwrap_or_else(|e| panic!("reply {k}: {e}: {line}"))
+            }
+        };
+        let Response::Scores { probs } = reply else {
+            panic!("reply {k}: unexpected {reply:?}");
+        };
+        let expected = &fx.local_probs[at..at + rows];
+        assert_eq!(probs.len(), rows, "reply {k} answers request {k}");
+        for (j, (l, r)) in expected.iter().zip(&probs).enumerate() {
+            assert_eq!(l.to_bits(), r.to_bits(), "reply {k}, row {j}");
+        }
+    }
+    writer.join().expect("writer thread");
+    drop(reader);
+
+    let client = run_good_client_wire(
+        &handle.addr().to_string(),
+        0,
+        1,
+        Duration::from_secs(20),
+        wire,
+    );
+    let (_, _, stats) = shutdown_and_join(client, handle);
+    assert_eq!(
+        stats.requests,
+        BACKLOG_FRAMES as u64 + 1,
+        "every backlog request and the shutdown counted once: {stats:?}"
+    );
+    assert_eq!(stats.errors, 0, "{stats:?}");
+    assert_eq!(stats.io_errors, 0, "{stats:?}");
+    assert_eq!(stats.timeouts, 0, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+}
+
+#[test]
+fn backlog_of_in_flight_score_pairs_drains_in_order_over_ndjson() {
+    backlog_of_in_flight_requests_drains_in_order(Wire::Ndjson);
+}
+
+#[test]
+fn backlog_of_in_flight_score_pairs_drains_in_order_over_binary() {
+    backlog_of_in_flight_requests_drains_in_order(Wire::Binary);
 }
 
 #[test]
