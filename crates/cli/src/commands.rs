@@ -22,8 +22,8 @@ use sm_serve::client::{
 use sm_serve::protocol::{Request, Response, Wire};
 use sm_serve::registry::{publish, verify, RegistryError, RegistryIndex};
 use sm_serve::server::{
-    event_loop_count, pool_size, serve_source_with, BatchLinger, ModelSource, ServeOptions,
-    ShadowConfig, ShutdownHandle,
+    event_loop_count, pool_size, serve_source_with, ModelSource, ServeOptions, ShadowConfig,
+    ShutdownHandle,
 };
 
 use crate::args::Args;
@@ -204,7 +204,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "max-request-bytes",
                 "max-queue",
                 "event-loops",
-                "batch-linger-us",
             ])?;
             cmd_serve(args)
         }
@@ -225,7 +224,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "model-id",
                 "wire",
                 "pipeline",
-                "json-payload",
                 "attack-dir",
                 "attack-target",
                 "attack-detail",
@@ -271,15 +269,14 @@ pub fn print_help() {
          \x20             [--request-timeout-ms 10000]\n\
          \x20             [--idle-timeout-ms 60000]\n\
          \x20             [--max-request-bytes 67108864]\n\
-         \x20             [--max-queue 0] [--event-loops 0]\n\
-         \x20             [--batch-linger-us 0|auto]                  TCP inference server (ndjson+binary)\n\
+         \x20             [--max-queue 0] [--event-loops 0]           TCP inference server (ndjson+binary)\n\
          \x20 models      (--registry DIR [--verify true]\n\
          \x20             | --addr HOST:PORT)                         list / verify models\n\
          \x20 bench-serve --addr HOST:PORT [--connections 4]\n\
          \x20             [--requests 50] [--batch 64] [--json FILE]\n\
          \x20             [--retries 3] [--timeout-ms 30000]\n\
          \x20             [--model-id ID] [--wire ndjson]\n\
-         \x20             [--pipeline 1] [--json-payload false]\n\
+         \x20             [--pipeline 1]\n\
          \x20             [--attack-dir DIR --attack-target NAME\n\
          \x20             [--attack-detail false]\n\
          \x20             [--attack-threshold 0.5]]                   load-test a running server\n\
@@ -296,15 +293,13 @@ pub fn print_help() {
          the server speaks two wires on one port, detected per connection\n\
          from the first byte: NDJSON (v1) and length-prefixed binary\n\
          frames (v2, --wire binary on bench-serve). --event-loops 0 sizes\n\
-         the reactor from the CPU count; --batch-linger-us waits that long\n\
-         for extra same-model requests before scoring a partial batch, or\n\
-         'auto' to linger only while recent batches ran under-full with\n\
-         concurrent requests (scores are bit-identical with batching on\n\
-         or off). bench-serve --pipeline N keeps N requests in flight per\n\
-         connection; --attack-dir/--attack-target switch the workload to\n\
+         the reactor from the CPU count; scoring workers batch concurrent\n\
+         same-model requests that are already queued, never waiting for\n\
+         more (scores are bit-identical either way). bench-serve\n\
+         --pipeline N keeps N requests in flight per connection;\n\
+         --attack-dir/--attack-target switch the workload to\n\
          whole-challenge Attack requests (--attack-detail true returns the\n\
-         full scored view), and --json-payload true forces JSON framing on\n\
-         the binary wire for dense-vs-JSON comparisons.\n\
+         full scored view).\n\
          a registry is a directory of checksummed artifacts plus an index;\n\
          'train --registry' publishes into it atomically, 'serve --registry'\n\
          hosts every entry (requests route with \"model_id\", absent = the\n\
@@ -862,7 +857,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         max_request_bytes: args.get_or("max-request-bytes", defaults.max_request_bytes)?,
         max_queue: args.get_or("max-queue", defaults.max_queue)?,
         event_loops: args.get_or("event-loops", defaults.event_loops)?,
-        batch_linger: args.get_or("batch-linger-us", defaults.batch_linger)?,
     };
     let shadow = shadow_flags(args)?;
     let (source, label) = serve_source_flags(args)?;
@@ -877,13 +871,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
         pool_size(options.workers),
         event_loop_count(&options)
     );
-    match options.batch_linger {
-        BatchLinger::Fixed(0) => {}
-        BatchLinger::Fixed(us) => println!("batch linger: fixed {us} us"),
-        BatchLinger::Auto => {
-            println!("batch linger: adaptive (lingers only while batches run under-full)");
-        }
-    }
     use std::io::Write as _;
     std::io::stdout().flush()?;
     // SIGTERM/SIGINT drain the server exactly like a protocol Shutdown:
@@ -919,12 +906,11 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     if stats.score_batches > 0 {
         println!(
             "batching: {} kernel calls over {} rows ({:.1} rows/call), \
-             {} requests shared a call [linger {}]",
+             {} requests shared a call",
             stats.score_batches,
             stats.batched_rows,
             stats.batched_rows as f64 / stats.score_batches as f64,
-            stats.batched_requests,
-            options.batch_linger
+            stats.batched_requests
         );
     }
     if let Some(shadow) = &stats.shadow {
@@ -1096,7 +1082,6 @@ fn cmd_bench_serve(args: &Args) -> Result<(), CliError> {
         model_id: args.get_str("model-id").map(str::to_owned),
         wire: args.get_or("wire", Wire::Ndjson)?,
         pipeline: args.get_or("pipeline", defaults.pipeline)?,
-        json_payload: args.get_or("json-payload", defaults.json_payload)?,
         attack,
     };
     if config.connections == 0
@@ -1233,6 +1218,9 @@ mod tests {
             &["train", "--dir", "x", "--out", "y", "--model", "z"][..],
             &["serve", "--model", "x", "--port", "80"][..],
             &["bench-serve", "--addr", "x", "--conns", "2"][..],
+            // Removed options: the batch linger and JSON-framed scoring.
+            &["serve", "--model", "x", "--batch-linger-us", "auto"][..],
+            &["bench-serve", "--addr", "x", "--json-payload", "true"][..],
         ] {
             let err = dispatch_tokens(tokens).expect_err("must reject");
             assert!(
@@ -1313,18 +1301,6 @@ mod tests {
                 "max-queue",
             ),
             (
-                &["serve", "--model", "x", "--batch-linger-us", "soonish"][..],
-                "batch-linger-us",
-            ),
-            (
-                &["serve", "--model", "x", "--batch-linger-us", "-5"][..],
-                "batch-linger-us",
-            ),
-            (
-                &["serve", "--model", "x", "--batch-linger-us", "100us"][..],
-                "batch-linger-us",
-            ),
-            (
                 &["bench-serve", "--addr", "x", "--retries", "forever"][..],
                 "retries",
             ),
@@ -1335,10 +1311,6 @@ mod tests {
             (
                 &["bench-serve", "--addr", "x", "--pipeline", "wide"][..],
                 "pipeline",
-            ),
-            (
-                &["bench-serve", "--addr", "x", "--json-payload", "yep"][..],
-                "json-payload",
             ),
         ] {
             let err = dispatch_tokens(tokens).expect_err("must reject");

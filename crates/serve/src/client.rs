@@ -109,7 +109,6 @@ pub struct Client {
     reader: BufReader<TcpStream>,
     writer: BufWriter<TcpStream>,
     wire: Wire,
-    json_payload: bool,
 }
 
 impl Client {
@@ -180,7 +179,6 @@ impl Client {
             reader: BufReader::new(stream),
             writer: BufWriter::new(write_half),
             wire,
-            json_payload: false,
         })
     }
 
@@ -188,16 +186,6 @@ impl Client {
     #[must_use]
     pub fn wire(&self) -> Wire {
         self.wire
-    }
-
-    /// On a [`Wire::Binary`] connection, frame every request as a JSON
-    /// payload (frame `0x01`) even when a dense layout exists — exactly
-    /// what a pre-dense binary client sends. The server mirrors the
-    /// request framing in its reply, so this measures the JSON
-    /// encode/parse tax over the same socket discipline. No effect on
-    /// NDJSON connections.
-    pub fn set_json_payload(&mut self, on: bool) {
-        self.json_payload = on;
     }
 
     /// Sends one request and reads the matching response.
@@ -233,14 +221,7 @@ impl Client {
                 self.writer.write_all(line.as_bytes())?;
                 self.writer.write_all(b"\n")?;
             }
-            Wire::Binary => {
-                let frame = if self.json_payload {
-                    binary::encode_request_json(request)
-                } else {
-                    binary::encode_request(request)
-                };
-                self.writer.write_all(&frame)?;
-            }
+            Wire::Binary => self.writer.write_all(&binary::encode_request(request))?,
         }
         self.writer.flush()?;
         Ok(())
@@ -397,7 +378,6 @@ pub struct RetryingClient {
     timeouts: ClientTimeouts,
     policy: RetryPolicy,
     wire: Wire,
-    json_payload: bool,
     conn: Option<Client>,
     retries: u64,
     busy_retries: u64,
@@ -420,19 +400,9 @@ impl RetryingClient {
             timeouts,
             policy,
             wire,
-            json_payload: false,
             conn: None,
             retries: 0,
             busy_retries: 0,
-        }
-    }
-
-    /// See [`Client::set_json_payload`]; applies to the current
-    /// connection and to every reconnect.
-    pub fn set_json_payload(&mut self, on: bool) {
-        self.json_payload = on;
-        if let Some(conn) = self.conn.as_mut() {
-            conn.set_json_payload(on);
         }
     }
 
@@ -493,9 +463,11 @@ impl RetryingClient {
 
     fn attempt(&mut self, request: &Request) -> Result<Response, ClientError> {
         if self.conn.is_none() {
-            let mut conn = Client::connect_wire(self.addr.as_str(), self.timeouts, self.wire)?;
-            conn.set_json_payload(self.json_payload);
-            self.conn = Some(conn);
+            self.conn = Some(Client::connect_wire(
+                self.addr.as_str(),
+                self.timeouts,
+                self.wire,
+            )?);
         }
         self.conn
             .as_mut()
@@ -579,10 +551,6 @@ pub struct BenchConfig {
     /// [`Client::send`] and drain replies in order, measuring the
     /// server's pipelining behavior.
     pub pipeline: usize,
-    /// Force JSON payload framing on binary connections
-    /// ([`Client::set_json_payload`]) — benches the pre-dense framing
-    /// for apples-to-apples dense-vs-JSON comparisons.
-    pub json_payload: bool,
     /// When set, every request is a whole-challenge `Attack` instead of
     /// a synthetic `ScorePairs` batch.
     pub attack: Option<AttackWorkload>,
@@ -600,7 +568,6 @@ impl Default for BenchConfig {
             retry: RetryPolicy::default(),
             wire: Wire::Ndjson,
             pipeline: 1,
-            json_payload: false,
             attack: None,
         }
     }
@@ -616,8 +583,7 @@ pub struct BenchReport {
     pub connections: usize,
     /// Requests kept in flight per connection (1 = lockstep).
     pub pipeline: usize,
-    /// Workload the run issued: `score_pairs` or `attack`, with a
-    /// `+json` suffix when binary connections forced JSON payloads.
+    /// Workload the run issued: `score_pairs` or `attack`.
     pub workload: String,
     /// The catalog id that served the run: the `--model-id` target when
     /// one was set, otherwise the server default reported by the `Health`
@@ -806,14 +772,11 @@ pub fn bench(addr: &str, config: &BenchConfig) -> Result<BenchReport, ClientErro
         }
         _ => 0.0,
     };
-    let mut workload = if config.attack.is_some() {
+    let workload = if config.attack.is_some() {
         "attack".to_owned()
     } else {
         "score_pairs".to_owned()
     };
-    if config.json_payload && config.wire == Wire::Binary {
-        workload.push_str("+json");
-    }
     Ok(BenchReport {
         wire: config.wire.as_str().to_owned(),
         connections: config.connections,
@@ -898,7 +861,6 @@ fn bench_conn_lockstep(
         ..config.retry
     };
     let mut client = RetryingClient::new_wire(addr, config.timeouts, policy, config.wire);
-    client.set_json_payload(config.json_payload);
     for _ in 0..config.requests_per_connection {
         let request = build_request(config, features, rng);
         let t = Instant::now();
@@ -951,7 +913,6 @@ fn bench_conn_pipelined(
                 continue;
             }
         };
-        client.set_json_payload(config.json_payload);
         let mut inflight: std::collections::VecDeque<Instant> = std::collections::VecDeque::new();
         let mut broken = false;
         while issued < total || !inflight.is_empty() {
@@ -1014,7 +975,7 @@ mod tests {
             wire: "binary".into(),
             connections: 2,
             pipeline: 8,
-            workload: "attack+json".into(),
+            workload: "attack".into(),
             served_model: "incumbent".into(),
             total_requests: 10,
             total_pairs: 640,
@@ -1039,7 +1000,7 @@ mod tests {
         };
         let text = report.to_string();
         for needle in [
-            "2 connections (binary, attack+json, pipeline 8)",
+            "2 connections (binary, attack, pipeline 8)",
             "1 errors",
             "3 retries",
             "p95 20 us",

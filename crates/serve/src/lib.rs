@@ -81,6 +81,6 @@ pub use registry::{
     RegistryIndex, VerifiedModel, REGISTRY_MAGIC, REGISTRY_VERSION, SINGLE_MODEL_ID,
 };
 pub use server::{
-    event_loop_count, pool_size, queue_depth, serve_source_with, BatchLinger, ModelSource,
-    ServeOptions, ServerHandle, ShadowConfig, ShutdownHandle, BUSY_RETRY_AFTER_MS,
+    event_loop_count, pool_size, queue_depth, serve_source_with, ModelSource, ServeOptions,
+    ServerHandle, ShadowConfig, ShutdownHandle, BUSY_RETRY_AFTER_MS,
 };

@@ -20,17 +20,15 @@
 //! | 3      | 1    | frame type                              |
 //! | 4      | 4    | payload length, u32 little-endian       |
 //!
-//! Frame types `0x01`/`0x81` carry a JSON-encoded [`Request`]/
-//! [`Response`] payload (the control plane reuses the v1 encoding
-//! verbatim). Types `0x02` (`ScorePairs` request), `0x03` (`Attack`
-//! request), `0x82` (`Scores` response) and `0x83` (`AttackResult`
-//! response) carry dense binary payloads — see [`binary`]. Both sides of
-//! a connection speak the same wire; the server auto-detects it from the
-//! first byte (`0xB5` is a UTF-8 continuation byte, so it can never
-//! start an NDJSON request line) and the choice is sticky per
-//! connection. Responses mirror the request's framing: a JSON-framed
-//! `Attack` is answered with a JSON-framed `AttackResult`, a dense one
-//! densely, so pre-0x03 binary clients keep working unchanged.
+//! Types `0x02` (`ScorePairs` request), `0x03` (`Attack` request),
+//! `0x82` (`Scores` response) and `0x83` (`AttackResult` response) carry
+//! dense binary payloads — see [`binary`]. Frame types `0x01`/`0x81`
+//! carry every other [`Request`]/[`Response`] as JSON (the control plane
+//! reuses the v1 encoding verbatim); a `ScorePairs` or `Attack` request
+//! in a `0x01` frame is malformed. Both sides of a connection speak the
+//! same wire; the server auto-detects it from the first byte (`0xB5` is
+//! a UTF-8 continuation byte, so it can never start an NDJSON request
+//! line) and the choice is sticky per connection.
 
 use serde::{Deserialize, Serialize};
 use sm_attack::ScoredView;
@@ -397,7 +395,9 @@ pub mod binary {
     /// Bytes in a frame header.
     pub const HEADER_LEN: usize = 8;
 
-    /// Frame type: JSON-encoded [`Request`] payload (control plane).
+    /// Frame type: JSON-encoded control [`Request`] payload (`Health`,
+    /// `Stats`, `ListModels`, `Reload`, `Shutdown`). `ScorePairs` and
+    /// `Attack` travel only in their dense frames.
     pub const FRAME_JSON_REQUEST: u8 = 0x01;
     /// Frame type: dense [`Request::ScorePairs`] payload.
     pub const FRAME_SCORE_PAIRS: u8 = 0x02;
@@ -660,6 +660,14 @@ pub mod binary {
         let model_id = r.opt_model_id()?;
         let rows = r.u32()? as usize;
         let cols = r.u32()? as usize;
+        if rows > 0 && cols == 0 {
+            // No model has zero features, and without this check a
+            // 12-byte payload could make a caller materialize billions
+            // of empty rows.
+            return Err(FrameError::Malformed(format!(
+                "{rows} rows declared with zero columns"
+            )));
+        }
         let need = rows
             .checked_mul(cols)
             .and_then(|cells| cells.checked_mul(8))
@@ -713,20 +721,11 @@ pub mod binary {
                 put_bytes(&mut out, truth.as_bytes());
                 seal_frame(out, FRAME_ATTACK)
             }
-            other => encode_request_json(other),
+            other => encode_json_frame(
+                FRAME_JSON_REQUEST,
+                &serde_json::to_string(other).expect("requests always serialize"),
+            ),
         }
-    }
-
-    /// Encodes a request as a JSON payload in a [`FRAME_JSON_REQUEST`]
-    /// frame even when a dense layout exists — the compatibility framing
-    /// pre-0x03 clients send, kept callable for cross-framing tests and
-    /// benchmarks.
-    #[must_use]
-    pub fn encode_request_json(req: &Request) -> Vec<u8> {
-        encode_json_frame(
-            FRAME_JSON_REQUEST,
-            &serde_json::to_string(req).expect("requests always serialize"),
-        )
     }
 
     /// Encodes a complete response frame (header + payload). `Scores`
@@ -763,20 +762,11 @@ pub mod binary {
                 }
                 seal_frame(out, FRAME_ATTACK_RESULT)
             }
-            other => encode_response_json(other),
+            other => encode_json_frame(
+                FRAME_JSON_RESPONSE,
+                &serde_json::to_string(other).expect("responses always serialize"),
+            ),
         }
-    }
-
-    /// Encodes a response as a JSON payload in a [`FRAME_JSON_RESPONSE`]
-    /// frame even when a dense layout exists. The server answers
-    /// JSON-framed `Attack` requests through this, mirroring the
-    /// client's framing.
-    #[must_use]
-    pub fn encode_response_json(resp: &Response) -> Vec<u8> {
-        encode_json_frame(
-            FRAME_JSON_RESPONSE,
-            &serde_json::to_string(resp).expect("responses always serialize"),
-        )
     }
 
     /// Fills in the header of a frame built with a zeroed header
@@ -875,19 +865,32 @@ pub mod binary {
     ///
     /// # Errors
     ///
-    /// [`FrameError::Malformed`] on any structural mismatch, or
+    /// [`FrameError::Malformed`] on any structural mismatch, including a
+    /// `ScorePairs` or `Attack` request in a [`FRAME_JSON_REQUEST`]
+    /// frame (those have dense frames of their own), or
     /// [`FrameError::UnknownType`] for a response-direction type.
     pub fn decode_request(frame_type: u8, payload: &[u8]) -> Result<Request, FrameError> {
         match frame_type {
-            FRAME_JSON_REQUEST => serde_json::from_str(
-                std::str::from_utf8(payload)
-                    .map_err(|_| FrameError::Malformed("request JSON is not UTF-8".into()))?,
-            )
-            .map_err(|e| FrameError::Malformed(format!("request JSON: {e}"))),
+            FRAME_JSON_REQUEST => {
+                let text = std::str::from_utf8(payload)
+                    .map_err(|_| FrameError::Malformed("request JSON is not UTF-8".into()))?;
+                match serde_json::from_str(text) {
+                    Ok(Request::ScorePairs { .. } | Request::Attack { .. }) => {
+                        Err(FrameError::Malformed(
+                            "ScorePairs and Attack use their dense frames (0x02, 0x03); \
+                             the JSON frame carries control requests only"
+                                .into(),
+                        ))
+                    }
+                    Ok(request) => Ok(request),
+                    Err(e) => Err(FrameError::Malformed(format!("request JSON: {e}"))),
+                }
+            }
             FRAME_SCORE_PAIRS => {
                 let view = decode_score_pairs(payload)?;
+                // `decode_score_pairs` admits zero columns only with zero rows.
                 let features = if view.cols == 0 {
-                    vec![Vec::new(); view.rows]
+                    Vec::new()
                 } else {
                     let mut flat = Vec::new();
                     view.extend_rows_into(&mut flat);
@@ -985,6 +988,7 @@ pub mod binary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_roundtrip_and_are_single_line() {
@@ -1365,53 +1369,64 @@ mod tests {
         assert_eq!(lean, frame_roundtrip_response(&lean));
     }
 
+    /// A complete `0x01` frame carrying `req` as JSON, the framing a
+    /// client written before the dense frames sends for every request.
+    fn json_request_frame(req: &Request) -> Vec<u8> {
+        let json = serde_json::to_string(req).expect("serializes");
+        let mut frame =
+            binary::encode_header(binary::FRAME_JSON_REQUEST, json.len() as u32).to_vec();
+        frame.extend_from_slice(json.as_bytes());
+        frame
+    }
+
     #[test]
     fn json_forced_framing_mirrors_for_compat_clients() {
-        // A pre-0x03 client sends Attack as a JSON frame; both forced
-        // encoders must produce JSON frame types that still decode.
-        let req = Request::Attack {
-            challenge: "c".into(),
-            truth: "t".into(),
-            threshold: 0.5,
-            detail: false,
-            model_id: None,
-        };
-        let frame = binary::encode_request_json(&req);
-        let header = binary::decode_header(
-            frame[..binary::HEADER_LEN].try_into().expect("header"),
-            1 << 20,
-        )
-        .expect("valid header");
-        assert_eq!(header.frame_type, binary::FRAME_JSON_REQUEST);
-        assert_eq!(
-            binary::decode_request(header.frame_type, &frame[binary::HEADER_LEN..])
-                .expect("decodes"),
-            req
-        );
-        let resp = Response::AttackResult {
-            summary: AttackSummary {
-                design: "sb1".into(),
-                num_vpins: 9,
-                pairs_scored: 12,
-                threshold: 0.5,
-                accuracy: 0.25,
-                mean_loc: 2.0,
-                max_accuracy: 0.5,
+        use binary::FrameError;
+        // The JSON frame carries control requests only: a JSON-framed
+        // ScorePairs or Attack is a typed Malformed error, and the dense
+        // frames are the one framing for scoring.
+        for req in [
+            Request::ScorePairs {
+                features: vec![vec![0.5; 3]],
+                model_id: None,
             },
-            scored: Some(sample_scored_view()),
-        };
-        let frame = binary::encode_response_json(&resp);
-        let header = binary::decode_header(
-            frame[..binary::HEADER_LEN].try_into().expect("header"),
-            1 << 20,
-        )
-        .expect("valid header");
-        assert_eq!(header.frame_type, binary::FRAME_JSON_RESPONSE);
-        assert_eq!(
-            binary::decode_response(header.frame_type, &frame[binary::HEADER_LEN..])
-                .expect("decodes"),
-            resp
-        );
+            Request::Attack {
+                challenge: "c".into(),
+                truth: "t".into(),
+                threshold: 0.5,
+                detail: false,
+                model_id: Some("m".into()),
+            },
+        ] {
+            let frame = json_request_frame(&req);
+            let header = binary::decode_header(
+                frame[..binary::HEADER_LEN].try_into().expect("header"),
+                1 << 20,
+            )
+            .expect("a well-formed header");
+            assert!(
+                matches!(
+                    binary::decode_request(header.frame_type, &frame[binary::HEADER_LEN..]),
+                    Err(FrameError::Malformed(ref m)) if m.contains("dense")
+                ),
+                "{req:?}"
+            );
+            let dense = binary::encode_request(&req);
+            assert_ne!(dense[3], binary::FRAME_JSON_REQUEST, "{req:?}");
+            assert_eq!(frame_roundtrip_request(&req), req);
+        }
+        // Control requests still travel, and decode, as JSON frames.
+        for req in [
+            Request::Health,
+            Request::Stats,
+            Request::ListModels,
+            Request::Reload,
+            Request::Shutdown,
+        ] {
+            let frame = binary::encode_request(&req);
+            assert_eq!(frame, json_request_frame(&req));
+            assert_eq!(frame_roundtrip_request(&req), req);
+        }
     }
 
     #[test]
@@ -1566,6 +1581,22 @@ mod tests {
             Err(FrameError::Malformed(_))
         ));
 
+        // Rows with zero columns: 12 bytes that would otherwise ask the
+        // decoder for u32::MAX empty rows.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&binary::NO_MODEL_ID.to_le_bytes());
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(payload.len(), 12);
+        assert!(matches!(
+            binary::decode_score_pairs(&payload),
+            Err(FrameError::Malformed(_))
+        ));
+        assert!(matches!(
+            binary::decode_request(binary::FRAME_SCORE_PAIRS, &payload),
+            Err(FrameError::Malformed(_))
+        ));
+
         // Response-direction frame type on the request decoder.
         assert_eq!(
             binary::decode_request(binary::FRAME_SCORES, &[]),
@@ -1595,6 +1626,379 @@ mod tests {
         assert_eq!(probs.len(), back.len());
         for (a, b) in probs.iter().zip(&back) {
             assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    /// Text from arbitrary code points (surrogates become U+FFFD), so
+    /// strings cover multi-byte UTF-8 and JSON escapes.
+    fn text(codes: Vec<u32>) -> String {
+        codes
+            .into_iter()
+            .map(|c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}'))
+            .collect()
+    }
+
+    /// Every `f64` a request carries, as raw bits.
+    fn request_bits(req: &Request) -> Vec<u64> {
+        match req {
+            Request::ScorePairs { features, .. } => {
+                features.iter().flatten().map(|v| v.to_bits()).collect()
+            }
+            Request::Attack { threshold, .. } => vec![threshold.to_bits()],
+            _ => Vec::new(),
+        }
+    }
+
+    /// Every `f64` a response carries, as raw bits.
+    fn response_bits(resp: &Response) -> Vec<u64> {
+        match resp {
+            Response::Scores { probs } => probs.iter().map(|p| p.to_bits()).collect(),
+            Response::AttackResult { summary, scored } => {
+                let mut bits = [
+                    summary.threshold,
+                    summary.accuracy,
+                    summary.mean_loc,
+                    summary.max_accuracy,
+                ]
+                .map(f64::to_bits)
+                .to_vec();
+                for slot in scored.iter().flat_map(|view| &view.slots) {
+                    bits.extend(slot.true_prob.map(f64::to_bits));
+                    bits.extend(slot.top.iter().map(|c| c.p.to_bits()));
+                }
+                bits
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Splits a complete frame into its validated header and payload.
+    fn split_frame(frame: &[u8]) -> (u8, &[u8]) {
+        let header = binary::decode_header(
+            frame[..binary::HEADER_LEN].try_into().expect("header"),
+            u64::from(u32::MAX),
+        )
+        .expect("valid header");
+        let payload = &frame[binary::HEADER_LEN..];
+        assert_eq!(header.len as usize, payload.len());
+        (header.frame_type, payload)
+    }
+
+    /// Decoding then re-encoding gives the same bytes, and every `f64`
+    /// comes back with the same bits (NaN payloads and signed zeros
+    /// included, which `PartialEq` cannot see).
+    fn assert_request_roundtrips(req: &Request) {
+        let frame = binary::encode_request(req);
+        let (frame_type, payload) = split_frame(&frame);
+        let back = binary::decode_request(frame_type, payload).expect("decodes");
+        assert_eq!(binary::encode_request(&back), frame, "{req:?}");
+        assert_eq!(request_bits(&back), request_bits(req));
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    binary::decode_request(frame_type, &payload[..cut]),
+                    Err(binary::FrameError::Malformed(_))
+                ),
+                "{req:?} truncated to {cut} bytes"
+            );
+        }
+    }
+
+    /// A scoring request in a JSON frame is `Malformed`, whole or cut
+    /// at about 16 evenly spaced points (a cut at every byte of a long
+    /// JSON payload would dominate the suite's run time).
+    fn assert_json_framed_rejected(req: &Request) {
+        let frame = json_request_frame(req);
+        let payload = &frame[binary::HEADER_LEN..];
+        let step = payload.len() / 16 + 1;
+        for cut in (0..payload.len()).step_by(step).chain([payload.len()]) {
+            assert!(
+                matches!(
+                    binary::decode_request(binary::FRAME_JSON_REQUEST, &payload[..cut]),
+                    Err(binary::FrameError::Malformed(_))
+                ),
+                "{req:?} as JSON, {cut} bytes"
+            );
+        }
+    }
+
+    /// [`assert_request_roundtrips`] for responses.
+    fn assert_response_roundtrips(resp: &Response) {
+        let frame = binary::encode_response(resp);
+        let (frame_type, payload) = split_frame(&frame);
+        let back = binary::decode_response(frame_type, payload).expect("decodes");
+        assert_eq!(binary::encode_response(&back), frame, "{resp:?}");
+        assert_eq!(response_bits(&back), response_bits(resp));
+        for cut in 0..payload.len() {
+            assert!(
+                matches!(
+                    binary::decode_response(frame_type, &payload[..cut]),
+                    Err(binary::FrameError::Malformed(_))
+                ),
+                "{resp:?} truncated to {cut} bytes"
+            );
+        }
+    }
+
+    const REQUEST_TYPES: [u8; 3] = [
+        binary::FRAME_JSON_REQUEST,
+        binary::FRAME_SCORE_PAIRS,
+        binary::FRAME_ATTACK,
+    ];
+    const RESPONSE_TYPES: [u8; 3] = [
+        binary::FRAME_JSON_RESPONSE,
+        binary::FRAME_SCORES,
+        binary::FRAME_ATTACK_RESULT,
+    ];
+
+    /// A JSON control response; `f64` fields are kept finite because
+    /// JSON has no NaN or infinity.
+    fn control_response(kind: u8, words: &[String], n: u64, x: f64) -> Response {
+        let word = |k: usize| words.get(k).cloned().unwrap_or_default();
+        let x = if x.is_finite() { x } else { 0.0 };
+        match kind % 7 {
+            0 => Response::Health {
+                model: word(0),
+                features: n as usize,
+                trees: (n >> 7) as usize,
+                artifact_version: n as u32,
+                model_id: word(1),
+                checksum: word(2),
+                schema_version: (n >> 32) as u32,
+            },
+            1 => Response::Models {
+                default_model: word(0),
+                models: words
+                    .iter()
+                    .map(|w| ModelInfo {
+                        model_id: w.clone(),
+                        config: word(1),
+                        features: n as usize,
+                        trees: 3,
+                        checksum: w.clone(),
+                        schema_version: 1,
+                        split_layer: word(2),
+                    })
+                    .collect(),
+            },
+            2 => Response::Reloaded {
+                default_model: word(0),
+                models: words.to_vec(),
+                reloads: n,
+            },
+            3 => Response::Stats {
+                stats: StatsSnapshot {
+                    model_id: word(0),
+                    requests: n,
+                    p99_us: n / 3,
+                    shadow: Some(ShadowReport {
+                        shadow_model: word(1),
+                        threshold: x,
+                        sampled_requests: n,
+                        compared_pairs: n / 2,
+                        max_abs_dp: x,
+                        mean_abs_dp: -x,
+                        disagreements: 1,
+                        shadow_missing: 0,
+                    }),
+                    ..StatsSnapshot::default()
+                },
+            },
+            4 => Response::ShuttingDown,
+            5 => Response::Busy { retry_after_ms: n },
+            _ => Response::Error {
+                code: [
+                    ErrorCode::BadRequest,
+                    ErrorCode::TooLarge,
+                    ErrorCode::Timeout,
+                    ErrorCode::Busy,
+                    ErrorCode::NotFound,
+                ][(n % 5) as usize],
+                message: word(0),
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        fn dense_score_pairs_roundtrip_bit_for_bit(
+            model_id in prop::option::of(
+                prop::collection::vec(any::<u32>(), 0..12)
+            ),
+            cells in prop::collection::vec(any::<u64>(), 0..64),
+            cols in 1usize..10,
+        ) {
+            let features = cells
+                .chunks_exact(cols)
+                .map(|row| row.iter().map(|&b| f64::from_bits(b)).collect())
+                .collect();
+            let req = Request::ScorePairs {
+                features,
+                model_id: model_id.map(text),
+            };
+            assert_request_roundtrips(&req);
+            assert_json_framed_rejected(&req);
+        }
+
+        fn dense_attack_roundtrips_bit_for_bit(
+            model_id in prop::option::of(
+                prop::collection::vec(any::<u32>(), 0..12)
+            ),
+            threshold in any::<u64>(),
+            detail in any::<bool>(),
+            challenge in prop::collection::vec(any::<u32>(), 0..40),
+            truth in prop::collection::vec(any::<u32>(), 0..40),
+        ) {
+            let req = Request::Attack {
+                challenge: text(challenge),
+                truth: text(truth),
+                threshold: f64::from_bits(threshold),
+                detail,
+                model_id: model_id.map(text),
+            };
+            assert_request_roundtrips(&req);
+            assert_json_framed_rejected(&req);
+        }
+
+        fn dense_scores_roundtrip_bit_for_bit(
+            probs in prop::collection::vec(any::<u64>(), 0..300),
+        ) {
+            assert_response_roundtrips(&Response::Scores {
+                probs: probs.into_iter().map(f64::from_bits).collect(),
+            });
+        }
+
+        fn dense_attack_result_roundtrips_bit_for_bit(
+            design in prop::collection::vec(any::<u32>(), 0..16),
+            counts in (any::<u64>(), any::<u64>()),
+            floats in (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+            ),
+            view in prop::option::of((
+                (any::<u64>(), any::<u64>()),
+                prop::collection::vec(any::<u64>(), 0..12),
+                prop::collection::vec(
+                    (
+                        any::<u32>(),
+                        prop::option::of(any::<u64>()),
+                        prop::collection::vec(
+                            (
+                                any::<u64>(),
+                                any::<u32>(),
+                                any::<i64>(),
+                            ),
+                            0..5,
+                        ),
+                    ),
+                    0..6,
+                ),
+            )),
+        ) {
+            use sm_attack::attack::{Cand, VpinScore};
+            let scored = view.map(|((vpins, pairs), hist, slots)| ScoredView {
+                slots: slots
+                    .into_iter()
+                    .map(|(vpin, true_prob, top)| VpinScore {
+                        vpin,
+                        true_prob: true_prob.map(f64::from_bits),
+                        top: top
+                            .into_iter()
+                            .map(|(p, index, dist)| Cand {
+                                p: f64::from_bits(p),
+                                index,
+                                dist,
+                            })
+                            .collect(),
+                    })
+                    .collect(),
+                hist,
+                num_view_vpins: vpins as usize,
+                pairs_scored: pairs,
+            });
+            assert_response_roundtrips(&Response::AttackResult {
+                summary: AttackSummary {
+                    design: text(design),
+                    num_vpins: counts.0 as usize,
+                    pairs_scored: counts.1,
+                    threshold: f64::from_bits(floats.0),
+                    accuracy: f64::from_bits(floats.1),
+                    mean_loc: f64::from_bits(floats.2),
+                    max_accuracy: f64::from_bits(floats.3),
+                },
+                scored,
+            });
+        }
+
+        fn json_control_frames_roundtrip(
+            kind in 0u8..5,
+            response_kind in any::<u8>(),
+            words in prop::collection::vec(
+                prop::collection::vec(any::<u32>(), 0..10),
+                0..4,
+            ),
+            n in any::<u64>(),
+            x in any::<u64>(),
+        ) {
+            let req = [
+                Request::Health,
+                Request::Stats,
+                Request::ListModels,
+                Request::Reload,
+                Request::Shutdown,
+            ][usize::from(kind)]
+            .clone();
+            assert_eq!(binary::encode_request(&req)[3], binary::FRAME_JSON_REQUEST);
+            assert_request_roundtrips(&req);
+            let words: Vec<String> = words.into_iter().map(text).collect();
+            let resp = control_response(response_kind, &words, n, f64::from_bits(x));
+            let frame = binary::encode_response(&resp);
+            assert_eq!(frame[3], binary::FRAME_JSON_RESPONSE);
+            let (frame_type, payload) = split_frame(&frame);
+            assert_eq!(binary::decode_response(frame_type, payload), Ok(resp.clone()));
+            assert_response_roundtrips(&resp);
+        }
+
+        fn arbitrary_payloads_decode_or_fail_typed(
+            frame_type in any::<u8>(),
+            payload in prop::collection::vec(any::<u8>(), 0..96),
+            header in prop::collection::vec(any::<u8>(), 8),
+            cap in any::<u64>(),
+        ) {
+            use binary::FrameError;
+            // Every frame type byte on both decoders: a wrong-direction
+            // or unknown type is `UnknownType`, anything else decodes or
+            // is `Malformed`, and a JSON frame never yields scoring.
+            for t in REQUEST_TYPES.into_iter().chain(RESPONSE_TYPES).chain([frame_type]) {
+                match binary::decode_request(t, &payload) {
+                    Ok(Request::ScorePairs { .. } | Request::Attack { .. }) => {
+                        assert_ne!(t, binary::FRAME_JSON_REQUEST);
+                    }
+                    Ok(_) | Err(FrameError::Malformed(_)) => assert!(REQUEST_TYPES.contains(&t)),
+                    Err(FrameError::UnknownType(u)) => {
+                        assert_eq!(u, t);
+                        assert!(!REQUEST_TYPES.contains(&t));
+                    }
+                    Err(e) => panic!("request decoder gave a header error {e:?}"),
+                }
+                match binary::decode_response(t, &payload) {
+                    Ok(_) | Err(FrameError::Malformed(_)) => assert!(RESPONSE_TYPES.contains(&t)),
+                    Err(FrameError::UnknownType(u)) => {
+                        assert_eq!(u, t);
+                        assert!(!RESPONSE_TYPES.contains(&t));
+                    }
+                    Err(e) => panic!("response decoder gave a header error {e:?}"),
+                }
+            }
+            // A dense ScorePairs header with garbage counts, and any header.
+            let mut counts = binary::NO_MODEL_ID.to_le_bytes().to_vec();
+            counts.extend_from_slice(&payload);
+            let _ = binary::decode_request(binary::FRAME_SCORE_PAIRS, &counts);
+            let header: [u8; binary::HEADER_LEN] = header.try_into().expect("8 bytes");
+            let _ = binary::decode_header(header, cap);
         }
     }
 }

@@ -49,12 +49,10 @@
 //!   target the same model are **coalesced** into one `proba_batch` call
 //!   of up to [`SCORE_BATCH`] rows and the probabilities demultiplexed
 //!   back per request — `proba_batch` is row-independent, so coalesced
-//!   answers are bit-identical to solo ones. By default a worker only
-//!   drains jobs already queued (zero added latency for a lone client);
-//!   [`BatchLinger::Fixed`] waits that many microseconds for stragglers,
-//!   and [`BatchLinger::Auto`] lingers only while the recent window
-//!   shows under-full batches *that were actually coalescing* — a lone
-//!   client never pays the wait.
+//!   answers are bit-identical to solo ones. A worker only drains jobs
+//!   already queued and never waits for stragglers, so a lone client
+//!   pays no added latency and batches fill exactly when there is a
+//!   backlog to amortize.
 //!
 //! [`ScorePairs`]: Request::ScorePairs
 //! [`Attack`]: Request::Attack
@@ -129,19 +127,6 @@ const MAX_AUTO_EVENT_LOOPS: usize = 4;
 /// budgets — one pipelining client cannot starve a loop.
 const FRAME_BUDGET: usize = 32;
 
-/// How long [`BatchLinger::Auto`] waits for stragglers while the recent
-/// fill window says batches are under-full *and* coalescing.
-const AUTO_LINGER_US: u64 = 100;
-
-/// Minimum batches in the fill window before `Auto` trusts it; below
-/// this the controller never lingers (cold start favors latency).
-const AUTO_LINGER_MIN_BATCHES: u64 = 8;
-
-/// Size of the batch-fill observation window: once this many batches
-/// accumulate, all three fill counters are halved, so the controller
-/// tracks an exponentially-weighted recent past rather than all time.
-const FILL_WINDOW: u64 = 64;
-
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
@@ -184,74 +169,6 @@ pub struct ServeOptions {
     /// Number of reactor event-loop threads. `0` means automatic
     /// (`min(cpu count, 4)`, at least 1).
     pub event_loops: usize,
-    /// How long a scoring worker may wait for additional coalescible
-    /// `ScorePairs` jobs before scoring a partial batch. The default,
-    /// [`BatchLinger::Fixed`]`(0)`, never waits: a worker only coalesces
-    /// jobs that are *already* queued, so a lone client's latency is
-    /// untouched and batching emerges exactly when there is a backlog to
-    /// amortize. [`BatchLinger::Auto`] turns a short linger on and off
-    /// from the observed batch fill.
-    pub batch_linger: BatchLinger,
-}
-
-/// The `--batch-linger-us` policy: a fixed microsecond budget, or an
-/// adaptive controller driven by the observed mean batch fill.
-///
-/// `Auto` lingers [`AUTO_LINGER_US`] only while the recent window shows
-/// batches that were **under-full** (mean rows/batch below
-/// [`SCORE_BATCH`]) *and* **actually coalescing** (mean requests/batch
-/// above one). The second condition is what protects a lone client: its
-/// batches carry exactly one request each, so `Auto` never holds its
-/// requests hostage waiting for siblings that do not exist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchLinger {
-    /// Wait exactly this many microseconds (`0` = never wait).
-    Fixed(u64),
-    /// Linger only while recent batches were under-full and coalescing.
-    Auto,
-}
-
-impl Default for BatchLinger {
-    fn default() -> Self {
-        BatchLinger::Fixed(0)
-    }
-}
-
-impl std::str::FromStr for BatchLinger {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("auto") {
-            return Ok(BatchLinger::Auto);
-        }
-        s.parse::<u64>()
-            .map(BatchLinger::Fixed)
-            .map_err(|_| format!("expected 'auto' or a microsecond count, got '{s}'"))
-    }
-}
-
-impl std::fmt::Display for BatchLinger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BatchLinger::Fixed(us) => write!(f, "{us}"),
-            BatchLinger::Auto => write!(f, "auto"),
-        }
-    }
-}
-
-/// The `Auto` linger decision, pure for testing: given the fill window's
-/// totals, how many microseconds should the next partial batch wait?
-fn auto_linger_us(batches: u64, rows: u64, requests: u64) -> u64 {
-    if batches < AUTO_LINGER_MIN_BATCHES {
-        return 0;
-    }
-    let under_full = rows < batches.saturating_mul(SCORE_BATCH as u64);
-    let coalescing = requests > batches;
-    if under_full && coalescing {
-        AUTO_LINGER_US
-    } else {
-        0
-    }
 }
 
 impl Default for ServeOptions {
@@ -264,7 +181,6 @@ impl Default for ServeOptions {
             max_request_bytes: 64 * 1024 * 1024,
             max_queue: 0,
             event_loops: 0,
-            batch_linger: BatchLinger::Fixed(0),
         }
     }
 }
@@ -497,45 +413,12 @@ struct ServerState {
     score_batches: AtomicU64,
     batched_rows: AtomicU64,
     batched_requests: AtomicU64,
-    /// Batch-fill observation window for [`BatchLinger::Auto`]: batches,
-    /// rows, and member requests seen recently (all three halved together
-    /// every [`FILL_WINDOW`] batches — an exponential decay, so the
-    /// controller follows the current traffic shape).
-    fill_batches: AtomicU64,
-    fill_rows: AtomicU64,
-    fill_requests: AtomicU64,
     latencies_us: Mutex<LatencyRing>,
 }
 
 impl ServerState {
     fn record_latency(&self, us: u64) {
         self.latencies_us.lock().expect("latency lock").push(us);
-    }
-
-    /// Feeds one coalesced batch into the fill window. Racing decays can
-    /// perturb the window by a batch or two; the controller only reads
-    /// coarse ratios, so that is harmless.
-    fn note_batch_fill(&self, rows: u64, requests: u64) {
-        let batches = self.fill_batches.fetch_add(1, Ordering::Relaxed) + 1;
-        let rows = self.fill_rows.fetch_add(rows, Ordering::Relaxed) + rows;
-        let reqs = self.fill_requests.fetch_add(requests, Ordering::Relaxed) + requests;
-        if batches >= FILL_WINDOW {
-            self.fill_batches.store(batches / 2, Ordering::Relaxed);
-            self.fill_rows.store(rows / 2, Ordering::Relaxed);
-            self.fill_requests.store(reqs / 2, Ordering::Relaxed);
-        }
-    }
-
-    /// Microseconds the next partial batch may linger for stragglers.
-    fn linger_budget_us(&self) -> u64 {
-        match self.options.batch_linger {
-            BatchLinger::Fixed(us) => us,
-            BatchLinger::Auto => auto_linger_us(
-                self.fill_batches.load(Ordering::Relaxed),
-                self.fill_rows.load(Ordering::Relaxed),
-                self.fill_requests.load(Ordering::Relaxed),
-            ),
-        }
     }
 
     /// The current catalog snapshot. One clone of the `Arc`; holders keep
@@ -795,10 +678,6 @@ enum JobKind {
         truth: String,
         threshold: f64,
         detail: bool,
-        /// Whether the request arrived as a dense `ATTACK` frame. The
-        /// response mirrors the request's framing: dense in, dense out;
-        /// JSON-framed in (a pre-0x03 binary client), JSON-framed out.
-        dense: bool,
     },
 }
 
@@ -809,10 +688,6 @@ struct Completion {
     conn_seq: u64,
     start: Instant,
     response: Response,
-    /// On the binary wire, force the JSON-payload response frame even
-    /// where a dense encoding exists — set for `Attack` requests that
-    /// arrived JSON-framed, so old clients can decode the reply.
-    prefer_json: bool,
 }
 
 fn serve_prepared(
@@ -850,9 +725,6 @@ fn serve_prepared(
         score_batches: AtomicU64::new(0),
         batched_rows: AtomicU64::new(0),
         batched_requests: AtomicU64::new(0),
-        fill_batches: AtomicU64::new(0),
-        fill_rows: AtomicU64::new(0),
-        fill_requests: AtomicU64::new(0),
         latencies_us: Mutex::new(LatencyRing::with_capacity(MAX_LATENCY_SAMPLES)),
     };
 
@@ -1306,7 +1178,7 @@ impl<'a> EventLoop<'a> {
         }
         conn.phase = Phase::Idle;
         conn.idle_since = Instant::now();
-        self.enqueue_response_framed(c.token, &c.response, false, c.prefer_json);
+        self.enqueue_response(c.token, &c.response, false);
         let us = u64::try_from(c.start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.state.record_latency(us);
         // Pipelined bytes may already hold the next request.
@@ -1558,7 +1430,7 @@ impl<'a> EventLoop<'a> {
                 let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                 self.state.record_latency(us);
             }
-            Ok(request) => self.handle_request(idx, request, start, false),
+            Ok(request) => self.handle_request(idx, request, start),
         }
     }
 
@@ -1585,9 +1457,7 @@ impl<'a> EventLoop<'a> {
                 let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
                 self.state.record_latency(us);
             }
-            Ok(request) => {
-                self.handle_request(idx, request, start, frame_type == binary::FRAME_ATTACK);
-            }
+            Ok(request) => self.handle_request(idx, request, start),
         }
     }
 
@@ -1643,7 +1513,7 @@ impl<'a> EventLoop<'a> {
         }
     }
 
-    fn handle_request(&mut self, idx: usize, request: Request, start: Instant, dense: bool) {
+    fn handle_request(&mut self, idx: usize, request: Request, start: Instant) {
         match request {
             Request::Health => {
                 let catalog = self.state.catalog();
@@ -1760,7 +1630,6 @@ impl<'a> EventLoop<'a> {
                                 truth,
                                 threshold,
                                 detail,
-                                dense,
                             },
                         );
                     }
@@ -1820,20 +1689,6 @@ impl<'a> EventLoop<'a> {
     /// and schedules the flush. `closing` also marks the connection to
     /// close once the buffer drains.
     fn enqueue_response(&mut self, idx: usize, resp: &Response, closing: bool) {
-        self.enqueue_response_framed(idx, resp, closing, false);
-    }
-
-    /// [`Self::enqueue_response`] with the binary framing pinned:
-    /// `prefer_json` forces the JSON-payload response frame so a
-    /// JSON-framed `Attack` gets a reply its (possibly pre-dense) client
-    /// can decode — responses mirror the request's framing.
-    fn enqueue_response_framed(
-        &mut self,
-        idx: usize,
-        resp: &Response,
-        closing: bool,
-        prefer_json: bool,
-    ) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
@@ -1842,10 +1697,6 @@ impl<'a> EventLoop<'a> {
                 let mut line = serde_json::to_string(resp).expect("responses always serialize");
                 line.push('\n');
                 conn.wbuf.extend_from_slice(line.as_bytes());
-            }
-            Wire::Binary if prefer_json => {
-                conn.wbuf
-                    .extend_from_slice(&binary::encode_response_json(resp));
             }
             Wire::Binary => {
                 conn.wbuf.extend_from_slice(&binary::encode_response(resp));
@@ -2056,13 +1907,9 @@ fn executor_run(
                 ref truth,
                 threshold,
                 detail,
-                dense,
             } => {
                 let response = run_attack(state, entry, challenge, truth, threshold, detail);
-                // Mirror the request framing: a JSON-framed Attack gets a
-                // JSON-framed reply (pre-dense clients), a dense one the
-                // dense AttackResult frame.
-                post_framed(state, completion_txs, wakers, &first, response, !dense);
+                post(completion_txs, wakers, &first, response);
             }
             JobKind::Pairs { .. } => {
                 stash = score_coalesced(state, jobs, completion_txs, wakers, first);
@@ -2092,58 +1939,33 @@ fn score_coalesced(
     let coalescible = |nrows: usize| opts.batch.worker_count(nrows.max(1)) <= 1;
     if !coalescible(first_nrows) {
         let response = score_single(state, &first);
-        post(state, completion_txs, wakers, &first, response);
+        post(completion_txs, wakers, &first, response);
         return None;
     }
 
     let mut batch = vec![first];
     let mut total_rows = first_nrows;
     let mut stash = None;
-    let linger_us = state.linger_budget_us();
-    let linger_until = (linger_us > 0).then(|| Instant::now() + Duration::from_micros(linger_us));
     while total_rows < SCORE_BATCH {
         // `try_lock`, never `lock`: an idle sibling worker parks *inside*
         // `recv()` while holding the queue mutex, so blocking here would
         // deadlock the batch against a worker that is waiting for work.
         // A contended lock just means another worker owns the queue —
         // there is nothing to coalesce that belongs to this batch.
-        let Ok(rx) = jobs.try_lock() else { break };
-        let next = match rx.try_recv() {
-            Ok(job) => Some(job),
-            Err(mpsc::TryRecvError::Disconnected) => None,
-            Err(mpsc::TryRecvError::Empty) => match linger_until {
-                None => None,
-                Some(deadline) => {
-                    // Bounded linger for stragglers. The queue lock is
-                    // held while waiting, which serializes executor
-                    // intake for at most `batch_linger_us` — the
-                    // documented cost of trading latency for fill.
-                    let left = deadline.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        None
-                    } else {
-                        rx.recv_timeout(left).ok()
-                    }
-                }
-            },
-        };
-        drop(rx);
-        let Some(job) = next else { break };
-        let fits = match &job.kind {
-            JobKind::Pairs { entry, nrows, .. } => {
-                Arc::ptr_eq(entry, &first_entry) && coalescible(*nrows)
-            }
-            JobKind::Attack { .. } => false,
-        };
-        if fits {
-            total_rows += match &job.kind {
-                JobKind::Pairs { nrows, .. } => *nrows,
-                JobKind::Attack { .. } => 0,
-            };
-            batch.push(job);
-        } else {
-            stash = Some(job);
+        let Some(job) = jobs.try_lock().ok().and_then(|rx| rx.try_recv().ok()) else {
             break;
+        };
+        match &job.kind {
+            JobKind::Pairs { entry, nrows, .. }
+                if Arc::ptr_eq(entry, &first_entry) && coalescible(*nrows) =>
+            {
+                total_rows += *nrows;
+                batch.push(job);
+            }
+            _ => {
+                stash = Some(job);
+                break;
+            }
         }
     }
 
@@ -2170,7 +1992,6 @@ fn score_coalesced(
             .batched_requests
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
     }
-    state.note_batch_fill(total_rows as u64, batch.len() as u64);
 
     let mut offset = 0usize;
     for job in batch {
@@ -2189,13 +2010,7 @@ fn score_coalesced(
             .pairs_scored
             .fetch_add(nrows as u64, Ordering::Relaxed);
         shadow_compare(state, catalog, entry, rows, width, &probs);
-        post(
-            state,
-            completion_txs,
-            wakers,
-            &job,
-            Response::Scores { probs },
-        );
+        post(completion_txs, wakers, &job, Response::Scores { probs });
     }
     stash
 }
@@ -2234,31 +2049,16 @@ fn score_single(state: &ServerState, job: &Job) -> Response {
 
 /// Posts a completion back to the job's event loop and wakes it.
 fn post(
-    state: &ServerState,
     completion_txs: &[mpsc::Sender<Completion>],
     wakers: &[mio::Waker],
     job: &Job,
     response: Response,
 ) {
-    post_framed(state, completion_txs, wakers, job, response, false);
-}
-
-/// [`post`] with the response framing pinned (see [`Completion::prefer_json`]).
-fn post_framed(
-    state: &ServerState,
-    completion_txs: &[mpsc::Sender<Completion>],
-    wakers: &[mio::Waker],
-    job: &Job,
-    response: Response,
-    prefer_json: bool,
-) {
-    let _ = state; // counters already booked by the scoring paths
     let completion = Completion {
         token: job.token,
         conn_seq: job.conn_seq,
         start: job.start,
         response,
-        prefer_json,
     };
     if completion_txs[job.loop_id].send(completion).is_ok() {
         let _ = wakers[job.loop_id].wake();
@@ -2426,40 +2226,6 @@ mod tests {
         assert!(opts.max_request_bytes >= 1 << 20);
         assert_eq!(opts.max_queue, 0, "0 = auto queue depth");
         assert_eq!(opts.event_loops, 0, "0 = auto event loops");
-        assert_eq!(
-            opts.batch_linger,
-            BatchLinger::Fixed(0),
-            "no linger: drain-only batching"
-        );
-    }
-
-    #[test]
-    fn batch_linger_parses_auto_and_numbers_and_rejects_garbage() {
-        assert_eq!("auto".parse::<BatchLinger>(), Ok(BatchLinger::Auto));
-        assert_eq!("AUTO".parse::<BatchLinger>(), Ok(BatchLinger::Auto));
-        assert_eq!("0".parse::<BatchLinger>(), Ok(BatchLinger::Fixed(0)));
-        assert_eq!("250".parse::<BatchLinger>(), Ok(BatchLinger::Fixed(250)));
-        for garbage in ["soonish", "-5", "1.5", "", "100us"] {
-            let err = garbage.parse::<BatchLinger>().unwrap_err();
-            assert!(err.contains(garbage), "error names the input: {err}");
-        }
-        assert_eq!(BatchLinger::Auto.to_string(), "auto");
-        assert_eq!(BatchLinger::Fixed(42).to_string(), "42");
-    }
-
-    #[test]
-    fn auto_linger_waits_only_for_underfull_coalescing_traffic() {
-        let full = SCORE_BATCH as u64;
-        // Cold start: too few batches observed, never linger.
-        assert_eq!(auto_linger_us(0, 0, 0), 0);
-        assert_eq!(auto_linger_us(AUTO_LINGER_MIN_BATCHES - 1, 8, 32), 0);
-        // A lone client: one request per batch, rows far under full —
-        // must NOT linger (its latency would buy nothing).
-        assert_eq!(auto_linger_us(100, 100 * 8, 100), 0);
-        // Under-full batches that are actually coalescing: linger.
-        assert_eq!(auto_linger_us(100, 100 * 8, 400), AUTO_LINGER_US);
-        // Batches already running full: lingering cannot help.
-        assert_eq!(auto_linger_us(100, 100 * full, 400), 0);
     }
 
     #[test]

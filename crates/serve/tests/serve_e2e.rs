@@ -9,7 +9,7 @@ use sm_layout::io::{write_challenge, write_truth};
 use sm_layout::{SplitLayer, SplitView, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
 use sm_serve::client::{bench, BenchConfig, Client, ClientError, ClientTimeouts};
-use sm_serve::protocol::{Request, Response, Wire};
+use sm_serve::protocol::{binary, ErrorCode, Request, Response, Wire};
 use sm_serve::server::{ServeOptions, ServerHandle};
 use sm_serve::ARTIFACT_VERSION;
 
@@ -321,15 +321,30 @@ fn ndjson_and_binary_wires_are_bit_identical_end_to_end() {
     handle.join().expect("clean exit");
 }
 
+/// Writes one complete binary frame and reads back one response frame.
+fn binary_exchange(stream: &mut std::net::TcpStream, frame: &[u8]) -> Response {
+    use std::io::{Read, Write};
+    stream.write_all(frame).expect("frame written");
+    let mut header = [0u8; binary::HEADER_LEN];
+    stream.read_exact(&mut header).expect("reply header");
+    let header = binary::decode_header(header, u64::from(u32::MAX)).expect("valid reply header");
+    let mut payload = vec![0u8; header.len as usize];
+    stream.read_exact(&mut payload).expect("reply payload");
+    binary::decode_response(header.frame_type, &payload).expect("reply decodes")
+}
+
 #[test]
 fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
-    // Three framings of the same Attack against one server: the NDJSON
-    // wire, the dense binary frames (0x03/0x83), and a binary connection
-    // forced to JSON payload framing (0x01/0x81, what a pre-dense binary
-    // client sends). The full detail=true ScoredView must be the same
-    // value everywhere, bit for bit.
+    // On the binary wire the JSON frame (0x01) carries control requests
+    // only. A JSON-framed ScorePairs or Attack, what a client written
+    // before the dense frames sends, gets a BadRequest and the
+    // connection stays open; the same connection then scores through
+    // the dense frames, bit-identical to NDJSON and to the in-process
+    // model, and still answers JSON-framed control requests.
     let (model, view) = trained_and_test_view();
     let local_scored = model.score(&view, &ScoreOptions::default());
+    let features: Vec<Vec<f64>> = vec![vec![0.0; 9], vec![1.5; 9], vec![4000.0; 9]];
+    let local: Vec<f64> = features.iter().map(|x| model.model().proba(x)).collect();
     let handle = ServerHandle::bind(model, "127.0.0.1:0", test_options()).expect("binds");
     let addr = handle.addr();
     let timeouts = ClientTimeouts {
@@ -337,34 +352,14 @@ fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
         io_ms: 30_000,
     };
     let mut ndjson = Client::connect_wire(addr, timeouts, Wire::Ndjson).expect("ndjson connects");
-    let mut dense = Client::connect_wire(addr, timeouts, Wire::Binary).expect("dense connects");
-    let mut json_framed =
-        Client::connect_wire(addr, timeouts, Wire::Binary).expect("json-framed connects");
-    json_framed.set_json_payload(true);
+    let mut raw = std::net::TcpStream::connect(addr).expect("binary connects");
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
 
-    // ScorePairs first: the dense request path decodes feature rows
-    // straight into the kernel batch, the JSON framings parse text — the
-    // probabilities must not care.
-    let features: Vec<Vec<f64>> = vec![vec![0.0; 9], vec![1.5; 9], vec![4000.0; 9]];
     let score_req = Request::ScorePairs {
         features,
         model_id: None,
     };
-    let probs_of = |resp: Response| -> Vec<f64> {
-        match resp {
-            Response::Scores { probs } => probs,
-            other => panic!("unexpected scores reply: {other:?}"),
-        }
-    };
-    let via_ndjson = probs_of(ndjson.call_ok(&score_req).expect("ndjson score"));
-    let via_dense = probs_of(dense.call_ok(&score_req).expect("dense score"));
-    let via_json = probs_of(json_framed.call_ok(&score_req).expect("json-framed score"));
-    assert_eq!(via_ndjson.len(), 3);
-    for (k, ((n, d), j)) in via_ndjson.iter().zip(&via_dense).zip(&via_json).enumerate() {
-        assert_eq!(n.to_bits(), d.to_bits(), "row {k}: dense vs ndjson");
-        assert_eq!(d.to_bits(), j.to_bits(), "row {k}: json-framed vs dense");
-    }
-
     let attack_req = Request::Attack {
         challenge: write_challenge(&view),
         truth: write_truth(&view),
@@ -372,13 +367,41 @@ fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
         detail: true,
         model_id: None,
     };
+    for req in [&score_req, &attack_req] {
+        let json = serde_json::to_string(req).expect("serializes");
+        let mut frame =
+            binary::encode_header(binary::FRAME_JSON_REQUEST, json.len() as u32).to_vec();
+        frame.extend_from_slice(json.as_bytes());
+        match binary_exchange(&mut raw, &frame) {
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            } => assert!(message.contains("dense"), "{message}"),
+            other => panic!("JSON-framed scoring must be a BadRequest, got {other:?}"),
+        }
+    }
+
+    let probs_of = |resp: Response| -> Vec<f64> {
+        match resp {
+            Response::Scores { probs } => probs,
+            other => panic!("unexpected scores reply: {other:?}"),
+        }
+    };
+    let via_ndjson = probs_of(ndjson.call_ok(&score_req).expect("ndjson score"));
+    let via_dense = probs_of(binary_exchange(
+        &mut raw,
+        &binary::encode_request(&score_req),
+    ));
+    assert_eq!(via_ndjson.len(), 3);
+    assert_eq!(via_dense.len(), 3);
+    for (k, ((l, n), d)) in local.iter().zip(&via_ndjson).zip(&via_dense).enumerate() {
+        assert_eq!(l.to_bits(), n.to_bits(), "row {k}: ndjson vs in-process");
+        assert_eq!(n.to_bits(), d.to_bits(), "row {k}: dense vs ndjson");
+    }
+
     let a = ndjson.call_ok(&attack_req).expect("ndjson attack");
-    let b = dense.call_ok(&attack_req).expect("dense attack");
-    let c = json_framed
-        .call_ok(&attack_req)
-        .expect("json-framed attack");
+    let b = binary_exchange(&mut raw, &binary::encode_request(&attack_req));
     assert_eq!(a, b, "dense binary attack must equal ndjson");
-    assert_eq!(b, c, "json-framed binary attack must equal dense");
     match b {
         Response::AttackResult { summary, scored } => {
             assert_eq!(summary.pairs_scored, local_scored.pairs_scored);
@@ -388,23 +411,31 @@ fn dense_and_json_framed_binary_attacks_match_ndjson_bit_for_bit() {
             );
             let scored = scored.expect("detail=true returns the scored view");
             assert_eq!(scored.hist, local_scored.hist, "LoC histogram");
-            assert_eq!(scored, local_scored, "full scored view over every framing");
+            assert_eq!(scored, local_scored, "full scored view over both wires");
         }
         other => panic!("unexpected attack reply: {other:?}"),
     }
 
-    // No framing confused the server's accounting.
-    match dense.call_ok(&Request::Stats).expect("stats") {
+    // JSON-framed control requests still decode and answer; the two
+    // rejected frames are the only errors the server booked.
+    assert_eq!(
+        binary::encode_request(&Request::Health)[3],
+        binary::FRAME_JSON_REQUEST
+    );
+    match binary_exchange(&mut raw, &binary::encode_request(&Request::Health)) {
+        Response::Health { features, .. } => assert_eq!(features, 9),
+        other => panic!("unexpected health reply: {other:?}"),
+    }
+    match binary_exchange(&mut raw, &binary::encode_request(&Request::Stats)) {
         Response::Stats { stats } => {
-            assert_eq!(stats.errors, 0, "{stats:?}");
+            assert_eq!(stats.requests, 7, "{stats:?}");
+            assert_eq!(stats.errors, 2, "{stats:?}");
             assert_eq!(stats.io_errors, 0, "{stats:?}");
-            assert!(stats.requests >= 6, "{stats:?}");
         }
         other => panic!("unexpected stats reply: {other:?}"),
     }
     drop(ndjson);
-    drop(json_framed);
-    match dense.call_ok(&Request::Shutdown).expect("shutdown") {
+    match binary_exchange(&mut raw, &binary::encode_request(&Request::Shutdown)) {
         Response::ShuttingDown => {}
         other => panic!("unexpected shutdown reply: {other:?}"),
     }
