@@ -432,3 +432,73 @@ fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
     assert!(!spec.path.exists());
     cleanup(&spec);
 }
+
+/// Deepest `[`/`{` nesting of a JSON text, string contents skipped.
+fn nesting_depth(json: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for b in json.bytes() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b']' | b'}' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// The parser refuses nesting past `serde_json::RECURSION_LIMIT`; pin both
+/// checkpoint kinds, scoring and cross-validation, well under it.
+#[test]
+fn checkpoints_nest_far_below_the_parser_depth_limit() {
+    let views = views();
+    let model = train(&AttackConfig::imp9(), &views, 0);
+    let spec = temp_spec("depth_scoring", 5);
+    score_resumable(
+        &model,
+        &views[0],
+        &ScoreOptions::default(),
+        &spec,
+        Resume::Fresh,
+        &|| true,
+    )
+    .expect("first leg");
+    let scoring = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
+    cleanup(&spec);
+
+    let spec = temp_spec("depth_xval", 1);
+    for_each_fold_resumable(
+        &AttackConfig::imp9(),
+        &views,
+        &ScoreOptions::default(),
+        &spec,
+        Resume::Fresh,
+        &|| true,
+        |_| {},
+    )
+    .expect("first fold");
+    let xval = std::fs::read_to_string(&spec.path).expect("xval checkpoint");
+    cleanup(&spec);
+
+    for (kind, text) in [("scoring", scoring), ("xval", xval)] {
+        let depth = text.lines().map(nesting_depth).max().expect("two lines");
+        assert!(
+            depth <= serde_json::RECURSION_LIMIT / 8,
+            "{kind} checkpoint nests {depth} deep"
+        );
+        Checkpoint::decode(&text).expect("decodes under the limit");
+    }
+}

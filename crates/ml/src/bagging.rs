@@ -9,7 +9,7 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::data::Dataset;
 use crate::error::TrainError;
@@ -38,9 +38,35 @@ pub const DEFAULT_BAGGING_TREES: usize = 10;
 /// assert!(model.proba(&[10.0]) < 0.1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Bagging {
     trees: Vec<Tree>,
+}
+
+/// The serialized shape of a [`Bagging`] ensemble.
+#[derive(Deserialize)]
+struct BaggingRepr {
+    trees: Vec<Tree>,
+}
+
+/// Decoding checks each member tree's structure (on the tree's own decode)
+/// and that all members share one feature count, the row width the
+/// compiled kernel is sized by.
+impl Deserialize for Bagging {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let BaggingRepr { trees } = BaggingRepr::from_value(v)?;
+        if let Some(w) = trees
+            .windows(2)
+            .find(|w| w[0].num_features() != w[1].num_features())
+        {
+            return Err(DeError::custom(format!(
+                "ensemble members disagree on the feature count ({} vs {})",
+                w[0].num_features(),
+                w[1].num_features()
+            )));
+        }
+        Ok(Self { trees })
+    }
 }
 
 impl Bagging {

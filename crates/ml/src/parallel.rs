@@ -121,12 +121,12 @@ where
     }
     let chunk = n_items.div_ceil(workers);
     let worker = &worker;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         let handles: Vec<_> = (0..n_items)
             .step_by(chunk)
             .map(|start| {
                 let range = start..(start + chunk).min(n_items);
-                s.spawn(move |_| worker(range))
+                s.spawn(move || worker(range))
             })
             .collect();
         handles
@@ -134,7 +134,6 @@ where
             .map(|h| h.join().expect("parallel worker panicked"))
             .collect()
     })
-    .expect("crossbeam scope")
 }
 
 /// Splits `0..n_items` into consecutive shards of `shard` items (the last

@@ -12,7 +12,7 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 use crate::binned::{BinnedDataset, HistPool};
 use crate::data::Dataset;
@@ -151,10 +151,39 @@ impl Node {
 /// assert!(!tree.predict(&[3.0]));
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Tree {
     nodes: Vec<Node>,
     num_features: usize,
+}
+
+/// Largest split feature index a decoded tree may use: the compiled kernel
+/// keeps the feature in a 16-bit field.
+const MAX_SPLIT_FEATURE: usize = u16::MAX as usize;
+
+/// The serialized shape of a [`Tree`], before its structure is checked.
+#[derive(Deserialize)]
+struct TreeRepr {
+    nodes: Vec<Node>,
+    num_features: usize,
+}
+
+/// Decoding checks the structure every walk relies on (see
+/// `Tree::check_structure`), so a decoded tree cannot send a walk out of
+/// bounds or round a cycle, whatever bytes it came from.
+impl Deserialize for Tree {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let TreeRepr {
+            nodes,
+            num_features,
+        } = TreeRepr::from_value(v)?;
+        let tree = Tree {
+            nodes,
+            num_features,
+        };
+        tree.check_structure().map_err(DeError::custom)?;
+        Ok(tree)
+    }
 }
 
 impl Tree {
@@ -434,15 +463,67 @@ impl Tree {
 
     /// Maximum root-to-leaf depth.
     pub fn depth(&self) -> usize {
-        fn walk(nodes: &[Node], at: usize) -> usize {
-            let n = &nodes[at];
+        let mut deepest = 0;
+        let mut stack = vec![(0usize, 0usize)];
+        while let Some((at, depth)) = stack.pop() {
+            let n = &self.nodes[at];
             if n.is_leaf() {
-                0
+                deepest = deepest.max(depth);
             } else {
-                1 + walk(nodes, n.left as usize).max(walk(nodes, n.right as usize))
+                stack.push((n.left as usize, depth + 1));
+                stack.push((n.right as usize, depth + 1));
             }
         }
-        walk(&self.nodes, 0)
+        deepest
+    }
+
+    /// Checks that the node list is a tree every walk can take: at least
+    /// one node; every split feature below both `num_features` and 2^16;
+    /// every child index in range and greater than its parent's, which
+    /// rules out cycles; every node but the root the child of exactly one
+    /// parent, so preorder re-emission cannot duplicate a subtree; and leaf
+    /// class counts whose sum fits a `u32` for Eq. (1).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violation.
+    fn check_structure(&self) -> Result<(), String> {
+        let n = self.nodes.len();
+        if n == 0 {
+            return Err("tree has no nodes".into());
+        }
+        let mut has_parent = vec![false; n];
+        for (at, node) in self.nodes.iter().enumerate() {
+            if node.is_leaf() {
+                if node.pos.checked_add(node.neg).is_none() {
+                    return Err(format!("leaf {at}: class counts overflow u32"));
+                }
+                continue;
+            }
+            let feature = usize::try_from(node.feature)
+                .map_err(|_| format!("node {at}: split feature {} is negative", node.feature))?;
+            if feature >= self.num_features || feature > MAX_SPLIT_FEATURE {
+                return Err(format!(
+                    "node {at}: split feature {feature} out of range for {} features",
+                    self.num_features
+                ));
+            }
+            for child in [node.left, node.right] {
+                let c = child as usize;
+                if c <= at || c >= n {
+                    return Err(format!(
+                        "node {at}: child {c} must lie after it and below {n}"
+                    ));
+                }
+                if std::mem::replace(&mut has_parent[c], true) {
+                    return Err(format!("node {c} has two parents"));
+                }
+            }
+        }
+        match has_parent.iter().skip(1).position(|&p| !p) {
+            Some(i) => Err(format!("node {} is unreachable from the root", i + 1)),
+            None => Ok(()),
+        }
     }
 
     /// Features the tree was trained on.
@@ -964,5 +1045,73 @@ mod tests {
         assert_eq!(entropy(0.0, 0.0), 0.0);
         assert_eq!(entropy(10.0, 0.0), 0.0);
         assert!((entropy(5.0, 5.0) - std::f64::consts::LN_2).abs() < 1e-12);
+    }
+
+    /// JSON of a tree over `num_features` features whose nodes are
+    /// `(feature, left, right, pos)` with one negative sample each.
+    fn tree_json(num_features: usize, nodes: &[(i64, u32, u32, u32)]) -> String {
+        let nodes: Vec<String> = nodes
+            .iter()
+            .map(|(f, l, r, pos)| {
+                format!(
+                    "{{\"feature\":{f},\"threshold\":0.5,\"left\":{l},\"right\":{r},\"pos\":{pos},\"neg\":1}}"
+                )
+            })
+            .collect();
+        format!(
+            "{{\"nodes\":[{}],\"num_features\":{num_features}}}",
+            nodes.join(",")
+        )
+    }
+
+    #[test]
+    fn decode_accepts_a_well_formed_tree() {
+        let tree: Tree =
+            serde_json::from_str(&tree_json(2, &[(1, 1, 2, 0), (-1, 0, 0, 3), (-1, 0, 0, 0)]))
+                .expect("well-formed tree decodes");
+        assert_eq!(tree.depth(), 1);
+        assert_eq!(tree.proba(&[0.0, 0.0]), 0.75);
+        assert_eq!(tree.proba(&[0.0, 1.0]), 0.0);
+    }
+
+    #[test]
+    fn decode_rejects_trees_a_walk_cannot_take() {
+        let leaf = (-1, 0, 0, 1);
+        let cases = [
+            ("no nodes", tree_json(2, &[])),
+            (
+                "root is its own left child",
+                tree_json(2, &[(0, 0, 1, 1), leaf]),
+            ),
+            ("child out of range", tree_json(2, &[(0, 1, 7, 1), leaf])),
+            (
+                "child before its parent",
+                tree_json(2, &[(0, 1, 2, 1), (0, 0, 2, 1), leaf]),
+            ),
+            ("shared child", tree_json(2, &[(0, 1, 1, 1), leaf])),
+            ("orphan node", tree_json(2, &[leaf, leaf])),
+            (
+                "feature past the row",
+                tree_json(2, &[(70_000, 1, 2, 1), leaf, leaf]),
+            ),
+            (
+                "feature past 16 bits",
+                tree_json(70_001, &[(70_000, 1, 2, 1), leaf, leaf]),
+            ),
+            (
+                "negative feature",
+                tree_json(2, &[(-2, 1, 2, 1), leaf, leaf]),
+            ),
+            (
+                "leaf counts overflow",
+                tree_json(2, &[(-1, 0, 0, u32::MAX)]),
+            ),
+        ];
+        for (name, json) in cases {
+            assert!(
+                serde_json::from_str::<Tree>(&json).is_err(),
+                "{name} must not decode"
+            );
+        }
     }
 }

@@ -2,8 +2,9 @@
 //! ranges, soft-voting arithmetic, and dataset round-trips.
 
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use sm_ml::compiled::{LANES, LOCKSTEP_DEPTH};
 use sm_ml::learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
 use sm_ml::metrics::{correlation, fisher_ratio, information_gain};
 use sm_ml::oracle;
@@ -166,6 +167,74 @@ proptest! {
             for (q, b) in queries.iter().zip(&batch) {
                 prop_assert_eq!(m.proba(q).to_bits(), b.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn both_compiled_walks_match_bagging_bitwise(
+        deep in any::<bool>(),
+        n_trees in 1usize..9,
+        len in 0usize..(3 * LANES + 2),
+        pad in 0usize..3,
+        specials in prop::collection::vec((0usize..64, 0usize..3, 0usize..8), 0..16),
+        seed in any::<u64>()
+    ) {
+        // Kernel parity over both walks. Deep: unpruned RandomTrees on
+        // label noise grow far past the lockstep depth, so the batch takes
+        // the lockstep walk; stopping splits below five samples leaves
+        // mixed leaves (1/3, 3/4, ...), whose sums depend on the order of
+        // addition. Shallow: pruned REPTrees on a clean signal stay on the
+        // scalar walk. Batches run from empty through three full
+        // lane groups plus a tail, over padded strides, with NaN, ±inf, ±0
+        // and subnormal values planted in the rows.
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut ds = Dataset::new(3);
+        for i in 0..(if deep { 1_000 } else { 300 }) {
+            let x: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let label = if deep { rng.gen_bool(0.5) } else { x[0] > 0.5 };
+            ds.push(&x, label || i == 0).expect("3 features");
+        }
+        let model = if deep {
+            let learner = RandomTreeLearner {
+                params: TreeParams {
+                    min_samples_split: 5,
+                    ..RandomTreeLearner::default().params
+                },
+                ..RandomTreeLearner::default()
+            };
+            Bagging::fit(&ds, &learner, n_trees, seed)
+        } else {
+            Bagging::fit(&ds, &RepTreeLearner::default(), n_trees, seed)
+        }
+        .expect("both classes present");
+        let compiled = model.compile();
+        let deepest = model.trees().iter().map(Tree::depth).max().expect("trees");
+        prop_assert_eq!(compiled.walks_in_lockstep(), deepest >= LOCKSTEP_DEPTH);
+        prop_assert_eq!(compiled.walks_in_lockstep(), deep);
+
+        let stride = 3 + pad;
+        let mut rows: Vec<f64> = (0..len * stride).map(|_| rng.gen_range(-0.1..1.1)).collect();
+        const SPECIAL: [f64; 8] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            0.5,
+        ];
+        for &(r, c, k) in &specials {
+            if len > 0 {
+                rows[(r % len) * stride + c] = SPECIAL[k];
+            }
+        }
+        let mut out = vec![f64::NAN; len];
+        compiled.proba_batch(&rows, stride, &mut out);
+        for (r, p) in out.iter().enumerate() {
+            let x = &rows[r * stride..(r + 1) * stride];
+            prop_assert_eq!(p.to_bits(), model.proba(x).to_bits());
+            prop_assert_eq!(p.to_bits(), compiled.proba(x).to_bits());
         }
     }
 

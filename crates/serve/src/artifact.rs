@@ -17,7 +17,10 @@
 //! [`ModelArtifact::load`] validates magic, version, checksum, payload
 //! shape, and schema coherence in that order, each failure mapped to its
 //! own [`ArtifactError`] variant — a corrupt or stale file is always a
-//! typed error, never a panic.
+//! typed error, never a panic. The checksum catches corruption, not
+//! tampering, so payload shape includes each tree's structure (checked by
+//! the tree's own decoding): a crafted file cannot send the compiled
+//! kernel out of bounds or into a cycle.
 
 use std::path::Path;
 
@@ -233,6 +236,22 @@ impl ModelArtifact {
             return Err(ArtifactError::Incompatible(format!(
                 "artifact feature schema {:?} does not match the trained config's features {:?}",
                 schema.feature_names, current
+            )));
+        }
+        // The scorer fills rows of exactly the config's width; a member
+        // trained on another width would fail the kernel's stride check.
+        if let Some(tree) = self
+            .payload
+            .parts
+            .model
+            .trees()
+            .iter()
+            .find(|t| t.num_features() != current.len())
+        {
+            return Err(ArtifactError::Incompatible(format!(
+                "ensemble trees take {} features, the feature schema has {}",
+                tree.num_features(),
+                current.len()
             )));
         }
         Ok(())
@@ -460,6 +479,95 @@ mod tests {
             Err(ArtifactError::Io(_))
         ));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A two-line artifact around `payload` with a matching header
+    /// checksum, so only the payload's own checks can reject it.
+    fn reencode(payload: &str) -> String {
+        let header = Header {
+            magic: ARTIFACT_MAGIC.to_owned(),
+            version: ARTIFACT_VERSION,
+            checksum: fnv1a64(payload.as_bytes()),
+        };
+        let header = serde_json::to_string(&header).expect("serializes");
+        format!("{header}\n{payload}\n")
+    }
+
+    /// `art`'s payload text and the byte range of its first tree's node
+    /// list (between the brackets).
+    fn first_node_list(art: &ModelArtifact) -> (String, std::ops::Range<usize>) {
+        let payload = serde_json::to_string(&art.payload).expect("serializes");
+        let start = payload.find("\"nodes\":[").expect("a tree") + "\"nodes\":[".len();
+        let end = start + payload[start..].find(']').expect("node list ends");
+        (payload, start..end)
+    }
+
+    /// `art` re-encoded with `edit` applied to its first tree's root node
+    /// (the JSON object text).
+    fn with_edited_root(art: &ModelArtifact, edit: impl FnOnce(&str) -> String) -> String {
+        let (payload, nodes) = first_node_list(art);
+        let end = nodes.start + payload[nodes.clone()].find('}').expect("root node") + 1;
+        let root = edit(&payload[nodes.start..end]);
+        reencode(&format!(
+            "{}{root}{}",
+            &payload[..nodes.start],
+            &payload[end..]
+        ))
+    }
+
+    /// Replaces the `"key":<integer>` field of a node's JSON text.
+    fn set_field(node: &str, key: &str, value: &str) -> String {
+        let tag = format!("\"{key}\":");
+        let at = node.find(&tag).expect("field present") + tag.len();
+        let len = node[at..].find([',', '}']).expect("field value ends");
+        format!("{}{value}{}", &node[..at], &node[at + len..])
+    }
+
+    fn assert_payload_error(text: &str, case: &str) {
+        match ModelArtifact::decode(text) {
+            Err(ArtifactError::Payload(_)) => {}
+            other => panic!("{case}: expected a typed payload error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn crafted_self_loop_root_is_a_payload_error() {
+        // A root whose left child is itself: a recursive lowering would
+        // overflow the stack on it, and a walk would never reach a leaf.
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let text = with_edited_root(&art, |root| {
+            assert!(!root.contains("\"feature\":-1"), "root must be a split");
+            set_field(root, "left", "0")
+        });
+        assert_payload_error(&text, "self-loop root");
+    }
+
+    #[test]
+    fn crafted_empty_tree_is_a_payload_error() {
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let (payload, nodes) = first_node_list(&art);
+        let payload = format!("{}{}", &payload[..nodes.start], &payload[nodes.end..]);
+        assert_payload_error(&reencode(&payload), "empty node list");
+    }
+
+    #[test]
+    fn crafted_out_of_range_feature_is_a_payload_error() {
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let text = with_edited_root(&art, |root| set_field(root, "feature", "70000"));
+        assert_payload_error(&text, "feature 70000");
+    }
+
+    #[test]
+    fn ensemble_wider_than_the_schema_is_incompatible() {
+        // Every split stays in range, but the trees claim more features
+        // than the scorer's rows carry.
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let payload = serde_json::to_string(&art.payload).expect("serializes");
+        let text = reencode(&payload.replace("\"num_features\":9", "\"num_features\":12"));
+        assert!(matches!(
+            ModelArtifact::decode(&text),
+            Err(ArtifactError::Incompatible(_))
+        ));
     }
 
     #[test]

@@ -753,11 +753,11 @@ fn serve_prepared(
 
     let state_ref = &state;
     let jobs_rx_ref = &jobs_rx;
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..n_workers {
             let txs: Vec<_> = completion_txs.clone();
             let wks: Vec<_> = wakers.clone();
-            s.spawn(move |_| executor_run(state_ref, jobs_rx_ref, &txs, &wks));
+            s.spawn(move || executor_run(state_ref, jobs_rx_ref, &txs, &wks));
         }
         drop(completion_txs);
         for (loop_id, ((poll, intake), completions)) in polls
@@ -768,7 +768,7 @@ fn serve_prepared(
         {
             let waker = wakers[loop_id].clone();
             let jobs = jobs_tx.clone();
-            s.spawn(move |_| {
+            s.spawn(move || {
                 EventLoop::new(state_ref, loop_id, poll, waker, intake, completions, jobs).run();
             });
         }
@@ -824,8 +824,7 @@ fn serve_prepared(
         for w in &wakers {
             let _ = w.wake();
         }
-    })
-    .expect("server thread panicked");
+    });
     Ok(state.snapshot())
 }
 

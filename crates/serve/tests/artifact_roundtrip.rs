@@ -167,3 +167,58 @@ fn artifact_errors_are_typed_not_panics() {
         Err(ArtifactError::Io(_))
     ));
 }
+
+/// Deepest `[`/`{` nesting of a JSON text, string contents skipped.
+fn nesting_depth(json: &str) -> usize {
+    let (mut depth, mut deepest) = (0usize, 0usize);
+    let (mut in_string, mut escaped) = (false, false);
+    for b in json.bytes() {
+        if in_string {
+            match b {
+                _ if escaped => escaped = false,
+                b'\\' => escaped = true,
+                b'"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match b {
+            b'"' => in_string = true,
+            b'[' | b'{' => {
+                depth += 1;
+                deepest = deepest.max(depth);
+            }
+            b']' | b'}' => depth -= 1,
+            _ => {}
+        }
+    }
+    deepest
+}
+
+/// The parser refuses nesting past `serde_json::RECURSION_LIMIT`. Trees are
+/// flat node arrays, so an artifact's depth does not grow with the model;
+/// pin every configuration family well under the limit.
+#[test]
+fn artifacts_nest_far_below_the_parser_depth_limit() {
+    for config in [
+        AttackConfig::ml9(),
+        AttackConfig::imp9(),
+        AttackConfig::imp11().with_y_limit(),
+    ] {
+        let (model, _) = leave_one_out(0.01, 8, &config);
+        let meta = TrainMeta {
+            benchmarks: vec!["sb5".into(), "sb10".into()],
+            split_layer: "V8".into(),
+            excluded_target: Some("sb1".into()),
+            created_unix_s: 1,
+        };
+        let text = ModelArtifact::from_trained(&model, meta).encode();
+        let depth = text.lines().map(nesting_depth).max().expect("two lines");
+        assert!(
+            depth <= serde_json::RECURSION_LIMIT / 8,
+            "{}: artifact nests {depth} deep",
+            config.name
+        );
+        ModelArtifact::decode(&text).expect("decodes under the limit");
+    }
+}

@@ -690,6 +690,58 @@ fn binary_header_declaring_past_the_cap_is_rejected_before_buffering() {
     assert_eq!(stats.shed, 0, "{stats:?}");
 }
 
+/// JSON nested far past the parser's depth limit, as an NDJSON line and
+/// as a binary JSON frame. Without the limit, one 20 KB line of `[`
+/// overflowed an event loop's stack and aborted the whole server. Now each
+/// is a BadRequest like any other malformed request, its connection keeps
+/// serving, and a client scoring at the same time is untouched.
+#[test]
+fn deeply_nested_json_is_a_bad_request_on_both_wires() {
+    let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(2_000, 2_000))
+        .expect("binds");
+    let addr = handle.addr();
+    let good = std::thread::spawn(move || {
+        run_good_client(&addr.to_string(), 40, 6, Duration::from_secs(30))
+    });
+    let deep = "[".repeat(20_000);
+
+    let mut ndjson = FaultStream::connect(addr);
+    ndjson.blast(format!("{deep}\n").as_bytes());
+    let reply = ndjson.read_line().expect("reply to a deep line");
+    assert!(reply.contains("BadRequest"), "{reply}");
+    ndjson.blast(b"\"Health\"\n");
+    let reply = ndjson
+        .read_line()
+        .expect("health reply after the deep line");
+    assert!(reply.contains("\"Health\""), "{reply}");
+    drop(ndjson);
+
+    let mut bin = FaultStream::connect(addr);
+    let mut frame = binary::encode_header(binary::FRAME_JSON_REQUEST, deep.len() as u32).to_vec();
+    frame.extend_from_slice(deep.as_bytes());
+    bin.blast(&frame);
+    match bin.read_binary_response().expect("reply to a deep frame") {
+        Response::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("unexpected deep-frame reply: {other:?}"),
+    }
+    bin.blast(&binary::encode_request(&Request::Health));
+    match bin
+        .read_binary_response()
+        .expect("health reply after the deep frame")
+    {
+        Response::Health { .. } => {}
+        other => panic!("unexpected health reply: {other:?}"),
+    }
+    drop(bin);
+
+    let good = good.join().expect("good client kept bit-identical scores");
+    let (_, _, stats) = shutdown_and_join(good, handle);
+    assert_eq!(stats.errors, 2, "{stats:?}");
+    assert_eq!(stats.io_errors, 0, "{stats:?}");
+    assert_eq!(stats.timeouts, 0, "{stats:?}");
+    assert_eq!(stats.shed, 0, "{stats:?}");
+}
+
 #[test]
 fn binary_garbage_frames_follow_the_framing_contract() {
     let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(2_000, 2_000))

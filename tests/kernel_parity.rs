@@ -2,8 +2,9 @@
 //! benchmark and split layer, the SoA feature batch (`PairKernel`) and the
 //! flattened ensemble (`CompiledEnsemble::proba_batch`) produce exactly
 //! the rows of `FeatureSet::compute_into` and the probabilities of
-//! `Bagging::proba` for every pair of the view, bit for bit; and a full
-//! threaded attack run equals the sequential `oracle::score`.
+//! `Bagging::proba` for every pair of the view, bit for bit; a full
+//! threaded attack run equals the sequential `oracle::score`; and the
+//! benchmark's deep and shallow models take the walks their depth selects.
 
 use splitmfg::attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
 use splitmfg::attack::{oracle, PairKernel, Parallelism};
@@ -87,4 +88,27 @@ fn compiled_kernel_is_also_parallelism_invariant() {
         },
     );
     assert_eq!(baseline, threaded);
+}
+
+/// The benchmark's deep and shallow models must land on either side of
+/// the lockstep depth rule: `attack_walk` scores the layer-6 model (scale
+/// 0.5) and gains from the lockstep walk; `attack_keep` (scale 2) and the
+/// serve workloads (scale 1) score layer-8 models, where lanes are slower
+/// than the scalar walk. Set up like the benchmark: Imp-11 trained on four
+/// designs with `sb1` held out.
+#[test]
+fn benchmark_models_take_the_walk_their_depth_selects() {
+    for (scale, split, lockstep) in [(0.5, 6u8, true), (2.0, 8, false), (1.0, 8, false)] {
+        let vs = Suite::ispd2011_like(scale)
+            .expect("suite generation")
+            .split_all(SplitLayer::new(split).expect("valid"));
+        let train: Vec<&SplitView> = vs[1..].iter().collect();
+        let model = TrainedAttack::train(&AttackConfig::imp11(), &train, None).expect("train");
+        let depths: Vec<usize> = model.model().trees().iter().map(|t| t.depth()).collect();
+        assert_eq!(
+            model.model().compile().walks_in_lockstep(),
+            lockstep,
+            "scale {scale}, layer {split}: tree depths {depths:?}"
+        );
+    }
 }
