@@ -198,7 +198,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
                 "shadow-fraction",
                 "addr",
                 "threads",
-                "batch-threads",
                 "request-timeout-ms",
                 "idle-timeout-ms",
                 "max-request-bytes",
@@ -265,8 +264,7 @@ pub fn print_help() {
          \x20             [--default-model ID] [--shadow-model ID]\n\
          \x20             [--shadow-fraction 0.1])\n\
          \x20             [--addr 127.0.0.1:7878]\n\
-         \x20             [--threads auto] [--batch-threads seq]\n\
-         \x20             [--request-timeout-ms 10000]\n\
+         \x20             [--threads auto] [--request-timeout-ms 10000]\n\
          \x20             [--idle-timeout-ms 60000]\n\
          \x20             [--max-request-bytes 67108864]\n\
          \x20             [--max-queue 0] [--event-loops 0]           TCP inference server (ndjson+binary)\n\
@@ -851,7 +849,6 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let defaults = ServeOptions::default();
     let options = ServeOptions {
         workers: args.get_or("threads", Parallelism::Auto)?,
-        batch: args.get_or("batch-threads", Parallelism::Sequential)?,
         request_timeout_ms: args.get_or("request-timeout-ms", defaults.request_timeout_ms)?,
         idle_timeout_ms: args.get_or("idle-timeout-ms", defaults.idle_timeout_ms)?,
         max_request_bytes: args.get_or("max-request-bytes", defaults.max_request_bytes)?,
@@ -1218,8 +1215,10 @@ mod tests {
             &["train", "--dir", "x", "--out", "y", "--model", "z"][..],
             &["serve", "--model", "x", "--port", "80"][..],
             &["bench-serve", "--addr", "x", "--conns", "2"][..],
-            // Removed options: the batch linger and JSON-framed scoring.
+            // Removed options: the batch linger, intra-request batch
+            // threads and JSON-framed scoring.
             &["serve", "--model", "x", "--batch-linger-us", "auto"][..],
+            &["serve", "--model", "x", "--batch-threads", "seq"][..],
             &["bench-serve", "--addr", "x", "--json-payload", "true"][..],
         ] {
             let err = dispatch_tokens(tokens).expect_err("must reject");

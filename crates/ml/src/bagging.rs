@@ -49,12 +49,16 @@ struct BaggingRepr {
     trees: Vec<Tree>,
 }
 
-/// Decoding checks each member tree's structure (on the tree's own decode)
-/// and that all members share one feature count, the row width the
-/// compiled kernel is sized by.
+/// Decoding checks each member tree's structure (on the tree's own decode),
+/// that there is at least one member, and that all members share one
+/// feature count, the row width the compiled kernel is sized by.
 impl Deserialize for Bagging {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         let BaggingRepr { trees } = BaggingRepr::from_value(v)?;
+        if trees.is_empty() {
+            // An empty ensemble would score every pair 0/0 = NaN.
+            return Err(DeError::custom("ensemble has no trees"));
+        }
         if let Some(w) = trees
             .windows(2)
             .find(|w| w[0].num_features() != w[1].num_features())

@@ -551,6 +551,31 @@ mod tests {
     }
 
     #[test]
+    fn crafted_empty_ensemble_is_a_payload_error() {
+        // No trees: every pair would score 0/0 = NaN and an attack would
+        // report 0% accuracy with exit 0 instead of a typed error.
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let payload = serde_json::to_string(&art.payload).expect("serializes");
+        let start = payload.find("\"trees\":[").expect("an ensemble") + "\"trees\":[".len();
+        let mut depth = 1usize;
+        let end = start
+            + payload[start..]
+                .bytes()
+                .position(|b| {
+                    match b {
+                        b'[' => depth += 1,
+                        b']' => depth -= 1,
+                        _ => {}
+                    }
+                    depth == 0
+                })
+                .expect("tree list ends");
+        let payload = format!("{}{}", &payload[..start], &payload[end..]);
+        assert!(payload.contains("\"trees\":[]"), "emptied the ensemble");
+        assert_payload_error(&reencode(&payload), "empty ensemble");
+    }
+
+    #[test]
     fn crafted_out_of_range_feature_is_a_payload_error() {
         let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
         let text = with_edited_root(&art, |root| set_field(root, "feature", "70000"));

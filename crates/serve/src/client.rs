@@ -272,8 +272,18 @@ impl Client {
         }
         let h = binary::decode_header(header, u64::MAX)
             .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))?;
-        let mut payload = vec![0u8; h.len as usize];
-        self.reader.read_exact(&mut payload)?;
+        // The declared length is the peer's claim, not a size to reserve:
+        // memory grows only with the bytes that actually arrive.
+        let mut payload = Vec::new();
+        let n = (&mut self.reader)
+            .take(u64::from(h.len))
+            .read_to_end(&mut payload)?;
+        if n < h.len as usize {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection mid-frame",
+            )));
+        }
         binary::decode_response(h.frame_type, &payload)
             .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))
     }
@@ -1058,6 +1068,35 @@ mod tests {
                 other => panic!("unexpected reply: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_declared_length_past_what_arrives_is_io_not_an_allocation() {
+        // A peer that answers with one header declaring a u32::MAX-byte
+        // payload and then closes: the client must not reserve the
+        // declared 4 GiB up front, only hold what arrives and report
+        // the short frame as a typed i/o error.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("addr");
+        let peer = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accepts");
+            let mut header = [0u8; binary::HEADER_LEN];
+            (&stream).read_exact(&mut header).expect("request header");
+            let h = binary::decode_header(header, 1 << 20).expect("valid request header");
+            let mut payload = vec![0u8; h.len as usize];
+            (&stream).read_exact(&mut payload).expect("request payload");
+            let mut reply = binary::encode_header(binary::FRAME_JSON_RESPONSE, u32::MAX).to_vec();
+            reply.extend_from_slice(b"{\"Health\"");
+            (&stream).write_all(&reply).expect("reply");
+        });
+        let timeouts = ClientTimeouts {
+            connect_ms: 2_000,
+            io_ms: 2_000,
+        };
+        let mut client = Client::connect_wire(addr, timeouts, Wire::Binary).expect("connects");
+        let err = client.call(&Request::Health).expect_err("short frame");
+        assert!(matches!(err, ClientError::Io(_)), "{err:?}");
+        peer.join().expect("peer thread");
     }
 
     #[test]

@@ -21,8 +21,10 @@
 //!   [`protocol::binary`]). The server detects the wire per connection
 //!   from its first byte; no negotiation round-trip.
 //! - [`server`] — an event-driven TCP server: an epoll reactor (the
-//!   vendored `mio` shim) drives every connection as a nonblocking state
-//!   machine, a bounded scoring executor (sized by
+//!   vendored `mio` shim) does the socket I/O for every connection,
+//!   whose protocol logic is a sans-io `Session` (no socket, no clock of
+//!   its own, so every fault shape is testable without either), a
+//!   bounded scoring executor (sized by
 //!   [`sm_ml::Parallelism`]) runs the kernels, and concurrent small
 //!   `ScorePairs` requests for the same model are coalesced into full
 //!   kernel batches (bit-identical by row independence). Hardened for
@@ -67,6 +69,7 @@ mod framing;
 pub mod protocol;
 pub mod registry;
 pub mod server;
+mod session;
 
 pub use artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_MAGIC, ARTIFACT_VERSION};
 pub use client::{

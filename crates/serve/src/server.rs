@@ -12,43 +12,30 @@
 //!   the event loops over a channel plus a reactor wake.
 //! - **Event loops** (`event_loops` threads, auto-sized from the CPU
 //!   count): each runs a nonblocking **edge-triggered** epoll loop (the
-//!   vendored `mio` shim) over its share of connections. A connection is
-//!   registered exactly once, at admission, for both interests — no
-//!   `epoll_ctl` churn on the hot path — and the loop caches readiness
-//!   itself (`read_ready`/`write_ready`, cleared only on `WouldBlock`).
-//!   Connections with cached readiness or buffered work sit on a ready
-//!   list; each gets **one bounded service turn per loop iteration**
-//!   (read to `WouldBlock` or the buffer cap, process at most
-//!   [`FRAME_BUDGET`] frames, flush to `WouldBlock`), so one connection
-//!   pipelining thousands of frames cannot starve its siblings. Each
-//!   connection is a small state machine — read buffer → framed request
-//!   → scoring queue → write buffer — with the wire format auto-detected
-//!   from the first byte (`0xB5` means binary v2, anything else NDJSON)
-//!   and sticky for the connection's life. Framing is zero-copy and
-//!   sans-io (the `framing` module's `ReadBuf`): requests are parsed
-//!   from borrowed slices of the read buffer behind a read cursor that
-//!   persists across turns. Consumed bytes are not moved per turn: the
-//!   unread tail moves to the front only when the consumed head has
-//!   outgrown it or a read would otherwise grow the buffer. A backlog
-//!   drained one frame per turn, as it is while a job is in flight, is
-//!   thus copied less than once in total rather than once per turn.
-//!   Deadlines are enforced from the loop: an *idle* deadline between
-//!   requests, a stricter *mid-request* deadline from the first byte of
-//!   a request (slow-loris defence), and a write-stall deadline while a
-//!   response is draining. Request payloads are capped at
-//!   `max_request_bytes`; the binary header's declared length is checked
-//!   against the cap before any payload is buffered. Control requests
-//!   (`Health`, `Stats`, `ListModels`, `Reload`, `Shutdown`) are answered
-//!   inline on the loop; scoring requests are dispatched to the executor,
-//!   one in flight per connection (pipelined bytes wait in the read
-//!   buffer, preserving per-connection order, and reads pause for
-//!   backpressure).
+//!   vendored `mio` shim) over its share of connections and does only
+//!   I/O. A connection is registered exactly once, at admission, for
+//!   both interests — no `epoll_ctl` churn on the hot path — and the
+//!   loop caches readiness itself (`read_ready`/`write_ready`, cleared
+//!   only on `WouldBlock`). Connections with cached readiness or
+//!   buffered work sit on a ready list; each gets **one bounded service
+//!   turn per loop iteration** (read to `WouldBlock` or the buffer cap,
+//!   process at most [`FRAME_BUDGET`] frames, flush to `WouldBlock`), so
+//!   one connection pipelining thousands of frames cannot starve its
+//!   siblings. Everything else about a connection — wire detection,
+//!   framing, decode, deadlines, reply encoding and its counters — is
+//!   the sans-io [`Session`] it owns: the loop feeds it bytes, EOF,
+//!   write progress, clock ticks and job completions, and carries out
+//!   what it decides. Each decoded request goes through [`route`], which
+//!   answers control requests (`Health`, `Stats`, `ListModels`,
+//!   `Reload`, `Shutdown`) inline, resolves the catalog, validates row
+//!   widths, and turns scoring requests into executor jobs, one in
+//!   flight per connection.
 //! - **Scoring executor** (`pool_size(workers)` threads): pulls
-//!   [`ScorePairs`]/[`Attack`] jobs from a shared queue. On the default
-//!   compiled-sequential path, concurrent small `ScorePairs` jobs that
-//!   target the same model are **coalesced** into one `proba_batch` call
-//!   of up to [`SCORE_BATCH`] rows and the probabilities demultiplexed
-//!   back per request — `proba_batch` is row-independent, so coalesced
+//!   [`ScorePairs`]/[`Attack`] jobs from a shared queue and scores each
+//!   sequentially. Concurrent small `ScorePairs` jobs that target the
+//!   same model are **coalesced** into one `proba_batch` call of up to
+//!   [`SCORE_BATCH`] rows and the probabilities demultiplexed back per
+//!   request — `proba_batch` is row-independent, so coalesced
 //!   answers are bit-identical to solo ones. A worker only drains jobs
 //!   already queued and never waits for stragglers, so a lone client
 //!   pays no added latency and batches fill exactly when there is a
@@ -82,16 +69,15 @@ use std::time::{Duration, Instant};
 use sm_attack::attack::{ScoreOptions, SCORE_BATCH};
 use sm_attack::TrainedAttack;
 use sm_layout::io::read_challenge;
-use sm_ml::{par_chunks, Parallelism};
+use sm_ml::Parallelism;
 
 use crate::artifact::ARTIFACT_VERSION;
 use crate::client::percentile_rank;
-use crate::framing::{Frame, ReadBuf, Split};
 use crate::protocol::{
     binary, AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot,
-    Wire,
 };
 use crate::registry::{Catalog, ModelEntry, RegistryError};
+use crate::session::{bad_request, Counters, Decoded, Limits, Routed, Session};
 
 /// Cap on retained per-request latency samples. The store is a ring:
 /// once full, new samples overwrite the oldest, so a long-lived server
@@ -136,10 +122,6 @@ pub struct ServeOptions {
     /// whole executor on 1-CPU hosts. Connection I/O is handled by the
     /// event loops, not this pool — see `event_loops`.
     pub workers: Parallelism,
-    /// Parallelism applied *within* one `ScorePairs`/`Attack` request
-    /// batch. Sequential by default — the executor already provides
-    /// cross-request parallelism; results are identical either way.
-    pub batch: Parallelism,
     /// Mid-request deadline in milliseconds: once the first byte of a
     /// request has arrived, the full request must arrive (and the
     /// response must make write progress) within this budget, or the
@@ -175,7 +157,6 @@ impl Default for ServeOptions {
     fn default() -> Self {
         Self {
             workers: Parallelism::Auto,
-            batch: Parallelism::Sequential,
             request_timeout_ms: 10_000,
             idle_timeout_ms: 60_000,
             max_request_bytes: 64 * 1024 * 1024,
@@ -288,7 +269,7 @@ fn accept_backoff(consecutive_failures: u32) -> Duration {
 /// Fixed-capacity ring of latency samples: pushes past the capacity
 /// overwrite the oldest sample, so percentiles always describe recent
 /// traffic from bounded memory.
-struct LatencyRing {
+pub(crate) struct LatencyRing {
     samples: Vec<u64>,
     cap: usize,
     /// Next slot to overwrite once the ring is full.
@@ -297,6 +278,12 @@ struct LatencyRing {
     /// not allocate (and free) a full ring's worth of samples — at
     /// capacity that was ~8 MiB of churn per monitoring poll.
     scratch: Vec<u64>,
+}
+
+impl Default for LatencyRing {
+    fn default() -> Self {
+        Self::with_capacity(MAX_LATENCY_SAMPLES)
+    }
 }
 
 impl LatencyRing {
@@ -309,7 +296,7 @@ impl LatencyRing {
         }
     }
 
-    fn push(&mut self, sample: u64) {
+    pub(crate) fn push(&mut self, sample: u64) {
         if self.samples.len() < self.cap {
             self.samples.push(sample);
         } else {
@@ -360,7 +347,7 @@ impl LatencyRing {
     /// The retained samples, sorted ascending (a copy; the ring order is
     /// an implementation detail). Test-only oracle for `quantiles`.
     #[cfg(test)]
-    fn sorted(&self) -> Vec<u64> {
+    pub(crate) fn sorted(&self) -> Vec<u64> {
         let mut out = self.samples.clone();
         out.sort_unstable();
         out
@@ -396,7 +383,8 @@ struct ServerState {
     shadow_seq: AtomicU64,
     shadow_accum: Mutex<ShadowAccum>,
     reloads: AtomicU64,
-    options: ServeOptions,
+    /// The deadlines and cap every connection's session enforces.
+    limits: Limits,
     /// Resolved reactor thread count (reported in `Stats`).
     event_loops: usize,
     addr: SocketAddr,
@@ -404,23 +392,16 @@ struct ServerState {
     /// Connections currently admitted (accepted and not yet closed);
     /// the acceptor sheds once this reaches capacity.
     active_conns: AtomicUsize,
-    requests: AtomicU64,
-    errors: AtomicU64,
-    io_errors: AtomicU64,
+    /// What the connections' sessions count.
+    counters: Counters,
     shed: AtomicU64,
-    timeouts: AtomicU64,
     pairs_scored: AtomicU64,
     score_batches: AtomicU64,
     batched_rows: AtomicU64,
     batched_requests: AtomicU64,
-    latencies_us: Mutex<LatencyRing>,
 }
 
 impl ServerState {
-    fn record_latency(&self, us: u64) {
-        self.latencies_us.lock().expect("latency lock").push(us);
-    }
-
     /// The current catalog snapshot. One clone of the `Arc`; holders keep
     /// serving their snapshot across a concurrent swap.
     fn catalog(&self) -> Arc<Catalog> {
@@ -428,8 +409,12 @@ impl ServerState {
     }
 
     fn snapshot(&self) -> StatsSnapshot {
-        let [p50_us, p95_us, p99_us, max_us] =
-            self.latencies_us.lock().expect("latency lock").quantiles();
+        let counters = &self.counters;
+        let [p50_us, p95_us, p99_us, max_us] = counters
+            .latencies_us
+            .lock()
+            .expect("latency lock")
+            .quantiles();
         let catalog = self.catalog();
         let entry = catalog.default_entry();
         let shadow = self.shadow.as_ref().map(|cfg| {
@@ -455,11 +440,11 @@ impl ServerState {
             schema_version: entry.schema_version,
             reloads: self.reloads.load(Ordering::Relaxed),
             shadow,
-            requests: self.requests.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            io_errors: self.io_errors.load(Ordering::Relaxed),
+            requests: counters.requests.load(Ordering::Relaxed),
+            errors: counters.errors.load(Ordering::Relaxed),
+            io_errors: counters.io_errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
+            timeouts: counters.timeouts.load(Ordering::Relaxed),
             pairs_scored: self.pairs_scored.load(Ordering::Relaxed),
             event_loops: self.event_loops as u64,
             score_batches: self.score_batches.load(Ordering::Relaxed),
@@ -483,7 +468,8 @@ fn shadow_sampled(seq: u64, fraction: f64) -> bool {
 }
 
 /// Maps a registry failure at startup onto the `io::Error` contract of
-/// [`serve`] (a corrupt registry is `InvalidData`, not a panic).
+/// [`serve_source_with`] (a corrupt registry is `InvalidData`, not a
+/// panic).
 fn registry_io_error(e: RegistryError) -> std::io::Error {
     match e {
         RegistryError::Io(io) => io,
@@ -491,25 +477,10 @@ fn registry_io_error(e: RegistryError) -> std::io::Error {
     }
 }
 
-/// Runs a single-model server on `listener` until a `Shutdown` request
-/// arrives — [`serve_source`] with [`ModelSource::Single`] and no shadow.
-///
-/// # Errors
-///
-/// Returns an [`std::io::Error`] only for listener-level failures that
-/// occur before serving starts; transient `accept()` errors are retried
-/// with exponential backoff and per-connection i/o errors just end that
-/// connection.
-pub fn serve(
-    model: TrainedAttack,
-    listener: TcpListener,
-    options: &ServeOptions,
-) -> std::io::Result<StatsSnapshot> {
-    serve_source(ModelSource::Single(model), None, listener, options)
-}
-
-/// Runs the server on `listener` until a `Shutdown` request arrives,
-/// then drains live connections and returns the final counters.
+/// Runs the server on `listener` until a `Shutdown` request arrives or
+/// `shutdown` is requested (SIGTERM on the CLI), then stops accepting,
+/// drains in-flight requests through the reactors and returns the final
+/// counters.
 ///
 /// # Errors
 ///
@@ -518,20 +489,9 @@ pub fn serve(
 /// [`RegistryError`] message), or for a [`ShadowConfig`] whose fraction
 /// is outside `[0, 1]` or whose model id is not in the starting catalog
 /// (`InvalidInput` — a misconfigured shadow fails fast at startup, it
-/// does not silently measure nothing).
-pub fn serve_source(
-    source: ModelSource,
-    shadow: Option<ShadowConfig>,
-    listener: TcpListener,
-    options: &ServeOptions,
-) -> std::io::Result<StatsSnapshot> {
-    serve_prepared(Prepared::new(source, shadow)?, listener, options, None)
-}
-
-/// [`serve_source`] with an external [`ShutdownHandle`], so an operator
-/// signal (SIGTERM on the CLI) can stop the server as gracefully as a
-/// protocol `Shutdown` request: stop accepting, drain in-flight requests
-/// through the reactors, return the final stats.
+/// does not silently measure nothing). Transient `accept()` errors are
+/// retried with exponential backoff and per-connection i/o errors just
+/// end that connection.
 pub fn serve_source_with(
     source: ModelSource,
     shadow: Option<ShadowConfig>,
@@ -602,10 +562,10 @@ impl ShutdownHandle {
 }
 
 /// A validated catalog + shadow config, ready to serve. Split out of
-/// [`serve_source`] so [`ServerHandle::bind_source`] can do the (possibly
-/// failing) registry load on the caller's thread — configuration errors
-/// surface at bind time — while the serving threads run in the
-/// background.
+/// [`serve_source_with`] so [`ServerHandle::bind_source`] can do the
+/// (possibly failing) registry load on the caller's thread —
+/// configuration errors surface at bind time — while the serving threads
+/// run in the background.
 struct Prepared {
     catalog: Catalog,
     registry_dir: Option<PathBuf>,
@@ -711,21 +671,21 @@ fn serve_prepared(
         shadow_seq: AtomicU64::new(0),
         shadow_accum: Mutex::new(ShadowAccum::default()),
         reloads: AtomicU64::new(0),
-        options: *options,
+        limits: Limits {
+            request_timeout: timeout_of(options.request_timeout_ms),
+            idle_timeout: timeout_of(options.idle_timeout_ms),
+            max_request_bytes: options.max_request_bytes,
+        },
         event_loops: n_loops,
         addr,
         shutdown: AtomicBool::new(false),
         active_conns: AtomicUsize::new(0),
-        requests: AtomicU64::new(0),
-        errors: AtomicU64::new(0),
-        io_errors: AtomicU64::new(0),
+        counters: Counters::default(),
         shed: AtomicU64::new(0),
-        timeouts: AtomicU64::new(0),
         pairs_scored: AtomicU64::new(0),
         score_batches: AtomicU64::new(0),
         batched_rows: AtomicU64::new(0),
         batched_requests: AtomicU64::new(0),
-        latencies_us: Mutex::new(LatencyRing::with_capacity(MAX_LATENCY_SAMPLES)),
     };
 
     // Per-loop reactor plumbing, built up front so waker/sender clones
@@ -876,7 +836,7 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Returns the [`std::io::Error`]s of [`serve_source`]: bind
+    /// Returns the [`std::io::Error`]s of [`serve_source_with`]: bind
     /// failures, an unloadable registry, or an invalid shadow config.
     pub fn bind_source(
         source: ModelSource,
@@ -910,48 +870,14 @@ impl ServerHandle {
     }
 }
 
-/// Where a connection's framing state machine stands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// Between requests; the idle deadline applies.
-    Idle,
-    /// A request's first byte has arrived but the frame is incomplete;
-    /// the mid-request deadline applies from `started`.
-    Receiving(Instant),
-    /// A scoring job is in flight on the executor; reads are paused for
-    /// backpressure and no deadline applies (scoring time is unbounded,
-    /// as it was for the thread-per-connection server).
-    Processing,
-}
-
-/// One live connection owned by an event loop.
+/// One live connection owned by an event loop: the socket, its reactor
+/// bookkeeping, and the sans-io [`Session`] that holds its protocol
+/// state.
 struct Conn {
     stream: TcpStream,
     /// Generation stamp matching in-flight [`Job::conn_seq`]s.
     seq: u64,
-    /// Detected wire format; `None` until the first byte arrives.
-    wire: Option<Wire>,
-    rbuf: ReadBuf,
-    wbuf: Vec<u8>,
-    /// Bytes of `wbuf` already written to the socket.
-    wpos: usize,
-    phase: Phase,
-    /// When the connection last became idle (start of the idle window).
-    idle_since: Instant,
-    /// Deadline for the current response drain; `None` when `wbuf` is
-    /// empty or the mid-request deadline is disabled. Reset on write
-    /// progress, mirroring the per-syscall write timeout of the
-    /// blocking server.
-    write_deadline: Option<Instant>,
-    /// Close once `wbuf` drains (set by `Shutdown`, `TooLarge`,
-    /// `Timeout`, and unrecoverable framing errors).
-    close_after_flush: bool,
-    /// Peer sent EOF; serve out buffered complete requests, then close.
-    eof: bool,
-    /// Whether a write failure should count as an `io_error` (true when
-    /// a normal response is pending; the closing `TooLarge`/`Timeout`
-    /// replies are best-effort and already counted).
-    io_on_write_fail: bool,
+    session: Session,
     /// Registered with the reactor (edge-triggered, both interests,
     /// exactly once at admission — never reregistered).
     registered: bool,
@@ -966,33 +892,48 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, seq: u64) -> Self {
-        Self {
-            stream,
-            seq,
-            wire: None,
-            rbuf: ReadBuf::default(),
-            wbuf: Vec::new(),
-            wpos: 0,
-            phase: Phase::Idle,
-            idle_since: Instant::now(),
-            write_deadline: None,
-            close_after_flush: false,
-            eof: false,
-            io_on_write_fail: false,
-            registered: false,
-            read_ready: true,
-            write_ready: true,
-            queued: false,
+    /// Drains the socket into the session until `WouldBlock` (which
+    /// clears the cached readiness — the edge-triggered contract), EOF,
+    /// or the session's backpressure cap. `read_ready` stays true when
+    /// the cap stops the read: the bytes are still there, and the next
+    /// turn resumes after the buffer drains.
+    fn read(&mut self, counters: &Counters) {
+        let mut buf = [0u8; READ_CHUNK];
+        while !self.session.read_buffer_full() {
+            match (&self.stream).read(&mut buf) {
+                Ok(0) => return self.session.received_eof(),
+                Ok(n) => self.session.received(&buf[..n], Instant::now()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.read_ready = false;
+                    return;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return self.session.read_failed(counters),
+            }
         }
     }
 
-    fn wants_read(&self) -> bool {
-        !self.eof && !self.close_after_flush && self.phase != Phase::Processing
+    /// Writes as much of the session's pending reply as the socket takes.
+    fn flush(&mut self, counters: &Counters) {
+        while self.session.wants_write() {
+            match (&self.stream).write(self.session.unsent()) {
+                Ok(0) => return self.session.write_failed(counters),
+                Ok(n) => self.session.sent(n, Instant::now()),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    self.write_ready = false;
+                    return;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return self.session.write_failed(counters),
+            }
+        }
     }
 
-    fn wants_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
+    /// Whether a service turn could make progress without a new
+    /// readiness event.
+    fn runnable(&self) -> bool {
+        (self.read_ready && self.session.wants_read())
+            || (self.write_ready && self.session.wants_write())
     }
 }
 
@@ -1048,19 +989,16 @@ impl<'a> EventLoop<'a> {
             // Channels are drained every iteration: the waker guarantees
             // a wakeup *after* each send, so nothing is ever stranded.
             let intake_closed = self.drain_intake();
-            self.drain_completions();
+            while let Ok(c) = self.completions.try_recv() {
+                self.apply_completion(c);
+            }
             // One bounded service turn per currently-ready connection;
             // a turn that leaves work behind re-queues at the back, so
             // this round visits each ready connection exactly once.
-            let turns = self.pending.len();
-            for _ in 0..turns {
+            for _ in 0..self.pending.len() {
                 let Some(idx) = self.pending.pop_front() else {
                     break;
                 };
-                let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                    continue; // stale entry for a closed connection
-                };
-                conn.queued = false;
                 self.service(idx);
             }
             // The exit check sits *after* the service turns: the final
@@ -1074,11 +1012,11 @@ impl<'a> EventLoop<'a> {
                 return;
             }
             let timeout = if self.pending.is_empty() {
-                self.next_deadline().map(|d| {
-                    let now = Instant::now();
+                let next = self.conns.iter().flatten();
+                next.filter_map(|c| c.session.deadline()).min().map(|d| {
                     // +1ms so a just-expired deadline doesn't busy-poll
                     // on millisecond truncation.
-                    d.saturating_duration_since(now) + Duration::from_millis(1)
+                    d.saturating_duration_since(Instant::now()) + Duration::from_millis(1)
                 })
             } else {
                 // Buffered work remains: collect any new readiness
@@ -1088,14 +1026,25 @@ impl<'a> EventLoop<'a> {
             if self.poll.poll(&mut events, timeout).is_err() {
                 // epoll itself failing is unrecoverable for this loop;
                 // shed everything rather than spin.
-                self.close_all();
+                for idx in 0..self.conns.len() {
+                    self.close(idx);
+                }
                 return;
             }
             for event in events.iter() {
                 if event.token() == WAKE_TOKEN {
                     self.waker.drain();
-                } else {
-                    self.note_event(event);
+                } else if let Some(conn) =
+                    self.conns.get_mut(event.token().0).and_then(Option::as_mut)
+                {
+                    // Record the edge; the service turn does the I/O,
+                    // under the fairness budget.
+                    conn.read_ready |= event.is_readable();
+                    conn.write_ready |= event.is_writable();
+                    if !conn.queued {
+                        conn.queued = true;
+                        self.pending.push_back(event.token().0);
+                    }
                 }
             }
             self.sweep_deadlines();
@@ -1115,748 +1064,145 @@ impl<'a> EventLoop<'a> {
     }
 
     fn admit(&mut self, stream: TcpStream) {
+        let state = self.state;
         let _ = stream.set_nodelay(true);
         if stream.set_nonblocking(true).is_err() {
-            self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-            self.state.active_conns.fetch_sub(1, Ordering::AcqRel);
+            state.counters.io_errors.fetch_add(1, Ordering::Relaxed);
+            state.active_conns.fetch_sub(1, Ordering::AcqRel);
             return;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let conn = Conn::new(stream, seq);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.conns[idx] = Some(conn);
-                idx
-            }
-            None => {
-                self.conns.push(Some(conn));
-                self.conns.len() - 1
-            }
-        };
-        self.live += 1;
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
         // One registration for the connection's whole life: both
         // interests, edge-triggered. Readiness transitions arrive as
         // events; the cached `read_ready`/`write_ready` flags carry them
         // between service turns, so there is no rearm traffic at all.
         let interest = (mio::Interest::READABLE | mio::Interest::WRITABLE).edge();
-        let registered = {
-            let conn = self.conns[idx].as_ref().expect("just inserted");
-            self.poll
-                .registry()
-                .register(&conn.stream, mio::Token(idx), interest)
-                .is_ok()
-        };
+        let registered = self
+            .poll
+            .registry()
+            .register(&stream, mio::Token(idx), interest)
+            .is_ok();
+        self.conns[idx] = Some(Conn {
+            stream,
+            seq: self.next_seq,
+            session: Session::new(state.limits, Instant::now()),
+            registered,
+            read_ready: true,
+            write_ready: true,
+            queued: false,
+        });
+        self.next_seq += 1;
+        self.live += 1;
         if !registered {
-            self.state.io_errors.fetch_add(1, Ordering::Relaxed);
+            state.counters.io_errors.fetch_add(1, Ordering::Relaxed);
             self.close(idx);
             return;
         }
-        self.conns[idx].as_mut().expect("just inserted").registered = true;
         // The socket may already hold a request (and its initial
         // readiness edges may predate registration); service it now.
         self.service(idx);
     }
 
-    fn drain_completions(&mut self) {
-        while let Ok(c) = self.completions.try_recv() {
-            self.apply_completion(c);
-        }
-    }
-
     fn apply_completion(&mut self, c: Completion) {
+        let counters = &self.state.counters;
         let Some(conn) = self.conns.get_mut(c.token).and_then(Option::as_mut) else {
             return;
         };
         if conn.seq != c.conn_seq {
             return; // the slot was reused; the requester is long gone
         }
-        self.state.requests.fetch_add(1, Ordering::Relaxed);
-        if matches!(c.response, Response::Error { .. }) {
-            self.state.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        conn.phase = Phase::Idle;
-        conn.idle_since = Instant::now();
-        self.enqueue_response(c.token, &c.response, false);
-        let us = u64::try_from(c.start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.state.record_latency(us);
+        conn.session
+            .complete(&c.response, c.start, counters, Instant::now);
         // Pipelined bytes may already hold the next request.
-        let more = self.process_rbuf(c.token);
-        self.settle(c.token, more);
+        self.process(c.token);
     }
 
-    /// Records an edge-triggered readiness transition and puts the
-    /// connection on the ready list. No I/O happens here — the service
-    /// turn does it, under the fairness budget.
-    fn note_event(&mut self, event: mio::Event) {
-        let idx = event.token().0;
+    /// One bounded service turn: flush what the socket will take, read
+    /// until `WouldBlock` or the backpressure cap, then process.
+    fn service(&mut self, idx: usize) {
+        let counters = &self.state.counters;
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return; // stale event for a closed connection
+            return; // stale entry for a closed connection
         };
-        if event.is_readable() {
-            conn.read_ready = true;
+        conn.queued = false;
+        if conn.write_ready && conn.session.wants_write() {
+            conn.flush(counters);
         }
-        if event.is_writable() {
-            conn.write_ready = true;
+        if conn.read_ready && conn.session.wants_read() {
+            conn.read(counters);
         }
-        self.schedule(idx);
+        self.process(idx);
     }
 
-    /// Puts a connection on the ready list (idempotent).
-    fn schedule(&mut self, idx: usize) {
+    /// Lets the session consume up to [`FRAME_BUDGET`] buffered frames,
+    /// dispatches the job they produced, then settles the connection.
+    fn process(&mut self, idx: usize) {
+        let state = self.state;
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        if !conn.queued {
+        let turn = conn
+            .session
+            .process(FRAME_BUDGET, &state.counters, Instant::now, |decoded| {
+                route(state, decoded)
+            });
+        if turn.shutdown {
+            initiate_shutdown(state);
+        }
+        if let Some((kind, start)) = turn.job {
+            let job = Job {
+                loop_id: self.loop_id,
+                token: idx,
+                conn_seq: conn.seq,
+                start,
+                kind,
+            };
+            if self.jobs.send(job).is_err() {
+                // Executor gone: only reachable during teardown.
+                self.close(idx);
+                return;
+            }
+        }
+        self.settle(idx, turn.more);
+    }
+
+    /// Post-activity settlement: flush, apply the session's close
+    /// decisions, and re-queue the connection if it can still make
+    /// progress *without* waiting for a new readiness event. Under edge
+    /// triggering this re-queue is load-bearing: a turn that stops for
+    /// any reason other than `WouldBlock` (fairness budget,
+    /// backpressure, an in-flight job that just completed) would
+    /// otherwise strand cached readiness.
+    fn settle(&mut self, idx: usize, more_frames: bool) {
+        let counters = &self.state.counters;
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        if conn.write_ready && conn.session.wants_write() {
+            conn.flush(counters);
+        }
+        conn.session.settle(counters);
+        if conn.session.is_closed() {
+            self.close(idx);
+        } else if (more_frames || conn.runnable()) && !conn.queued {
             conn.queued = true;
             self.pending.push_back(idx);
         }
     }
 
-    /// One bounded service turn: flush what the socket will take, read
-    /// until `WouldBlock` or the backpressure cap, process up to
-    /// [`FRAME_BUDGET`] buffered frames, then settle (which re-queues
-    /// the connection if it can still make progress without a new
-    /// readiness event).
-    fn service(&mut self, idx: usize) {
-        if self
-            .conns
-            .get(idx)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| c.write_ready && c.wants_write())
-        {
-            self.try_flush(idx);
-        }
-        if self
-            .conns
-            .get(idx)
-            .and_then(Option::as_ref)
-            .is_some_and(|c| c.read_ready && c.wants_read())
-        {
-            self.do_read(idx);
-        }
-        let more = self.process_rbuf(idx);
-        self.settle(idx, more);
-    }
-
-    /// Post-turn settlement: flush, apply close decisions, and re-queue
-    /// the connection if it can still make progress *without* waiting
-    /// for a new readiness event. Under edge triggering this re-queue is
-    /// load-bearing: a turn that stops for any reason other than
-    /// `WouldBlock` (fairness budget, backpressure, an in-flight job
-    /// that just completed) would otherwise strand cached readiness.
-    fn settle(&mut self, idx: usize, more_frames: bool) {
-        self.after_touch(idx);
-        let Some(conn) = self.conns.get(idx).and_then(Option::as_ref) else {
-            return;
-        };
-        let runnable = more_frames
-            || (conn.read_ready && conn.wants_read())
-            || (conn.write_ready && conn.wants_write());
-        if runnable {
-            self.schedule(idx);
-        }
-    }
-
-    /// Drains the socket into the read buffer until `WouldBlock` (which
-    /// clears the cached readiness — the edge-triggered contract), EOF,
-    /// or the backpressure cap.
-    fn do_read(&mut self, idx: usize) {
-        let cap = self.state.options.max_request_bytes;
-        let mut buf = [0u8; READ_CHUNK];
-        loop {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            // Backpressure: never buffer more than one request's cap
-            // (plus a frame header) of unread bytes ahead of processing.
-            // `read_ready` stays true — the bytes are still there; the
-            // next turn resumes after the buffer drains.
-            if conn.rbuf.len() > cap + binary::HEADER_LEN {
-                break;
-            }
-            match (&conn.stream).read(&mut buf) {
-                Ok(0) => {
-                    conn.eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    conn.rbuf.push(&buf[..n]);
-                    // A request has started; the mid-request clock runs.
-                    if conn.phase == Phase::Idle {
-                        conn.phase = Phase::Receiving(Instant::now());
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    conn.read_ready = false;
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-                    self.close(idx);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Consumes complete requests at the read cursor until the buffer
-    /// runs dry, a scoring job goes in flight, the fairness budget is
-    /// spent, or the connection turns unrecoverable.
-    ///
-    /// Zero-copy: the [`ReadBuf`] is taken out of the connection and
-    /// walked; every frame (NDJSON line or binary payload) is handed to
-    /// its handler as a borrowed slice. The cursor persists across
-    /// turns, so a turn that takes one frame (the in-flight path) moves
-    /// no bytes; the buffer compacts only when its consumed head outgrows
-    /// the unread tail or a read would otherwise grow it. Handlers never
-    /// touch `conn.rbuf`, which sits empty while the walk borrows from
-    /// the taken buffer.
-    ///
-    /// Returns true when complete frames may remain buffered (the budget
-    /// ran out) — the caller must keep the connection on the ready list.
-    fn process_rbuf(&mut self, idx: usize) -> bool {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return false;
-        };
-        if conn.phase == Phase::Processing || conn.close_after_flush {
-            return false;
-        }
-        if conn.rbuf.is_empty() {
-            conn.phase = Phase::Idle;
-            return false;
-        }
-        let wire = *conn
-            .wire
-            .get_or_insert_with(|| match conn.rbuf.unread().first() {
-                Some(&binary::MAGIC0) => Wire::Binary,
-                _ => Wire::Ndjson,
-            });
-        let cap = self.state.options.max_request_bytes;
-        let mut rbuf = std::mem::take(&mut conn.rbuf);
-        let mut budget = FRAME_BUDGET;
-        let mut more = false;
-        loop {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return false; // closed mid-walk; the buffer dies with it
-            };
-            if conn.phase == Phase::Processing || conn.close_after_flush || rbuf.is_empty() {
-                break;
-            }
-            if budget == 0 {
-                more = true;
-                break;
-            }
-            match rbuf.next_frame(wire, cap) {
-                Split::NeedMore => break,
-                Split::TooLarge => {
-                    self.reject_too_large(idx);
-                    break;
-                }
-                Split::BadHeader(e) => {
-                    // Bad magic/version/type: the stream cannot be
-                    // re-framed; reply and close, like a garbage NDJSON
-                    // line that also lost sync.
-                    self.state.requests.fetch_add(1, Ordering::Relaxed);
-                    self.state.errors.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: e.to_string(),
-                    };
-                    self.enqueue_response(idx, &resp, true);
-                    if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                        conn.io_on_write_fail = true;
-                    }
-                    break;
-                }
-                Split::Frame(frame) => {
-                    budget -= 1;
-                    match frame {
-                        Frame::Line(line) => self.handle_line(idx, line),
-                        Frame::Binary {
-                            frame_type,
-                            payload,
-                        } => self.handle_binary_frame(idx, frame_type, payload),
-                    }
-                }
-            }
-        }
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return false;
-        };
-        rbuf.settle();
-        conn.rbuf = rbuf;
-        if conn.phase == Phase::Processing || conn.close_after_flush {
-            return false;
-        }
-        if conn.rbuf.is_empty() {
-            if !matches!(conn.phase, Phase::Idle) {
-                conn.phase = Phase::Idle;
-                conn.idle_since = Instant::now();
-            }
-        } else if !matches!(conn.phase, Phase::Receiving(_)) {
-            conn.phase = Phase::Receiving(Instant::now());
-        }
-        more
-    }
-
-    /// One NDJSON request line (newline stripped).
-    fn handle_line(&mut self, idx: usize, line: &[u8]) {
-        let start = Instant::now();
-        let Ok(text) = std::str::from_utf8(line) else {
-            self.state.requests.fetch_add(1, Ordering::Relaxed);
-            self.state.errors.fetch_add(1, Ordering::Relaxed);
-            let resp = Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "request line is not valid UTF-8".into(),
-            };
-            self.enqueue_response(idx, &resp, false);
-            return;
-        };
-        if text.trim().is_empty() {
-            return; // blank keep-alive lines are free
-        }
-        match serde_json::from_str::<Request>(text) {
-            Err(e) => {
-                self.state.requests.fetch_add(1, Ordering::Relaxed);
-                self.state.errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("bad request: {e}"),
-                };
-                self.enqueue_response(idx, &resp, false);
-                let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.state.record_latency(us);
-            }
-            Ok(request) => self.handle_request(idx, request, start),
-        }
-    }
-
-    /// One binary v2 frame (header already validated and stripped).
-    fn handle_binary_frame(&mut self, idx: usize, frame_type: u8, payload: &[u8]) {
-        let start = Instant::now();
-        if frame_type == binary::FRAME_SCORE_PAIRS {
-            // The hot frame skips `decode_request`'s nested-Vec
-            // materialization: rows go straight from the borrowed
-            // payload into the flat kernel batch.
-            return self.handle_score_pairs_dense(idx, payload, start);
-        }
-        match binary::decode_request(frame_type, payload) {
-            Err(e) => {
-                // The frame was well-delimited, so framing survives: as
-                // with a garbage NDJSON line, reply and keep serving.
-                self.state.requests.fetch_add(1, Ordering::Relaxed);
-                self.state.errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("bad request: {e}"),
-                };
-                self.enqueue_response(idx, &resp, false);
-                let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.state.record_latency(us);
-            }
-            Ok(request) => self.handle_request(idx, request, start),
-        }
-    }
-
-    /// A dense `SCORE_PAIRS` frame: decode a borrowed row view over the
-    /// connection buffer and copy the f64 rows directly into the flat
-    /// kernel batch — no intermediate `Vec<Vec<f64>>`.
-    fn handle_score_pairs_dense(&mut self, idx: usize, payload: &[u8], start: Instant) {
-        let view = match binary::decode_score_pairs(payload) {
-            Ok(view) => view,
-            Err(e) => {
-                self.state.requests.fetch_add(1, Ordering::Relaxed);
-                self.state.errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!("bad request: {e}"),
-                };
-                self.enqueue_response(idx, &resp, false);
-                let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.state.record_latency(us);
-                return;
-            }
-        };
-        let catalog = self.state.catalog();
-        match catalog.resolve(view.model_id) {
-            Err(e) => self.finish_inline(idx, not_found(&e), start),
-            Ok(entry) => {
-                let expected = entry.model.config().features.len();
-                if view.rows > 0 && view.cols != expected {
-                    let resp = Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!(
-                            "feature row 0 has {} values, model expects {expected}",
-                            view.cols
-                        ),
-                    };
-                    self.finish_inline(idx, resp, start);
-                    return;
-                }
-                let mut rows = Vec::with_capacity(view.rows * view.cols);
-                view.extend_rows_into(&mut rows);
-                let entry = entry.clone();
-                self.dispatch_job(
-                    idx,
-                    start,
-                    JobKind::Pairs {
-                        catalog,
-                        entry,
-                        rows,
-                        nrows: view.rows,
-                    },
-                );
-            }
-        }
-    }
-
-    fn handle_request(&mut self, idx: usize, request: Request, start: Instant) {
-        match request {
-            Request::Health => {
-                let catalog = self.state.catalog();
-                let entry = catalog.default_entry();
-                let resp = Response::Health {
-                    model: entry.model.config().name.clone(),
-                    features: entry.model.config().features.len(),
-                    trees: entry.model.model().num_trees(),
-                    artifact_version: ARTIFACT_VERSION,
-                    model_id: entry.model_id.clone(),
-                    checksum: entry.checksum.clone(),
-                    schema_version: entry.schema_version,
-                };
-                self.finish_inline(idx, resp, start);
-            }
-            Request::Stats => {
-                // Snapshot before counting this request, so `Stats`
-                // reports the world *before* itself (exact-accounting
-                // tests rely on this).
-                let resp = Response::Stats {
-                    stats: self.state.snapshot(),
-                };
-                self.finish_inline(idx, resp, start);
-            }
-            Request::ListModels => {
-                let catalog = self.state.catalog();
-                let resp = Response::Models {
-                    default_model: catalog.default_id().to_owned(),
-                    models: catalog
-                        .entries()
-                        .iter()
-                        .map(|e| ModelInfo {
-                            model_id: e.model_id.clone(),
-                            config: e.model.config().name.clone(),
-                            features: e.model.config().features.len(),
-                            trees: e.model.model().num_trees(),
-                            checksum: e.checksum.clone(),
-                            schema_version: e.schema_version,
-                            split_layer: e.meta.split_layer.clone(),
-                        })
-                        .collect(),
-                };
-                self.finish_inline(idx, resp, start);
-            }
-            Request::Reload => {
-                let resp = reload(self.state);
-                self.finish_inline(idx, resp, start);
-            }
-            Request::Shutdown => {
-                self.state.requests.fetch_add(1, Ordering::Relaxed);
-                self.enqueue_response(idx, &Response::ShuttingDown, true);
-                if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                    // A failed ShuttingDown write counted as io before.
-                    conn.io_on_write_fail = true;
-                }
-                let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-                self.state.record_latency(us);
-                initiate_shutdown(self.state);
-            }
-            Request::ScorePairs { features, model_id } => {
-                let catalog = self.state.catalog();
-                match catalog.resolve(model_id.as_deref()) {
-                    Err(e) => self.finish_inline(idx, not_found(&e), start),
-                    Ok(entry) => {
-                        let expected = entry.model.config().features.len();
-                        if let Some(bad) = features.iter().position(|row| row.len() != expected) {
-                            let resp = Response::Error {
-                                code: ErrorCode::BadRequest,
-                                message: format!(
-                                    "feature row {bad} has {} values, model expects {expected}",
-                                    features[bad].len()
-                                ),
-                            };
-                            self.finish_inline(idx, resp, start);
-                            return;
-                        }
-                        let nrows = features.len();
-                        let mut rows = Vec::with_capacity(nrows * expected);
-                        for row in &features {
-                            rows.extend_from_slice(row);
-                        }
-                        let entry = entry.clone();
-                        self.dispatch_job(
-                            idx,
-                            start,
-                            JobKind::Pairs {
-                                catalog,
-                                entry,
-                                rows,
-                                nrows,
-                            },
-                        );
-                    }
-                }
-            }
-            Request::Attack {
-                challenge,
-                truth,
-                threshold,
-                detail,
-                model_id,
-            } => {
-                let catalog = self.state.catalog();
-                match catalog.resolve(model_id.as_deref()) {
-                    Err(e) => self.finish_inline(idx, not_found(&e), start),
-                    Ok(entry) => {
-                        let entry = entry.clone();
-                        self.dispatch_job(
-                            idx,
-                            start,
-                            JobKind::Attack {
-                                entry,
-                                challenge,
-                                truth,
-                                threshold,
-                                detail,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Books and enqueues an inline (non-executor) response.
-    fn finish_inline(&mut self, idx: usize, resp: Response, start: Instant) {
-        self.state.requests.fetch_add(1, Ordering::Relaxed);
-        if matches!(resp, Response::Error { .. }) {
-            self.state.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        self.enqueue_response(idx, &resp, false);
-        let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        self.state.record_latency(us);
-    }
-
-    /// Hands a scoring job to the executor and pauses this connection's
-    /// request intake until the completion returns.
-    fn dispatch_job(&mut self, idx: usize, start: Instant, kind: JobKind) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        conn.phase = Phase::Processing;
-        let job = Job {
-            loop_id: self.loop_id,
-            token: idx,
-            conn_seq: conn.seq,
-            start,
-            kind,
-        };
-        if self.jobs.send(job).is_err() {
-            // Executor gone: only reachable during teardown.
-            self.close(idx);
-        }
-    }
-
-    /// The oversized-request rejection: typed reply, then close — the
-    /// rest of the request is unread, so the stream cannot be
-    /// resynchronized. Not counted as a request (the request never
-    /// finished arriving), matching the blocking server.
-    fn reject_too_large(&mut self, idx: usize) {
-        self.state.errors.fetch_add(1, Ordering::Relaxed);
-        let resp = Response::Error {
-            code: ErrorCode::TooLarge,
-            message: format!(
-                "request exceeds the {} byte cap",
-                self.state.options.max_request_bytes
-            ),
-        };
-        self.enqueue_response(idx, &resp, true);
-    }
-
-    /// Serializes `resp` for the connection's wire into its write buffer
-    /// and schedules the flush. `closing` also marks the connection to
-    /// close once the buffer drains.
-    fn enqueue_response(&mut self, idx: usize, resp: &Response, closing: bool) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        match conn.wire.unwrap_or(Wire::Ndjson) {
-            Wire::Ndjson => {
-                let mut line = serde_json::to_string(resp).expect("responses always serialize");
-                line.push('\n');
-                conn.wbuf.extend_from_slice(line.as_bytes());
-            }
-            Wire::Binary => {
-                conn.wbuf.extend_from_slice(&binary::encode_response(resp));
-            }
-        }
-        if closing {
-            conn.close_after_flush = true;
-        } else {
-            conn.io_on_write_fail = true;
-        }
-        if conn.write_deadline.is_none() {
-            conn.write_deadline =
-                timeout_of(self.state.options.request_timeout_ms).map(|t| Instant::now() + t);
-        }
-    }
-
-    /// Writes as much buffered response as the socket accepts.
-    fn try_flush(&mut self, idx: usize) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        while conn.wpos < conn.wbuf.len() {
-            match (&conn.stream).write(&conn.wbuf[conn.wpos..]) {
-                Ok(0) => {
-                    if conn.io_on_write_fail {
-                        self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.close(idx);
-                    return;
-                }
-                Ok(n) => {
-                    conn.wpos += n;
-                    // Progress restarts the stall clock, mirroring the
-                    // blocking server's per-syscall write timeout.
-                    conn.write_deadline = timeout_of(self.state.options.request_timeout_ms)
-                        .map(|t| Instant::now() + t);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    conn.write_ready = false;
-                    break;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    if conn.io_on_write_fail {
-                        self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.close(idx);
-                    return;
-                }
-            }
-        }
-        if conn.wpos == conn.wbuf.len() {
-            conn.wbuf.clear();
-            conn.wpos = 0;
-            conn.write_deadline = None;
-            conn.io_on_write_fail = false;
-        }
-    }
-
-    /// Post-activity settlement: flush pending bytes and apply close
-    /// decisions. No registration churn — the edge-triggered interest
-    /// set at admission covers the connection's whole life.
-    fn after_touch(&mut self, idx: usize) {
-        if self
-            .conns
-            .get_mut(idx)
-            .and_then(Option::as_mut)
-            .is_some_and(|c| c.write_ready && c.wants_write())
-        {
-            self.try_flush(idx);
-        }
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-            return;
-        };
-        let flushed = !conn.wants_write();
-        if conn.close_after_flush && flushed {
-            self.close(idx);
-            return;
-        }
-        if conn.eof && conn.phase != Phase::Processing && flushed && !conn.close_after_flush {
-            // EOF with no response in flight: any leftover bytes are a
-            // torn frame (the peer died mid-request); an empty buffer is
-            // a normal goodbye.
-            if !conn.rbuf.is_empty() {
-                self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-            }
-            self.close(idx);
-        }
-    }
-
-    /// The earliest deadline across all connections (poll timeout).
-    fn next_deadline(&self) -> Option<Instant> {
-        let opts = &self.state.options;
-        let idle = timeout_of(opts.idle_timeout_ms);
-        let request = timeout_of(opts.request_timeout_ms);
-        let mut min: Option<Instant> = None;
-        let mut fold = |d: Instant| min = Some(min.map_or(d, |m| m.min(d)));
-        for conn in self.conns.iter().flatten() {
-            match conn.phase {
-                Phase::Idle => {
-                    if let Some(t) = idle {
-                        fold(conn.idle_since + t);
-                    }
-                }
-                Phase::Receiving(started) => {
-                    if let Some(t) = request {
-                        fold(started + t);
-                    }
-                }
-                Phase::Processing => {}
-            }
-            if let Some(d) = conn.write_deadline {
-                fold(d);
-            }
-        }
-        min
-    }
-
-    /// Fires expired idle / mid-request / write-stall deadlines.
+    /// Hands every connection whose deadline has passed a clock tick.
     fn sweep_deadlines(&mut self) {
         let now = Instant::now();
-        let opts = self.state.options;
-        let idle = timeout_of(opts.idle_timeout_ms);
-        let request = timeout_of(opts.request_timeout_ms);
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
                 continue;
             };
-            if let Some(d) = conn.write_deadline {
-                if now >= d {
-                    // The peer stopped draining its response.
-                    if conn.io_on_write_fail {
-                        self.state.io_errors.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.close(idx);
-                    continue;
-                }
-            }
-            match conn.phase {
-                Phase::Idle => {
-                    if idle.is_some_and(|t| now >= conn.idle_since + t) && !conn.close_after_flush {
-                        // Idle expiry is a normal lifecycle event.
-                        self.close(idx);
-                    }
-                }
-                Phase::Receiving(started) => {
-                    if request.is_some_and(|t| now >= started + t) {
-                        self.state.timeouts.fetch_add(1, Ordering::Relaxed);
-                        self.state.errors.fetch_add(1, Ordering::Relaxed);
-                        let resp = Response::Error {
-                            code: ErrorCode::Timeout,
-                            message: format!(
-                                "request stalled past the {} ms mid-request deadline",
-                                opts.request_timeout_ms
-                            ),
-                        };
-                        self.enqueue_response(idx, &resp, true);
-                        self.after_touch(idx);
-                    }
-                }
-                Phase::Processing => {}
+            if conn.session.deadline().is_some_and(|d| now >= d) {
+                conn.session.tick(now, &self.state.counters);
+                self.settle(idx, false);
             }
         }
     }
@@ -1873,12 +1219,129 @@ impl<'a> EventLoop<'a> {
         self.live -= 1;
         self.state.active_conns.fetch_sub(1, Ordering::AcqRel);
     }
+}
 
-    fn close_all(&mut self) {
-        for idx in 0..self.conns.len() {
-            self.close(idx);
+/// The router: answers control requests, resolves the catalog, and
+/// turns scoring requests into executor jobs. Row widths are validated
+/// here, once, for both wires.
+fn route(state: &ServerState, decoded: Decoded<'_>) -> Routed<JobKind> {
+    let request = match decoded {
+        Decoded::ScorePairs(view) => return route_rows(state, view.model_id, Rows::Dense(view)),
+        Decoded::Request(request) => request,
+    };
+    let reply = match request {
+        Request::ScorePairs { features, model_id } => {
+            return route_rows(state, model_id.as_deref(), Rows::Nested(&features))
         }
+        Request::Attack {
+            challenge,
+            truth,
+            threshold,
+            detail,
+            model_id,
+        } => match state.catalog().resolve(model_id.as_deref()) {
+            Err(e) => not_found(&e),
+            Ok(entry) => {
+                return Routed::Job(JobKind::Attack {
+                    entry: entry.clone(),
+                    challenge,
+                    truth,
+                    threshold,
+                    detail,
+                })
+            }
+        },
+        Request::Shutdown => return Routed::Shutdown,
+        Request::Health => {
+            let catalog = state.catalog();
+            let entry = catalog.default_entry();
+            Response::Health {
+                model: entry.model.config().name.clone(),
+                features: entry.model.config().features.len(),
+                trees: entry.model.model().num_trees(),
+                artifact_version: ARTIFACT_VERSION,
+                model_id: entry.model_id.clone(),
+                checksum: entry.checksum.clone(),
+                schema_version: entry.schema_version,
+            }
+        }
+        // The snapshot is taken before the session counts this request,
+        // so `Stats` reports the world *before* itself (exact-accounting
+        // tests rely on this).
+        Request::Stats => Response::Stats {
+            stats: state.snapshot(),
+        },
+        Request::ListModels => {
+            let catalog = state.catalog();
+            Response::Models {
+                default_model: catalog.default_id().to_owned(),
+                models: catalog
+                    .entries()
+                    .iter()
+                    .map(|e| ModelInfo {
+                        model_id: e.model_id.clone(),
+                        config: e.model.config().name.clone(),
+                        features: e.model.config().features.len(),
+                        trees: e.model.model().num_trees(),
+                        checksum: e.checksum.clone(),
+                        schema_version: e.schema_version,
+                        split_layer: e.meta.split_layer.clone(),
+                    })
+                    .collect(),
+            }
+        }
+        Request::Reload => reload(state),
+    };
+    Routed::Reply(Box::new(reply))
+}
+
+/// The feature rows of one `ScorePairs` request, as each wire decodes
+/// them.
+enum Rows<'a> {
+    /// A dense binary frame's rows, still bytes in the read buffer.
+    Dense(binary::ScorePairsView<'a>),
+    /// An NDJSON request's nested rows.
+    Nested(&'a [Vec<f64>]),
+}
+
+/// Resolves the model, validates every row's width against it, and
+/// flattens the rows into one row-major job batch.
+fn route_rows(state: &ServerState, model_id: Option<&str>, rows: Rows<'_>) -> Routed<JobKind> {
+    let catalog = state.catalog();
+    let entry = match catalog.resolve(model_id) {
+        Ok(entry) => entry.clone(),
+        Err(e) => return Routed::Reply(Box::new(not_found(&e))),
+    };
+    let width = entry.model.config().features.len();
+    let (nrows, misfit) = match &rows {
+        Rows::Dense(view) => (
+            view.rows,
+            (view.rows > 0 && view.cols != width).then_some((0, view.cols)),
+        ),
+        Rows::Nested(rows) => (
+            rows.len(),
+            rows.iter()
+                .enumerate()
+                .find(|(_, r)| r.len() != width)
+                .map(|(i, r)| (i, r.len())),
+        ),
+    };
+    if let Some((row, len)) = misfit {
+        return Routed::Reply(Box::new(bad_request(format!(
+            "feature row {row} has {len} values, model expects {width}"
+        ))));
     }
+    let mut flat = Vec::with_capacity(nrows * width);
+    match rows {
+        Rows::Dense(view) => view.extend_rows_into(&mut flat),
+        Rows::Nested(rows) => rows.iter().for_each(|r| flat.extend_from_slice(r)),
+    }
+    Routed::Job(JobKind::Pairs {
+        catalog,
+        entry,
+        rows: flat,
+        nrows,
+    })
 }
 
 /// One scoring executor thread: drains the shared job queue, coalescing
@@ -1918,8 +1381,8 @@ fn executor_run(
 }
 
 /// Scores a `Pairs` job, coalescing it with queued jobs that target the
-/// same model on the compiled-sequential path. Returns a popped job that
-/// did not fit the batch (to be processed next).
+/// same model. Returns a popped job that did not fit the batch (to be
+/// processed next).
 fn score_coalesced(
     state: &ServerState,
     jobs: &Mutex<mpsc::Receiver<Job>>,
@@ -1927,21 +1390,10 @@ fn score_coalesced(
     wakers: &[mio::Waker],
     first: Job,
 ) -> Option<Job> {
-    let opts = &state.options;
     let (first_entry, first_nrows) = match &first.kind {
         JobKind::Pairs { entry, nrows, .. } => (entry.clone(), *nrows),
         JobKind::Attack { .. } => unreachable!("caller matched Pairs"),
     };
-    // Coalescing applies only to the hot default path: no intra-batch
-    // parallelism. Anything else is scored exactly as the blocking server
-    // scored it, one request at a time.
-    let coalescible = |nrows: usize| opts.batch.worker_count(nrows.max(1)) <= 1;
-    if !coalescible(first_nrows) {
-        let response = score_single(state, &first);
-        post(completion_txs, wakers, &first, response);
-        return None;
-    }
-
     let mut batch = vec![first];
     let mut total_rows = first_nrows;
     let mut stash = None;
@@ -1955,9 +1407,7 @@ fn score_coalesced(
             break;
         };
         match &job.kind {
-            JobKind::Pairs { entry, nrows, .. }
-                if Arc::ptr_eq(entry, &first_entry) && coalescible(*nrows) =>
-            {
+            JobKind::Pairs { entry, nrows, .. } if Arc::ptr_eq(entry, &first_entry) => {
                 total_rows += *nrows;
                 batch.push(job);
             }
@@ -2012,38 +1462,6 @@ fn score_coalesced(
         post(completion_txs, wakers, &job, Response::Scores { probs });
     }
     stash
-}
-
-/// Scores one `Pairs` job without coalescing — the intra-batch parallel
-/// path, exactly as the blocking server ran it.
-fn score_single(state: &ServerState, job: &Job) -> Response {
-    let JobKind::Pairs {
-        catalog,
-        entry,
-        rows,
-        nrows,
-    } = &job.kind
-    else {
-        unreachable!("caller matched Pairs");
-    };
-    let (nrows, width) = (*nrows, entry.model.config().features.len());
-    let mut probs = vec![0.0; nrows];
-    if state.options.batch.worker_count(nrows) <= 1 {
-        entry.compiled.proba_batch(rows, width, &mut probs);
-    } else {
-        let parts = par_chunks(state.options.batch, nrows, |range| {
-            let sub = &rows[range.start * width..range.end * width];
-            let mut out = vec![0.0; range.len()];
-            entry.compiled.proba_batch(sub, width, &mut out);
-            out
-        });
-        probs = parts.into_iter().flatten().collect();
-    }
-    state
-        .pairs_scored
-        .fetch_add(probs.len() as u64, Ordering::Relaxed);
-    shadow_compare(state, catalog, entry, rows, width, &probs);
-    Response::Scores { probs }
 }
 
 /// Posts a completion back to the job's event loop and wakes it.
@@ -2188,7 +1606,7 @@ fn run_attack(
     let scored = entry.model.score(
         &view,
         &ScoreOptions {
-            parallelism: state.options.batch,
+            parallelism: Parallelism::Sequential,
             ..ScoreOptions::default()
         },
     );
@@ -2218,7 +1636,6 @@ mod tests {
     #[test]
     fn default_options_pool_with_sequential_batches() {
         let opts = ServeOptions::default();
-        assert_eq!(opts.batch, Parallelism::Sequential);
         assert!(opts.workers.worker_count(usize::MAX) >= 1);
         assert!(opts.request_timeout_ms > 0);
         assert!(opts.idle_timeout_ms >= opts.request_timeout_ms);

@@ -74,12 +74,11 @@ fn served_model() -> TrainedAttack {
         .expect("fixture artifact is coherent")
 }
 
-/// Two pinned workers (this suite runs on 1-CPU CI hosts), sequential
-/// batches, and whatever deadlines the individual test dials in.
+/// Two pinned workers (this suite runs on 1-CPU CI hosts) and whatever
+/// deadlines the individual test dials in.
 fn chaos_options(request_timeout_ms: u64, idle_timeout_ms: u64) -> ServeOptions {
     ServeOptions {
         workers: Parallelism::Threads(2),
-        batch: Parallelism::Sequential,
         request_timeout_ms,
         idle_timeout_ms,
         ..ServeOptions::default()
@@ -215,6 +214,18 @@ impl FaultStream {
         Some(binary::decode_response(h.frame_type, &payload).expect("server frames decode"))
     }
 
+    /// Reads one reply in `wire`'s framing. `None` means EOF, reset or
+    /// read timeout.
+    fn read_response(&mut self, wire: Wire) -> Option<Response> {
+        match wire {
+            Wire::Binary => self.read_binary_response(),
+            Wire::Ndjson => {
+                let line = self.read_line()?;
+                Some(serde_json::from_str(&line).expect("server lines parse"))
+            }
+        }
+    }
+
     /// Reads one reply line. `None` means EOF, reset or read timeout —
     /// i.e. the server closed (or never answered) this connection.
     fn read_line(&mut self) -> Option<String> {
@@ -238,28 +249,47 @@ impl FaultStream {
     }
 }
 
-#[test]
-fn slow_loris_is_cut_off_by_the_request_deadline() {
+/// The first bytes of a request in `wire`'s framing: a newline-framed
+/// JSON line or a binary frame.
+fn request_frame(wire: Wire, request: &Request) -> Vec<u8> {
+    match wire {
+        Wire::Binary => binary::encode_request(request),
+        Wire::Ndjson => {
+            let mut line = serde_json::to_string(request)
+                .expect("encodes")
+                .into_bytes();
+            line.push(b'\n');
+            line
+        }
+    }
+}
+
+/// The loris sends the first four bytes of a valid request (on the
+/// binary wire, starting with the 0xB5 magic, so the wire is detected as
+/// binary), then stalls forever. The mid-request deadline (300 ms from
+/// the first byte) must cut it off with a typed Timeout reply in the
+/// connection's own framing, while a good client on the same wire keeps
+/// getting bit-exact scores.
+fn slow_loris_is_cut_off(wire: Wire) {
     let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(300, 2_000))
         .expect("binds");
     let addr = handle.addr();
-
-    // The loris sends the first few bytes of a valid request, then stalls
-    // forever. The mid-request deadline (300 ms from the first byte) must
-    // cut it off with a typed Timeout reply.
+    let frame = request_frame(wire, &Request::Health);
     let loris = std::thread::spawn(move || {
         let mut s = FaultStream::connect(addr);
-        s.drip(b"\"Hea", Duration::from_millis(50));
-        s.read_line()
+        s.drip(&frame[..4], Duration::from_millis(50));
+        s.read_response(wire)
     });
 
-    // Meanwhile the other worker keeps serving bit-exact scores.
-    let good = run_good_client(&addr.to_string(), 10, 6, Duration::from_secs(20));
+    let good = run_good_client_wire(&addr.to_string(), 10, 6, Duration::from_secs(20), wire);
 
     let reply = loris.join().expect("loris thread");
-    let reply = reply.expect("loris gets a reply before the close");
-    assert!(reply.contains("\"Error\""), "{reply}");
-    assert!(reply.contains("Timeout"), "{reply}");
+    match reply.expect("loris gets a reply before the close") {
+        Response::Error { code, message } => {
+            assert_eq!(code, ErrorCode::Timeout, "{message}");
+        }
+        other => panic!("unexpected loris reply: {other:?}"),
+    }
 
     let (retries, _, stats) = shutdown_and_join(good, handle);
     assert_eq!(stats.timeouts, 1, "{stats:?}");
@@ -273,17 +303,23 @@ fn slow_loris_is_cut_off_by_the_request_deadline() {
 }
 
 #[test]
-fn torn_mid_frame_disconnects_are_counted_not_fatal() {
+fn slow_loris_is_cut_off_by_the_request_deadline() {
+    slow_loris_is_cut_off(Wire::Ndjson);
+}
+
+/// A valid request minus its last three bytes, then a vanishing peer:
+/// the newline or the declared length never arrives.
+fn torn_frame_is_counted_not_fatal(wire: Wire) {
     let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(2_000, 2_000))
         .expect("binds");
     let addr = handle.addr();
 
-    // Half a frame, then a vanishing peer: no newline ever arrives.
+    let frame = request_frame(wire, &Request::Health);
     let mut torn = FaultStream::connect(addr);
-    torn.blast(b"\"Heal");
+    torn.blast(&frame[..frame.len() - 3]);
     drop(torn);
 
-    let good = run_good_client(&addr.to_string(), 10, 6, Duration::from_secs(20));
+    let good = run_good_client_wire(&addr.to_string(), 10, 6, Duration::from_secs(20), wire);
 
     let (_, _, stats) = shutdown_and_join(good, handle);
     assert_eq!(
@@ -293,6 +329,11 @@ fn torn_mid_frame_disconnects_are_counted_not_fatal() {
     assert_eq!(stats.timeouts, 0, "{stats:?}");
     assert_eq!(stats.errors, 0, "{stats:?}");
     assert_eq!(stats.shed, 0, "{stats:?}");
+}
+
+#[test]
+fn torn_mid_frame_disconnects_are_counted_not_fatal() {
+    torn_frame_is_counted_not_fatal(Wire::Ndjson);
 }
 
 #[test]
@@ -507,22 +548,24 @@ fn hot_reload_under_load_drops_nothing_and_swaps_scores_atomically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-#[test]
-fn connect_flood_past_the_queue_bound_is_shed_and_fully_accounted() {
+/// 12 connections against 2 workers + a queue of 2: most must be shed
+/// with Busy immediately instead of blocking the accept loop, and every
+/// shed must be accounted. The good client starts first and may itself be
+/// shed while the flood holds the queue; its retry policy absorbs that,
+/// and `busy_retries()` audits exactly how often. A shed `Busy` is an
+/// NDJSON line on either wire (shedding happens before the first byte,
+/// so the server cannot know the wire yet) and a binary client must cope.
+fn connect_flood_is_shed_and_fully_accounted(wire: Wire) {
     let mut options = chaos_options(2_000, 500);
     options.max_queue = 2;
     let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", options).expect("binds");
     let addr = handle.addr();
 
-    // Good client first (it may still get shed while the flood holds the
-    // queue — its retry policy absorbs that, and `busy_retries()` lets us
-    // audit exactly how often).
     let addr_str = addr.to_string();
-    let good =
-        std::thread::spawn(move || run_good_client(&addr_str, 25, 6, Duration::from_secs(30)));
+    let good = std::thread::spawn(move || {
+        run_good_client_wire(&addr_str, 25, 6, Duration::from_secs(30), wire)
+    });
 
-    // 12 connections against 2 workers + a queue of 2: most must be shed
-    // with Busy immediately instead of blocking the accept loop.
     let mut flood: Vec<FaultStream> = (0..12).map(|_| FaultStream::connect(addr)).collect();
     let mut flood_busy = 0u64;
     for conn in &mut flood {
@@ -561,6 +604,11 @@ fn connect_flood_past_the_queue_bound_is_shed_and_fully_accounted() {
     assert_eq!(stats.errors, 0, "{stats:?}");
 }
 
+#[test]
+fn connect_flood_past_the_queue_bound_is_shed_and_fully_accounted() {
+    connect_flood_is_shed_and_fully_accounted(Wire::Ndjson);
+}
+
 // ---------------------------------------------------------------------
 // The same fault matrix against the binary wire (protocol v2). Framing
 // faults look different here — a torn length prefix, a header declaring
@@ -570,80 +618,12 @@ fn connect_flood_past_the_queue_bound_is_shed_and_fully_accounted() {
 
 #[test]
 fn binary_slow_loris_is_cut_off_by_the_request_deadline() {
-    let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(300, 2_000))
-        .expect("binds");
-    let addr = handle.addr();
-
-    // The loris drips the first half of a valid binary header (starting
-    // with the 0xB5 magic, so the wire is detected as binary) and then
-    // stalls. The mid-request deadline must cut it off with a typed
-    // Timeout reply — framed as binary, because that is this
-    // connection's wire.
-    let frame = binary::encode_request(&Request::Health);
-    let loris = std::thread::spawn(move || {
-        let mut s = FaultStream::connect(addr);
-        s.drip(&frame[..4], Duration::from_millis(50));
-        s.read_binary_response()
-    });
-
-    // Meanwhile a binary good client keeps getting bit-exact scores.
-    let good = run_good_client_wire(
-        &addr.to_string(),
-        10,
-        6,
-        Duration::from_secs(20),
-        Wire::Binary,
-    );
-
-    let reply = loris.join().expect("loris thread");
-    match reply.expect("loris gets a binary reply before the close") {
-        Response::Error { code, message } => {
-            assert_eq!(code, ErrorCode::Timeout, "{message}");
-        }
-        other => panic!("unexpected loris reply: {other:?}"),
-    }
-
-    let (retries, _, stats) = shutdown_and_join(good, handle);
-    assert_eq!(stats.timeouts, 1, "{stats:?}");
-    assert_eq!(
-        stats.errors, 1,
-        "the timeout reply is the only error: {stats:?}"
-    );
-    assert_eq!(stats.io_errors, 0, "{stats:?}");
-    assert_eq!(stats.shed, 0, "{stats:?}");
-    assert_eq!(retries, 0, "nothing should have needed a retry");
+    slow_loris_is_cut_off(Wire::Binary);
 }
 
 #[test]
 fn binary_torn_length_prefix_is_counted_not_fatal() {
-    let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", chaos_options(2_000, 2_000))
-        .expect("binds");
-    let addr = handle.addr();
-
-    // A valid frame minus its last three bytes, then a vanishing peer:
-    // the declared length never arrives, exactly like an NDJSON line
-    // that never saw its newline.
-    let frame = binary::encode_request(&Request::Health);
-    let mut torn = FaultStream::connect(addr);
-    torn.blast(&frame[..frame.len() - 3]);
-    drop(torn);
-
-    let good = run_good_client_wire(
-        &addr.to_string(),
-        10,
-        6,
-        Duration::from_secs(20),
-        Wire::Binary,
-    );
-
-    let (_, _, stats) = shutdown_and_join(good, handle);
-    assert_eq!(
-        stats.io_errors, 1,
-        "torn binary frame must be accounted: {stats:?}"
-    );
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(stats.errors, 0, "{stats:?}");
-    assert_eq!(stats.shed, 0, "{stats:?}");
+    torn_frame_is_counted_not_fatal(Wire::Binary);
 }
 
 #[test]
@@ -1061,46 +1041,5 @@ fn edge_triggered_reads_survive_dripped_and_coalesced_frames() {
 
 #[test]
 fn connect_flood_sheds_binary_clients_with_full_accounting() {
-    let mut options = chaos_options(2_000, 500);
-    options.max_queue = 2;
-    let handle = ServerHandle::bind(served_model(), "127.0.0.1:0", options).expect("binds");
-    let addr = handle.addr();
-
-    // The good client speaks binary; a shed `Busy` still arrives as an
-    // NDJSON line (shedding happens before the first byte, so the server
-    // cannot know the wire yet) and the client must cope.
-    let addr_str = addr.to_string();
-    let good = std::thread::spawn(move || {
-        run_good_client_wire(&addr_str, 25, 6, Duration::from_secs(30), Wire::Binary)
-    });
-
-    let mut flood: Vec<FaultStream> = (0..12).map(|_| FaultStream::connect(addr)).collect();
-    let mut flood_busy = 0u64;
-    for conn in &mut flood {
-        match conn.read_line() {
-            Some(line) if line.contains("\"Busy\"") => {
-                assert!(line.contains("retry_after_ms"), "{line}");
-                flood_busy += 1;
-            }
-            Some(line) => panic!("unexpected flood reply: {line}"),
-            None => {}
-        }
-    }
-    drop(flood);
-    assert!(
-        flood_busy >= 8,
-        "12 connections into 2 workers + queue of 2 must shed most: {flood_busy}"
-    );
-
-    let good = good.join().expect("good client thread");
-    std::thread::sleep(Duration::from_millis(600));
-    let (_, client_busy, stats) = shutdown_and_join(good, handle);
-
-    assert_eq!(
-        stats.shed,
-        flood_busy + client_busy,
-        "every shed connection must be accounted: {stats:?}, flood_busy={flood_busy}, client_busy={client_busy}"
-    );
-    assert_eq!(stats.timeouts, 0, "{stats:?}");
-    assert_eq!(stats.errors, 0, "{stats:?}");
+    connect_flood_is_shed_and_fully_accounted(Wire::Binary);
 }

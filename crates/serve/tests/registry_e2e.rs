@@ -60,7 +60,6 @@ fn meta(layer: &str) -> TrainMeta {
 fn options() -> ServeOptions {
     ServeOptions {
         workers: Parallelism::Threads(4),
-        batch: Parallelism::Sequential,
         ..ServeOptions::default()
     }
 }

@@ -30,7 +30,6 @@ fn trained_and_test_view() -> (TrainedAttack, SplitView) {
 fn test_options() -> ServeOptions {
     ServeOptions {
         workers: Parallelism::Threads(4),
-        batch: Parallelism::Sequential,
         ..ServeOptions::default()
     }
 }
