@@ -1,16 +1,15 @@
 //! Versioned, checksummed attack checkpoints and the resumable scoring
 //! driver.
 //!
-//! A checkpoint is a two-line UTF-8 file with the same framing
-//! discipline as the model artifact store:
+//! A checkpoint is sealed in the workspace's two-line envelope
+//! ([`crate::durable`], format [`CHECKPOINT_FORMAT`]):
 //!
 //! ```text
 //! {"magic":"SPLITMFG-CHECKPOINT","version":1,"checksum":"fnv1a64:<16 hex>"}
 //! {"fingerprint":{...},"state":{...}}
 //! ```
 //!
-//! Line 1 is the header (magic, format version, FNV-1a-64 checksum of the
-//! payload line's bytes); line 2 the payload: a [`Fingerprint`] of the
+//! The payload line is a [`Fingerprint`] of the
 //! run the state belongs to, plus the [`RunState`] — either the partial
 //! scoring of one view (completed per-v-pin top-K slots, the partial
 //! candidate histogram, the pair count and the target cursor) or a
@@ -57,15 +56,19 @@ use sm_layout::SplitView;
 use sm_ml::parallel::shard_ranges;
 
 use crate::attack::{ScoreOptions, ScoredView, TrainedAttack, VpinScore, HIST_BINS};
-use crate::durable::{atomic_write, fnv1a64};
+use crate::durable::{self, atomic_write, fnv1a64, EnvelopeError, Format};
 use crate::error::AttackError;
 use crate::loc::LocCurveBuilder;
 
-/// First token of every checkpoint header.
-pub const CHECKPOINT_MAGIC: &str = "SPLITMFG-CHECKPOINT";
-
 /// Current checkpoint format version (bump policy: see the module docs).
 pub const CHECKPOINT_VERSION: u32 = 1;
+
+/// The checkpoint envelope: magic `SPLITMFG-CHECKPOINT`, [`CHECKPOINT_VERSION`].
+pub const CHECKPOINT_FORMAT: Format = Format {
+    magic: "SPLITMFG-CHECKPOINT",
+    version: CHECKPOINT_VERSION,
+    noun: "checkpoint",
+};
 
 /// Default targets per shard between checkpoint writes.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 2048;
@@ -77,28 +80,8 @@ pub const DEFAULT_CHECKPOINT_EVERY: usize = 2048;
 pub enum CheckpointError {
     /// Filesystem failure reading or writing the checkpoint.
     Io(std::io::Error),
-    /// The file is not a two-line header+payload document, or the header
-    /// line is not valid JSON of the expected shape.
-    Malformed(String),
-    /// The header's magic string is wrong — not a checkpoint.
-    BadMagic {
-        /// What the header contained instead of [`CHECKPOINT_MAGIC`].
-        found: String,
-    },
-    /// The checkpoint was written by an incompatible format version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u32,
-        /// The single version this build supports.
-        supported: u32,
-    },
-    /// The payload bytes do not hash to the header's checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: String,
-        /// Checksum of the payload actually present.
-        found: String,
-    },
+    /// The envelope is broken: structure, magic, version or checksum.
+    Envelope(EnvelopeError),
     /// The payload passed the checksum but does not decode, or decodes
     /// into an internally inconsistent state (cursor past the end, wrong
     /// histogram arity, ...).
@@ -126,18 +109,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
-            CheckpointError::Malformed(m) => write!(f, "malformed checkpoint: {m}"),
-            CheckpointError::BadMagic { found } => {
-                write!(f, "not a checkpoint (magic '{found}')")
-            }
-            CheckpointError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "checkpoint format version {found} unsupported (this build reads {supported})"
-            ),
-            CheckpointError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "checkpoint checksum mismatch: header says {expected}, payload hashes to {found}"
-            ),
+            CheckpointError::Envelope(e) => write!(f, "{e}"),
             CheckpointError::Payload(m) => {
                 write!(f, "checkpoint payload does not decode: {m}")
             }
@@ -359,121 +331,108 @@ pub struct Checkpoint {
     pub state: RunState,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Header {
-    magic: String,
-    version: u32,
-    checksum: String,
-}
-
 impl Checkpoint {
     /// Serializes to the two-line on-disk format.
     #[must_use]
     pub fn encode(&self) -> String {
         let payload = serde_json::to_string(self).expect("checkpoint serialization is infallible");
-        let header = Header {
-            magic: CHECKPOINT_MAGIC.to_owned(),
-            version: CHECKPOINT_VERSION,
-            checksum: fnv1a64(payload.as_bytes()),
-        };
-        let header = serde_json::to_string(&header).expect("header serialization is infallible");
-        format!("{header}\n{payload}\n")
+        durable::seal(&CHECKPOINT_FORMAT, &payload)
     }
 
     /// Parses and fully validates the two-line format.
     ///
     /// # Errors
     ///
-    /// The first failing check as a typed [`CheckpointError`]: malformed
-    /// structure, bad magic, unsupported version, checksum mismatch, or
-    /// an undecodable/inconsistent payload.
+    /// The first failing check as a typed [`CheckpointError`]: the
+    /// envelope, then an undecodable or inconsistent payload.
     pub fn decode(text: &str) -> Result<Self, CheckpointError> {
-        let mut lines = text.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| CheckpointError::Malformed("empty file".into()))?;
-        let payload_line = lines
-            .next()
-            .ok_or_else(|| CheckpointError::Malformed("missing payload line".into()))?;
-        if lines.next().is_some_and(|l| !l.trim().is_empty()) {
-            return Err(CheckpointError::Malformed(
-                "unexpected content after payload line".into(),
-            ));
-        }
-        let header: Header = serde_json::from_str(header_line)
-            .map_err(|e| CheckpointError::Malformed(format!("header does not parse: {e}")))?;
-        if header.magic != CHECKPOINT_MAGIC {
-            return Err(CheckpointError::BadMagic {
-                found: header.magic,
-            });
-        }
-        if header.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion {
-                found: header.version,
-                supported: CHECKPOINT_VERSION,
-            });
-        }
-        let found = fnv1a64(payload_line.as_bytes());
-        if header.checksum != found {
-            return Err(CheckpointError::ChecksumMismatch {
-                expected: header.checksum,
-                found,
-            });
-        }
-        let checkpoint: Checkpoint = serde_json::from_str(payload_line)
-            .map_err(|e| CheckpointError::Payload(e.to_string()))?;
+        let payload = durable::open(&CHECKPOINT_FORMAT, text).map_err(CheckpointError::Envelope)?;
+        let checkpoint: Checkpoint =
+            serde_json::from_str(payload).map_err(|e| CheckpointError::Payload(e.to_string()))?;
         checkpoint.validate()?;
         Ok(checkpoint)
     }
 
     /// Internal consistency of the decoded state (checksummed corruption
     /// is already excluded; this catches a payload written by a buggy or
-    /// foreign producer).
+    /// foreign producer). Everything resume and the result's consumers
+    /// index or add up is checked here, so a crafted state is a typed
+    /// error instead of a panic.
     fn validate(&self) -> Result<(), CheckpointError> {
+        let payload = |m: String| Err(CheckpointError::Payload(m));
         match &self.state {
             RunState::Scoring(s) => {
                 if s.slots.len() != s.targets_done {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "cursor says {} targets done but {} slots are recorded",
                         s.targets_done,
                         s.slots.len()
-                    )));
+                    ));
                 }
                 if s.hist.len() != HIST_BINS {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "histogram has {} bins, this build uses {HIST_BINS}",
                         s.hist.len()
-                    )));
+                    ));
                 }
                 let total: usize = self.fingerprint.views.first().map_or(0, |v| v.num_vpins);
                 if s.targets_done > total {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "cursor {} is past the view's {total} v-pins",
                         s.targets_done
-                    )));
+                    ));
+                }
+                if s.num_view_vpins != total {
+                    return payload(format!(
+                        "state counts {} v-pins, the fingerprint's view has {total}",
+                        s.num_view_vpins
+                    ));
+                }
+                // Targets are scored in order, so slot k is v-pin k, and
+                // every candidate is a v-pin of the view.
+                for (k, slot) in s.slots.iter().enumerate() {
+                    if slot.vpin as usize != k || slot.top.iter().any(|c| c.index as usize >= total)
+                    {
+                        return payload(format!("slot {k} is not a scoring of v-pin {k}"));
+                    }
+                }
+                // Each scored pair lands in one bin, and a target scores at
+                // most every v-pin, so the counts cannot overflow on resume.
+                let binned = s.hist.iter().try_fold(0u64, |acc, &h| acc.checked_add(h));
+                let most = (s.targets_done as u64).checked_mul(total as u64);
+                if binned != Some(s.pairs_scored) || most.is_none_or(|m| s.pairs_scored > m) {
+                    return payload(format!(
+                        "{} pairs scored do not match the histogram of {} targets",
+                        s.pairs_scored, s.targets_done
+                    ));
                 }
             }
             RunState::Xval(x) => {
                 if x.fold_names.len() != x.folds_done {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "cursor says {} folds done but {} fold names are recorded",
                         x.folds_done,
                         x.fold_names.len()
-                    )));
+                    ));
                 }
                 if x.folds_done > self.fingerprint.views.len() {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "cursor {} is past the run's {} folds",
                         x.folds_done,
                         self.fingerprint.views.len()
-                    )));
+                    ));
                 }
                 if x.folds_done == 0 || x.curve.num_views() != x.folds_done {
-                    return Err(CheckpointError::Payload(format!(
+                    return payload(format!(
                         "curve accumulators cover {} views, cursor says {}",
                         x.curve.num_views(),
                         x.folds_done
-                    )));
+                    ));
+                }
+                if let Some((name, len)) = x.curve.misshapen_accumulator() {
+                    return payload(format!(
+                        "curve accumulator {name} has {len} bins, this build uses {HIST_BINS}"
+                    ));
                 }
             }
         }

@@ -120,6 +120,21 @@ impl LocCurveBuilder {
         self.num_views
     }
 
+    /// The name and length of an accumulator that does not have one entry
+    /// per histogram bin, if any: a builder decoded from a checkpoint can
+    /// carry any length, and [`Self::add_view`] and [`Self::finish`] index
+    /// every bin.
+    pub(crate) fn misshapen_accumulator(&self) -> Option<(&'static str, usize)> {
+        [
+            ("acc", &self.acc),
+            ("mean_loc", &self.mean_loc),
+            ("loc_fraction", &self.loc_fraction),
+        ]
+        .into_iter()
+        .find(|(_, bins)| bins.len() != HIST_BINS)
+        .map(|(name, bins)| (name, bins.len()))
+    }
+
     /// Folds one scored view into the running per-bin averages.
     pub fn add_view(&mut self, view: &ScoredView) {
         // Pre-sort the view's true probabilities for O(log) accuracy

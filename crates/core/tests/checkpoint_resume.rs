@@ -10,13 +10,19 @@
 //!    even with a different shard size and thread count — converges to
 //!    the same bytes;
 //! 3. a corrupt, truncated, or foreign checkpoint is a typed refusal,
-//!    never a partial resume.
+//!    never a partial resume;
+//! 4. a payload edited and re-sealed with a valid checksum (the checksum
+//!    catches corruption, not tampering) decodes or is a typed error, and
+//!    one that decodes resumes without a panic.
 
-use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use sm_attack::attack::{AttackConfig, ScoreOptions, ScoredView, TrainedAttack};
 use sm_attack::checkpoint::{
-    score_resumable, score_resumable_as, Checkpoint, CheckpointError, CheckpointSpec, Resume,
-    ScoreOutcome,
+    score_resumable, score_resumable_as, Checkpoint, CheckpointError, CheckpointSpec, Fingerprint,
+    Resume, RunState, ScoreOutcome, ScoringState, ViewId, XvalState, CHECKPOINT_FORMAT,
 };
+use sm_attack::durable::{self, EnvelopeError};
 use sm_attack::xval::{for_each_fold, for_each_fold_resumable, XvalOutcome};
 use sm_attack::{LocCurveBuilder, Parallelism};
 use sm_layout::{SplitLayer, SplitView, Suite};
@@ -313,7 +319,9 @@ fn corrupt_checkpoints_are_typed_errors_and_refuse_to_resume() {
         assert!(
             matches!(
                 err,
-                CheckpointError::Malformed(_) | CheckpointError::ChecksumMismatch { .. }
+                CheckpointError::Envelope(
+                    EnvelopeError::Malformed { .. } | EnvelopeError::ChecksumMismatch { .. }
+                )
             ),
             "{what}: {err:?}"
         );
@@ -329,7 +337,10 @@ fn corrupt_checkpoints_are_typed_errors_and_refuse_to_resume() {
         let text = format!("{header}\n{}", flip(payload, i));
         let err = Checkpoint::decode(&text).expect_err("flipped payload");
         assert!(
-            matches!(err, CheckpointError::ChecksumMismatch { .. }),
+            matches!(
+                err,
+                CheckpointError::Envelope(EnvelopeError::ChecksumMismatch { .. })
+            ),
             "flip at {i}: {err:?}"
         );
     }
@@ -337,15 +348,16 @@ fn corrupt_checkpoints_are_typed_errors_and_refuse_to_resume() {
     let foreign = good.replace("SPLITMFG-CHECKPOINT", "SPLITMFG-CHECKPOINX");
     assert!(matches!(
         Checkpoint::decode(&foreign).expect_err("bad magic"),
-        CheckpointError::BadMagic { .. }
+        CheckpointError::Envelope(EnvelopeError::BadMagic { .. })
     ));
     let vnext = good.replace("\"version\":1", "\"version\":999");
     assert!(matches!(
         Checkpoint::decode(&vnext).expect_err("future version"),
-        CheckpointError::UnsupportedVersion {
+        CheckpointError::Envelope(EnvelopeError::UnsupportedVersion {
             found: 999,
-            supported: 1
-        }
+            supported: 1,
+            ..
+        })
     ));
 
     // And end to end: a corrupt file on disk refuses to resume — typed,
@@ -356,7 +368,10 @@ fn corrupt_checkpoints_are_typed_errors_and_refuse_to_resume() {
     })
     .expect_err("must refuse");
     assert!(
-        matches!(err, CheckpointError::ChecksumMismatch { .. }),
+        matches!(
+            err,
+            CheckpointError::Envelope(EnvelopeError::ChecksumMismatch { .. })
+        ),
         "{err:?}"
     );
     assert!(spec.path.exists(), "refusal must not delete the evidence");
@@ -501,4 +516,230 @@ fn checkpoints_nest_far_below_the_parser_depth_limit() {
         );
         Checkpoint::decode(&text).expect("decodes under the limit");
     }
+}
+
+#[test]
+fn checkpoint_bytes_are_pinned_to_the_released_format() {
+    let checkpoint = Checkpoint {
+        fingerprint: Fingerprint {
+            kind: "attack".into(),
+            config_hash: "fnv1a64:0000000000000001".into(),
+            model_hash: "fnv1a64:0000000000000002".into(),
+            views: vec![ViewId {
+                name: "sb1".into(),
+                num_vpins: 2,
+            }],
+            top_fraction: 0.06,
+            top_floor: 1,
+        },
+        state: RunState::Scoring(ScoringState {
+            targets_done: 0,
+            slots: vec![],
+            hist: vec![0; sm_attack::attack::HIST_BINS],
+            pairs_scored: 0,
+            num_view_vpins: 2,
+        }),
+    };
+    let text = checkpoint.encode();
+    // The checksum covers the payload, so this line pins both lines.
+    assert_eq!(
+        text.lines().next(),
+        Some(
+            "{\"magic\":\"SPLITMFG-CHECKPOINT\",\"version\":1,\
+             \"checksum\":\"fnv1a64:e098f26bd242c1b9\"}"
+        )
+    );
+    assert!(text.ends_with("}}}\n"), "one trailing newline");
+}
+
+/// `text`'s payload with the JSON list after `"key":[` emptied, re-sealed.
+fn with_emptied_list(text: &str, key: &str) -> String {
+    let payload = durable::open(&CHECKPOINT_FORMAT, text).expect("valid envelope");
+    let tag = format!("\"{key}\":[");
+    let start = payload.find(&tag).expect("list present") + tag.len();
+    let end = start + payload[start..].find(']').expect("list ends");
+    durable::seal(
+        &CHECKPOINT_FORMAT,
+        &format!("{}{}", &payload[..start], &payload[end..]),
+    )
+}
+
+/// A cross-validation checkpoint whose curve accumulators lost their bins
+/// must be refused on decode and on resume: `LocCurveBuilder::add_view`
+/// and `finish` index every bin, so it used to panic the resuming process.
+#[test]
+fn resealed_curve_accumulators_of_the_wrong_arity_are_payload_errors() {
+    let views = views();
+    let config = AttackConfig::imp9();
+    let opts = ScoreOptions::default();
+    let spec = temp_spec("xval_arity", 1);
+    let first_fold = || {
+        for_each_fold_resumable(
+            &config,
+            &views,
+            &opts,
+            &spec,
+            Resume::IfPresent,
+            &|| true,
+            |_| {},
+        )
+    };
+    first_fold().expect("first fold");
+    let good = std::fs::read_to_string(&spec.path).expect("xval checkpoint");
+    for key in ["acc", "mean_loc", "loc_fraction"] {
+        let text = with_emptied_list(&good, key);
+        let bins = format!("accumulator {key} has 0 bins");
+        match Checkpoint::decode(&text) {
+            Err(CheckpointError::Payload(m)) => assert!(m.contains(&bins), "{m}"),
+            other => panic!("{key}: {other:?}"),
+        }
+        std::fs::write(&spec.path, &text).expect("writes");
+        match first_fold() {
+            Err(CheckpointError::Payload(m)) => assert!(m.contains(&bins), "{m}"),
+            other => panic!("{key}: resume gave {other:?}"),
+        }
+    }
+    cleanup(&spec);
+}
+
+/// Scoring states that would index past the view or overflow the pair
+/// count on resume, re-sealed with valid checksums, are payload errors.
+#[test]
+fn resealed_scoring_states_out_of_bounds_are_payload_errors() {
+    let views = views();
+    let model = train(&AttackConfig::imp9(), &views, 0);
+    let opts = ScoreOptions::default();
+    let spec = temp_spec("scoring_bounds", 5);
+    score_resumable(&model, &views[0], &opts, &spec, Resume::Fresh, &|| true).expect("first leg");
+    let good = Checkpoint::load(&spec.path).expect("loads");
+    let n = views[0].num_vpins();
+    type Edit = fn(&mut ScoringState, usize);
+    let edits: [(&str, Edit); 6] = [
+        ("slot out of order", |s, _| s.slots[1].vpin = 3),
+        ("candidate past the view", |s, n| {
+            s.slots[0].top[0].index = n as u32;
+        }),
+        ("pairs off the histogram", |s, _| s.pairs_scored += 1),
+        ("histogram sum overflows", |s, _| {
+            s.hist[0] = u64::MAX;
+            s.hist[1] = 1;
+        }),
+        ("more pairs than the view has", |s, n| {
+            s.hist[0] = (5 * n * n) as u64;
+            s.pairs_scored = s.hist.iter().sum();
+        }),
+        ("v-pin count off the fingerprint", |s, _| {
+            s.num_view_vpins += 1
+        }),
+    ];
+    for (what, edit) in edits {
+        let mut bad = good.clone();
+        let RunState::Scoring(state) = &mut bad.state else {
+            panic!("a scoring checkpoint");
+        };
+        edit(state, n);
+        let text = bad.encode();
+        assert!(
+            matches!(Checkpoint::decode(&text), Err(CheckpointError::Payload(_))),
+            "{what}"
+        );
+        std::fs::write(&spec.path, &text).expect("writes");
+        let resumed = score_resumable(&model, &views[0], &opts, &spec, Resume::IfPresent, &|| true);
+        assert!(
+            matches!(resumed, Err(CheckpointError::Payload(_))),
+            "{what}: {resumed:?}"
+        );
+    }
+    cleanup(&spec);
+}
+
+/// `payload` with one random edit: a byte replaced (by a digit
+/// half the time, so many edits keep the JSON valid and reach the state
+/// checks), a short range cut out, or a short range copied elsewhere.
+/// ASCII in, ASCII out, so a re-seal reaches the decoder.
+fn mutate(payload: &str, rng: &mut ChaCha8Rng) -> String {
+    const BYTES: &[u8] = b"0123456789-+.eE\"\\,:[]{}ntrufals ";
+    assert!(payload.is_ascii() && !payload.contains('\n'));
+    let mut bytes = payload.as_bytes().to_vec();
+    let at = rng.gen_range(0..bytes.len());
+    let end = (at + rng.gen_range(1..=24usize)).min(bytes.len());
+    match rng.gen_range(0..4u8) {
+        0 => bytes[at] = b'0' + rng.gen_range(0..10u8),
+        1 => bytes[at] = BYTES[rng.gen_range(0..BYTES.len())],
+        2 => {
+            bytes.drain(at..end);
+        }
+        _ => {
+            let piece = bytes[at..end].to_vec();
+            let to = rng.gen_range(0..=bytes.len());
+            bytes.splice(to..to, piece);
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII edits of an ASCII payload")
+}
+
+/// Decoder property on checkpoint payloads, both kinds: every edited,
+/// re-sealed payload decodes or is a `Payload` error, and every one that
+/// decodes resumes (one shard or fold at most) to a result or a typed
+/// error, never a panic.
+#[test]
+fn mutated_checkpoint_payloads_fail_typed_and_resume_without_panics() {
+    let views = views();
+    let config = AttackConfig::imp9();
+    let model = train(&config, &views, 0);
+    let opts = ScoreOptions::default();
+    let spec = temp_spec("mutated", 5);
+    score_resumable(&model, &views[0], &opts, &spec, Resume::Fresh, &|| true).expect("first leg");
+    let scoring = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
+    // An xval checkpoint with every fold done, so a resume only finishes
+    // the curve: the accumulators are what an edit reaches.
+    let scored: ScoredView = model.score(&views[0], &opts);
+    let mut curve = sm_attack::LocCurveBuilder::new();
+    views.iter().for_each(|_| curve.add_view(&scored));
+    let xval = Checkpoint {
+        fingerprint: Fingerprint::for_xval(&config, &views, &opts),
+        state: RunState::Xval(XvalState {
+            folds_done: views.len(),
+            fold_names: views.iter().map(|v| v.name.clone()).collect(),
+            curve,
+        }),
+    }
+    .encode();
+    let payloads = [scoring, xval].map(|text| {
+        durable::open(&CHECKPOINT_FORMAT, &text)
+            .expect("valid envelope")
+            .to_owned()
+    });
+
+    let mut rng = ChaCha8Rng::seed_from_u64(0xc4e);
+    let mut resumed = [0usize; 2];
+    for case in 0..300 {
+        for (kind, payload) in payloads.iter().enumerate() {
+            let text = durable::seal(&CHECKPOINT_FORMAT, &mutate(payload, &mut rng));
+            match Checkpoint::decode(&text) {
+                Err(CheckpointError::Payload(_)) => continue,
+                Err(e) => panic!("case {case}: {e:?}"),
+                Ok(_) => resumed[kind] += 1,
+            }
+            std::fs::write(&spec.path, &text).expect("writes");
+            // Ok or any typed error: a fingerprint edit is a Mismatch.
+            let _ = if kind == 0 {
+                score_resumable(&model, &views[0], &opts, &spec, Resume::IfPresent, &|| true)
+                    .map(drop)
+            } else {
+                for_each_fold_resumable(
+                    &config,
+                    &views,
+                    &opts,
+                    &spec,
+                    Resume::IfPresent,
+                    &|| true,
+                    |_| {},
+                )
+                .map(drop)
+            };
+        }
+    }
+    assert!(resumed.iter().all(|&n| n > 0), "resumed {resumed:?}");
+    cleanup(&spec);
 }

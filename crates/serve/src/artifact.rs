@@ -1,22 +1,21 @@
 //! Versioned, checksummed on-disk model artifacts.
 //!
-//! An artifact is a two-line UTF-8 file:
+//! An artifact is a payload sealed in the workspace's two-line envelope
+//! ([`sm_attack::durable`], format [`ARTIFACT_FORMAT`]):
 //!
 //! ```text
 //! {"magic":"SPLITMFG-MODEL","version":1,"checksum":"fnv1a64:<16 hex>"}
 //! {"parts":{...},"schema":{...},"meta":{...}}
 //! ```
 //!
-//! Line 1 is the **header**: a magic string identifying the file type, the
-//! format version, and an FNV-1a-64 checksum of the payload line's bytes.
-//! Line 2 is the **payload**: the trained ensemble and everything needed
+//! The payload line holds the trained ensemble and everything needed
 //! to reconstruct a [`TrainedAttack`] that scores bit-identically
 //! ([`sm_attack::TrainedParts`]), the feature/binning schema the model was
 //! trained under, and free-form training metadata.
 //!
-//! [`ModelArtifact::load`] validates magic, version, checksum, payload
-//! shape, and schema coherence in that order, each failure mapped to its
-//! own [`ArtifactError`] variant — a corrupt or stale file is always a
+//! [`ModelArtifact::load`] validates the envelope (structure, magic,
+//! version, checksum), then payload shape and schema coherence, each
+//! failure a typed [`ArtifactError`] — a corrupt or stale file is always a
 //! typed error, never a panic. The checksum catches corruption, not
 //! tampering, so payload shape includes each tree's structure (checked by
 //! the tree's own decoding): a crafted file cannot send the compiled
@@ -26,44 +25,29 @@ use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 use sm_attack::attack::HIST_BINS;
+use sm_attack::durable::{self, EnvelopeError, Format};
 use sm_attack::{TrainedAttack, TrainedParts};
-
-/// First token of every artifact header; anything else is not an artifact.
-pub const ARTIFACT_MAGIC: &str = "SPLITMFG-MODEL";
 
 /// Current artifact format version. Bump policy: see `DESIGN.md` — any
 /// change to [`TrainedParts`]' serialized shape, the feature semantics, or
 /// the histogram convention requires a bump; readers reject other versions.
 pub const ARTIFACT_VERSION: u32 = 1;
 
+/// The artifact envelope: magic `SPLITMFG-MODEL`, [`ARTIFACT_VERSION`].
+pub const ARTIFACT_FORMAT: Format = Format {
+    magic: "SPLITMFG-MODEL",
+    version: ARTIFACT_VERSION,
+    noun: "model artifact",
+};
+
 /// Typed artifact validation/read failure.
 #[derive(Debug)]
 pub enum ArtifactError {
     /// Filesystem failure reading or writing the artifact.
     Io(std::io::Error),
-    /// The file is not a two-line header+payload document, or the header
-    /// line is not valid JSON of the expected shape.
-    Malformed(String),
-    /// The header's magic string is wrong — not a model artifact.
-    BadMagic {
-        /// What the header contained instead of [`ARTIFACT_MAGIC`].
-        found: String,
-    },
-    /// The artifact was written by an incompatible format version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u32,
-        /// The single version this build supports ([`ARTIFACT_VERSION`]).
-        supported: u32,
-    },
-    /// The payload bytes do not hash to the header's checksum (corruption
-    /// or tampering).
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: String,
-        /// Checksum of the payload actually present.
-        found: String,
-    },
+    /// The envelope is broken: structure, magic, version or checksum
+    /// (corruption).
+    Envelope(EnvelopeError),
     /// The payload passed the checksum but does not decode as a model
     /// payload (written by a different build of the same version — stale).
     Payload(String),
@@ -76,22 +60,7 @@ impl std::fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ArtifactError::Io(e) => write!(f, "artifact i/o: {e}"),
-            ArtifactError::Malformed(m) => write!(f, "malformed artifact: {m}"),
-            ArtifactError::BadMagic { found } => {
-                write!(f, "not a model artifact (magic '{found}')")
-            }
-            ArtifactError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "artifact format version {found} unsupported (this build reads {supported})"
-                )
-            }
-            ArtifactError::ChecksumMismatch { expected, found } => {
-                write!(
-                    f,
-                    "artifact checksum mismatch: header says {expected}, payload hashes to {found}"
-                )
-            }
+            ArtifactError::Envelope(e) => write!(f, "{e}"),
             ArtifactError::Payload(m) => write!(f, "artifact payload does not decode: {m}"),
             ArtifactError::Incompatible(m) => {
                 write!(f, "artifact incompatible with this build: {m}")
@@ -149,31 +118,6 @@ pub struct ArtifactPayload {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelArtifact {
     payload: ArtifactPayload,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct Header {
-    magic: String,
-    version: u32,
-    checksum: String,
-}
-
-/// FNV-1a 64-bit hash of `bytes`, formatted as the checksum string used
-/// by both artifact headers and registry index entries
-/// (`fnv1a64:<16 hex>`). Re-exported from the workspace-wide durability
-/// helper so artifacts, registry indexes and attack checkpoints share one
-/// definition.
-pub(crate) use sm_attack::durable::fnv1a64;
-
-/// Writes `bytes` to `path` crash-durably via
-/// [`sm_attack::durable::atomic_write`] (`.tmp` sibling, fsync, atomic
-/// rename, **parent-directory fsync** — the last step was missing here
-/// before the durability fix: the rename was atomic but a power cut could
-/// roll the directory entry back). `site` names the fail-point family
-/// (`"artifact"` or `"registry_index"`) so chaos tests can kill the
-/// process at each stage.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8], site: &str) -> Result<(), ArtifactError> {
-    sm_attack::durable::atomic_write(path, bytes, site).map_err(ArtifactError::Io)
 }
 
 impl ModelArtifact {
@@ -261,57 +205,19 @@ impl ModelArtifact {
     pub fn encode(&self) -> String {
         let payload =
             serde_json::to_string(&self.payload).expect("payload serialization is infallible");
-        let header = Header {
-            magic: ARTIFACT_MAGIC.to_owned(),
-            version: ARTIFACT_VERSION,
-            checksum: fnv1a64(payload.as_bytes()),
-        };
-        let header = serde_json::to_string(&header).expect("header serialization is infallible");
-        format!("{header}\n{payload}\n")
+        durable::seal(&ARTIFACT_FORMAT, &payload)
     }
 
     /// Parses and fully validates the two-line format.
     ///
     /// # Errors
     ///
-    /// Returns the first failing check as a typed [`ArtifactError`]:
-    /// malformed structure, bad magic, unsupported version, checksum
-    /// mismatch, undecodable payload, or incompatible schema.
+    /// Returns the first failing check as a typed [`ArtifactError`]: the
+    /// envelope, an undecodable payload, or an incompatible schema.
     pub fn decode(text: &str) -> Result<Self, ArtifactError> {
-        let mut lines = text.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| ArtifactError::Malformed("empty file".into()))?;
-        let payload_line = lines
-            .next()
-            .ok_or_else(|| ArtifactError::Malformed("missing payload line".into()))?;
-        if lines.next().is_some_and(|l| !l.trim().is_empty()) {
-            return Err(ArtifactError::Malformed(
-                "unexpected content after payload line".into(),
-            ));
-        }
-        let header: Header = serde_json::from_str(header_line)
-            .map_err(|e| ArtifactError::Malformed(format!("header does not parse: {e}")))?;
-        if header.magic != ARTIFACT_MAGIC {
-            return Err(ArtifactError::BadMagic {
-                found: header.magic,
-            });
-        }
-        if header.version != ARTIFACT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: header.version,
-                supported: ARTIFACT_VERSION,
-            });
-        }
-        let found = fnv1a64(payload_line.as_bytes());
-        if header.checksum != found {
-            return Err(ArtifactError::ChecksumMismatch {
-                expected: header.checksum,
-                found,
-            });
-        }
-        let payload: ArtifactPayload = serde_json::from_str(payload_line)
-            .map_err(|e| ArtifactError::Payload(e.to_string()))?;
+        let payload = durable::open(&ARTIFACT_FORMAT, text).map_err(ArtifactError::Envelope)?;
+        let payload: ArtifactPayload =
+            serde_json::from_str(payload).map_err(|e| ArtifactError::Payload(e.to_string()))?;
         let artifact = Self { payload };
         artifact.validate_schema()?;
         Ok(artifact)
@@ -331,7 +237,7 @@ impl ModelArtifact {
     /// Returns [`ArtifactError::Io`] on filesystem failure; the `.tmp`
     /// sibling is removed best-effort on the error path.
     pub fn save(&self, path: &Path) -> Result<(), ArtifactError> {
-        write_atomic(path, self.encode().as_bytes(), "artifact")
+        durable::atomic_write(path, self.encode().as_bytes(), "artifact").map_err(ArtifactError::Io)
     }
 
     /// Reads and validates an artifact from `path`.
@@ -347,12 +253,15 @@ impl ModelArtifact {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use sm_attack::attack::AttackConfig;
+    use sm_attack::durable::fnv1a64;
     use sm_layout::{SplitLayer, Suite};
 
-    fn small_model() -> TrainedAttack {
+    pub(crate) fn small_model() -> TrainedAttack {
         let views = Suite::ispd2011_like(0.01)
             .expect("valid scale")
             .split_all(SplitLayer::new(8).expect("valid layer"));
@@ -383,7 +292,9 @@ mod tests {
         assert_ne!(text, flipped, "corruption must change the payload");
         assert!(matches!(
             ModelArtifact::decode(&flipped),
-            Err(ArtifactError::ChecksumMismatch { .. })
+            Err(ArtifactError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
         ));
     }
 
@@ -391,37 +302,34 @@ mod tests {
     fn wrong_magic_and_version_are_typed_errors() {
         let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
         let text = art.encode();
-        let bad_magic = text.replacen(ARTIFACT_MAGIC, "NOT-A-MODEL", 1);
+        let bad_magic = text.replacen(ARTIFACT_FORMAT.magic, "NOT-A-MODEL", 1);
         assert!(matches!(
             ModelArtifact::decode(&bad_magic),
-            Err(ArtifactError::BadMagic { .. })
+            Err(ArtifactError::Envelope(EnvelopeError::BadMagic { .. }))
         ));
         let bad_version = text.replacen("\"version\":1", "\"version\":99", 1);
         assert!(matches!(
             ModelArtifact::decode(&bad_version),
-            Err(ArtifactError::UnsupportedVersion {
+            Err(ArtifactError::Envelope(EnvelopeError::UnsupportedVersion {
                 found: 99,
-                supported: ARTIFACT_VERSION
-            })
+                supported: ARTIFACT_VERSION,
+                ..
+            }))
         ));
     }
 
     #[test]
     fn truncated_and_garbage_inputs_are_malformed() {
-        assert!(matches!(
-            ModelArtifact::decode(""),
-            Err(ArtifactError::Malformed(_))
-        ));
-        assert!(matches!(
-            ModelArtifact::decode(
-                "{\"magic\":\"SPLITMFG-MODEL\",\"version\":1,\"checksum\":\"x\"}"
-            ),
-            Err(ArtifactError::Malformed(_))
-        ));
-        assert!(matches!(
-            ModelArtifact::decode("not json\nnot json either\n"),
-            Err(ArtifactError::Malformed(_))
-        ));
+        for text in [
+            "",
+            "{\"magic\":\"SPLITMFG-MODEL\",\"version\":1,\"checksum\":\"x\"}",
+            "not json\nnot json either\n",
+        ] {
+            assert!(matches!(
+                ModelArtifact::decode(text),
+                Err(ArtifactError::Envelope(EnvelopeError::Malformed { .. }))
+            ));
+        }
     }
 
     #[test]
@@ -461,9 +369,9 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    ArtifactError::Malformed(_)
-                        | ArtifactError::ChecksumMismatch { .. }
-                        | ArtifactError::Payload(_)
+                    ArtifactError::Envelope(
+                        EnvelopeError::Malformed { .. } | EnvelopeError::ChecksumMismatch { .. }
+                    ) | ArtifactError::Payload(_)
                 ),
                 "cut at {cut}: unexpected {err:?}"
             );
@@ -481,18 +389,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A two-line artifact around `payload` with a matching header
-    /// checksum, so only the payload's own checks can reject it.
-    fn reencode(payload: &str) -> String {
-        let header = Header {
-            magic: ARTIFACT_MAGIC.to_owned(),
-            version: ARTIFACT_VERSION,
-            checksum: fnv1a64(payload.as_bytes()),
-        };
-        let header = serde_json::to_string(&header).expect("serializes");
-        format!("{header}\n{payload}\n")
-    }
-
     /// `art`'s payload text and the byte range of its first tree's node
     /// list (between the brackets).
     fn first_node_list(art: &ModelArtifact) -> (String, std::ops::Range<usize>) {
@@ -508,11 +404,10 @@ mod tests {
         let (payload, nodes) = first_node_list(art);
         let end = nodes.start + payload[nodes.clone()].find('}').expect("root node") + 1;
         let root = edit(&payload[nodes.start..end]);
-        reencode(&format!(
-            "{}{root}{}",
-            &payload[..nodes.start],
-            &payload[end..]
-        ))
+        durable::seal(
+            &ARTIFACT_FORMAT,
+            &format!("{}{root}{}", &payload[..nodes.start], &payload[end..]),
+        )
     }
 
     /// Replaces the `"key":<integer>` field of a node's JSON text.
@@ -547,7 +442,10 @@ mod tests {
         let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
         let (payload, nodes) = first_node_list(&art);
         let payload = format!("{}{}", &payload[..nodes.start], &payload[nodes.end..]);
-        assert_payload_error(&reencode(&payload), "empty node list");
+        assert_payload_error(
+            &durable::seal(&ARTIFACT_FORMAT, &payload),
+            "empty node list",
+        );
     }
 
     #[test]
@@ -572,7 +470,7 @@ mod tests {
                 .expect("tree list ends");
         let payload = format!("{}{}", &payload[..start], &payload[end..]);
         assert!(payload.contains("\"trees\":[]"), "emptied the ensemble");
-        assert_payload_error(&reencode(&payload), "empty ensemble");
+        assert_payload_error(&durable::seal(&ARTIFACT_FORMAT, &payload), "empty ensemble");
     }
 
     #[test]
@@ -588,7 +486,10 @@ mod tests {
         // than the scorer's rows carry.
         let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
         let payload = serde_json::to_string(&art.payload).expect("serializes");
-        let text = reencode(&payload.replace("\"num_features\":9", "\"num_features\":12"));
+        let text = durable::seal(
+            &ARTIFACT_FORMAT,
+            &payload.replace("\"num_features\":9", "\"num_features\":12"),
+        );
         assert!(matches!(
             ModelArtifact::decode(&text),
             Err(ArtifactError::Incompatible(_))
@@ -610,5 +511,70 @@ mod tests {
             ModelArtifact::decode(&stale.encode()),
             Err(ArtifactError::Incompatible(_))
         ));
+    }
+
+    /// `payload` with one random edit: a byte replaced (by a
+    /// digit half the time, so many edits keep the JSON valid and reach
+    /// the model checks), a short range cut out, or a short range copied
+    /// elsewhere. ASCII in, ASCII out, so the result is still one UTF-8
+    /// line and a re-seal reaches the payload decoder.
+    pub(crate) fn mutate(payload: &str, rng: &mut ChaCha8Rng) -> String {
+        const BYTES: &[u8] = b"0123456789-+.eE\"\\,:[]{}ntrufals ";
+        assert!(payload.is_ascii() && !payload.contains('\n'));
+        let mut bytes = payload.as_bytes().to_vec();
+        let at = rng.gen_range(0..bytes.len());
+        let end = (at + rng.gen_range(1..=24usize)).min(bytes.len());
+        match rng.gen_range(0..4u8) {
+            0 => bytes[at] = b'0' + rng.gen_range(0..10u8),
+            1 => bytes[at] = BYTES[rng.gen_range(0..BYTES.len())],
+            2 => {
+                bytes.drain(at..end);
+            }
+            _ => {
+                let piece = bytes[at..end].to_vec();
+                let to = rng.gen_range(0..=bytes.len());
+                bytes.splice(to..to, piece);
+            }
+        }
+        String::from_utf8(bytes).expect("ASCII edits of an ASCII payload")
+    }
+
+    #[test]
+    fn envelope_header_is_pinned_to_the_released_bytes() {
+        assert_eq!(
+            durable::seal(&ARTIFACT_FORMAT, "{\"pinned\":true}"),
+            "{\"magic\":\"SPLITMFG-MODEL\",\"version\":1,\"checksum\":\"fnv1a64:b1eb29eedcee1085\"}\n\
+             {\"pinned\":true}\n"
+        );
+    }
+
+    /// Decoder property on the artifact payload: edits re-sealed past the
+    /// envelope decode or fail as `Payload`/`Incompatible`, and every model
+    /// that decodes compiles and scores a row.
+    #[test]
+    fn mutated_payloads_fail_typed_and_decoded_models_score() {
+        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        let payload = serde_json::to_string(&art.payload).expect("serializes");
+        let mut rng = ChaCha8Rng::seed_from_u64(0xa27);
+        let mut decoded = 0;
+        for case in 0..1_000 {
+            let text = durable::seal(&ARTIFACT_FORMAT, &mutate(&payload, &mut rng));
+            match ModelArtifact::decode(&text) {
+                Ok(artifact) => {
+                    decoded += 1;
+                    let model = artifact.into_trained().expect("decode checked the schema");
+                    let width = model.config().features.len();
+                    let mut prob = [f64::NAN];
+                    model
+                        .model()
+                        .compile()
+                        .proba_batch(&vec![0.5; width], width, &mut prob);
+                    assert!((0.0..=1.0).contains(&prob[0]), "case {case}: {prob:?}");
+                }
+                Err(ArtifactError::Payload(_) | ArtifactError::Incompatible(_)) => {}
+                Err(e) => panic!("case {case}: {e:?}"),
+            }
+        }
+        assert!(decoded > 0, "no edit kept the payload valid");
     }
 }

@@ -71,7 +71,7 @@ pub mod registry;
 pub mod server;
 mod session;
 
-pub use artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_MAGIC, ARTIFACT_VERSION};
+pub use artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_FORMAT, ARTIFACT_VERSION};
 pub use client::{
     percentile_us, AttackWorkload, BenchConfig, BenchReport, Client, ClientError, ClientTimeouts,
     RetryPolicy, RetryingClient,
@@ -81,7 +81,7 @@ pub use protocol::{
 };
 pub use registry::{
     publish, validate_model_id, verify, Catalog, IndexEntry, ModelEntry, RegistryError,
-    RegistryIndex, VerifiedModel, REGISTRY_MAGIC, REGISTRY_VERSION, SINGLE_MODEL_ID,
+    RegistryIndex, VerifiedModel, REGISTRY_FORMAT, REGISTRY_VERSION, SINGLE_MODEL_ID,
 };
 pub use server::{
     event_loop_count, pool_size, queue_depth, serve_source_with, ModelSource, ServeOptions,

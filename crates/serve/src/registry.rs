@@ -11,18 +11,19 @@
 //!   retrained.model
 //! ```
 //!
-//! The `index` file reuses the artifact discipline exactly — line 1 is a
-//! header (`{"magic":"SPLITMFG-REGISTRY","version":1,"checksum":...}`),
-//! line 2 the payload: the default model id plus one [`IndexEntry`] per
+//! The `index` file is sealed in the same envelope as an artifact
+//! ([`sm_attack::durable`], format [`REGISTRY_FORMAT`]; header
+//! `{"magic":"SPLITMFG-REGISTRY","version":1,"checksum":...}`). Its
+//! payload is the default model id plus one [`IndexEntry`] per
 //! model (`model_id → artifact path, artifact checksum, schema version,
-//! train metadata`). [`RegistryIndex::load`] validates magic, version and
-//! checksum with typed [`RegistryError`]s; [`publish`] writes an artifact
+//! train metadata`). [`RegistryIndex::load`] reports a broken envelope as
+//! [`RegistryError::Envelope`]; [`publish`] writes an artifact
 //! plus the updated index crash-safely (tmp + fsync + rename, both
 //! files).
 //!
 //! [`Catalog::load`] turns a registry into the in-memory serving set: it
-//! re-hashes every artifact file against the index's recorded checksum,
-//! decodes it, and lowers each ensemble into a
+//! checks every artifact file against its index entry (the same check
+//! [`verify`] reports per model) and lowers each ensemble into a
 //! [`CompiledEnsemble`](sm_ml::CompiledEnsemble) once at load time
 //! (compilation is load-time lowering — the wire format is untouched).
 //! The server holds the whole catalog behind one atomically-swapped
@@ -34,13 +35,11 @@ use std::path::{Component, Path};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+use sm_attack::durable::{self, fnv1a64, EnvelopeError, Format};
 use sm_attack::TrainedAttack;
 use sm_ml::CompiledEnsemble;
 
-use crate::artifact::{fnv1a64, write_atomic, ArtifactError, ModelArtifact, TrainMeta};
-
-/// First token of every registry index header.
-pub const REGISTRY_MAGIC: &str = "SPLITMFG-REGISTRY";
+use crate::artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_FORMAT};
 
 /// Current index format version. Bump policy: see `DESIGN.md` — any
 /// change to the [`IndexEntry`] shape or the checksum convention requires
@@ -48,6 +47,13 @@ pub const REGISTRY_MAGIC: &str = "SPLITMFG-REGISTRY";
 /// [`crate::ARTIFACT_VERSION`] instead, which every entry records as its
 /// `schema_version`.
 pub const REGISTRY_VERSION: u32 = 1;
+
+/// The index envelope: magic `SPLITMFG-REGISTRY`, [`REGISTRY_VERSION`].
+pub const REGISTRY_FORMAT: Format = Format {
+    magic: "SPLITMFG-REGISTRY",
+    version: REGISTRY_VERSION,
+    noun: "registry index",
+};
 
 /// The model id a single-model (non-registry) server publishes itself
 /// under, so routing and reporting work identically in both modes.
@@ -64,28 +70,11 @@ pub const INDEX_FILE: &str = "index";
 pub enum RegistryError {
     /// Filesystem failure reading or writing the registry.
     Io(std::io::Error),
-    /// The index file is structurally broken (not two lines, header not
-    /// JSON, payload not JSON of the expected shape).
-    Malformed(String),
-    /// The index header's magic string is wrong — not a registry index.
-    BadMagic {
-        /// What the header contained instead of [`REGISTRY_MAGIC`].
-        found: String,
-    },
-    /// The index was written by an incompatible format version.
-    UnsupportedVersion {
-        /// Version found in the header.
-        found: u32,
-        /// The single version this build supports ([`REGISTRY_VERSION`]).
-        supported: u32,
-    },
-    /// The index payload does not hash to the header's checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the header.
-        expected: String,
-        /// Checksum of the payload actually present.
-        found: String,
-    },
+    /// The index envelope is broken: structure, magic, version or
+    /// checksum.
+    Envelope(EnvelopeError),
+    /// The index passed its checksum but its payload does not decode.
+    Payload(String),
     /// A model id is empty, too long, or contains characters outside
     /// `[A-Za-z0-9._-]` (ids become file names; anything fancier is a
     /// path-traversal lever).
@@ -137,18 +126,8 @@ impl std::fmt::Display for RegistryError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RegistryError::Io(e) => write!(f, "registry i/o: {e}"),
-            RegistryError::Malformed(m) => write!(f, "malformed registry index: {m}"),
-            RegistryError::BadMagic { found } => {
-                write!(f, "not a registry index (magic '{found}')")
-            }
-            RegistryError::UnsupportedVersion { found, supported } => write!(
-                f,
-                "registry index version {found} unsupported (this build reads {supported})"
-            ),
-            RegistryError::ChecksumMismatch { expected, found } => write!(
-                f,
-                "registry index checksum mismatch: header says {expected}, payload hashes to {found}"
-            ),
+            RegistryError::Envelope(e) => write!(f, "{e}"),
+            RegistryError::Payload(m) => write!(f, "registry index payload does not decode: {m}"),
             RegistryError::BadModelId(id) => write!(
                 f,
                 "bad model id '{id}' (need 1-64 chars of [A-Za-z0-9._-])"
@@ -239,13 +218,6 @@ pub struct RegistryIndex {
     pub entries: Vec<IndexEntry>,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct IndexHeader {
-    magic: String,
-    version: u32,
-    checksum: String,
-}
-
 impl RegistryIndex {
     /// Structural validation shared by decode and publish: ids are legal
     /// and unique, paths stay inside the registry, the default exists,
@@ -291,57 +263,19 @@ impl RegistryIndex {
     /// Serializes to the two-line checksummed on-disk format.
     pub fn encode(&self) -> String {
         let payload = serde_json::to_string(self).expect("index serialization is infallible");
-        let header = IndexHeader {
-            magic: REGISTRY_MAGIC.to_owned(),
-            version: REGISTRY_VERSION,
-            checksum: fnv1a64(payload.as_bytes()),
-        };
-        let header = serde_json::to_string(&header).expect("header serialization is infallible");
-        format!("{header}\n{payload}\n")
+        durable::seal(&REGISTRY_FORMAT, &payload)
     }
 
     /// Parses and fully validates the two-line index format.
     ///
     /// # Errors
     ///
-    /// The first failing check as a typed [`RegistryError`]: malformed
-    /// structure, bad magic, unsupported version, checksum mismatch,
-    /// undecodable payload, or an incoherent entry set.
+    /// The first failing check as a typed [`RegistryError`]: the
+    /// envelope, an undecodable payload, or an incoherent entry set.
     pub fn decode(text: &str) -> Result<Self, RegistryError> {
-        let mut lines = text.lines();
-        let header_line = lines
-            .next()
-            .ok_or_else(|| RegistryError::Malformed("empty file".into()))?;
-        let payload_line = lines
-            .next()
-            .ok_or_else(|| RegistryError::Malformed("missing payload line".into()))?;
-        if lines.next().is_some_and(|l| !l.trim().is_empty()) {
-            return Err(RegistryError::Malformed(
-                "unexpected content after payload line".into(),
-            ));
-        }
-        let header: IndexHeader = serde_json::from_str(header_line)
-            .map_err(|e| RegistryError::Malformed(format!("header does not parse: {e}")))?;
-        if header.magic != REGISTRY_MAGIC {
-            return Err(RegistryError::BadMagic {
-                found: header.magic,
-            });
-        }
-        if header.version != REGISTRY_VERSION {
-            return Err(RegistryError::UnsupportedVersion {
-                found: header.version,
-                supported: REGISTRY_VERSION,
-            });
-        }
-        let found = fnv1a64(payload_line.as_bytes());
-        if header.checksum != found {
-            return Err(RegistryError::ChecksumMismatch {
-                expected: header.checksum,
-                found,
-            });
-        }
-        let index: RegistryIndex = serde_json::from_str(payload_line)
-            .map_err(|e| RegistryError::Malformed(format!("payload does not decode: {e}")))?;
+        let payload = durable::open(&REGISTRY_FORMAT, text).map_err(RegistryError::Envelope)?;
+        let index: RegistryIndex =
+            serde_json::from_str(payload).map_err(|e| RegistryError::Payload(e.to_string()))?;
         index.validate()?;
         Ok(index)
     }
@@ -367,15 +301,12 @@ impl RegistryIndex {
     /// an incoherent index can never be published.
     pub fn save(&self, dir: &Path) -> Result<(), RegistryError> {
         self.validate()?;
-        write_atomic(
+        durable::atomic_write(
             &dir.join(INDEX_FILE),
             self.encode().as_bytes(),
             "registry_index",
-        )
-        .map_err(|e| match e {
-            ArtifactError::Io(io) => RegistryError::Io(io),
-            other => RegistryError::Malformed(other.to_string()),
-        })
+        )?;
+        Ok(())
     }
 }
 
@@ -388,9 +319,8 @@ impl RegistryIndex {
 /// # Errors
 ///
 /// [`RegistryError::BadModelId`] for an illegal id,
-/// [`RegistryError::Io`]/[`RegistryError::Artifact`] for filesystem or
-/// artifact-save failures, plus index validation errors for a
-/// pre-existing corrupt index.
+/// [`RegistryError::Io`] for filesystem failures, plus index validation
+/// errors for a pre-existing corrupt index.
 pub fn publish(
     dir: &Path,
     model_id: &str,
@@ -399,17 +329,10 @@ pub fn publish(
 ) -> Result<IndexEntry, RegistryError> {
     validate_model_id(model_id)?;
     std::fs::create_dir_all(dir)?;
+    // One encoding is both the file's bytes and the index's checksum.
     let encoded = artifact.encode();
     let file_name = format!("{model_id}.model");
-    artifact
-        .save(&dir.join(&file_name))
-        .map_err(|error| match error {
-            ArtifactError::Io(io) => RegistryError::Io(io),
-            other => RegistryError::Artifact {
-                model_id: model_id.to_owned(),
-                error: other,
-            },
-        })?;
+    durable::atomic_write(&dir.join(&file_name), encoded.as_bytes(), "artifact")?;
     // The window between publish's two atomic writes: a crash here leaves
     // the artifact on disk but not yet in the index — readers never see
     // it, and a re-publish simply overwrites it.
@@ -468,9 +391,51 @@ fn gc_unreferenced(dir: &Path, index: &RegistryIndex) {
     }
 }
 
+/// Reads `entry`'s artifact file from the registry at `dir` and checks it
+/// against the index: the schema version is this build's, the file's
+/// bytes hash to the recorded checksum, and it decodes as an artifact.
+/// [`Catalog::load`] serves what this returns; [`verify`] reports it.
+///
+/// # Errors
+///
+/// [`RegistryError::UnsupportedSchema`], [`RegistryError::Io`] naming the
+/// unreadable file, [`RegistryError::ArtifactChecksum`], or
+/// [`RegistryError::Artifact`] for an artifact that fails its own checks.
+fn load_entry(dir: &Path, entry: &IndexEntry) -> Result<ModelArtifact, RegistryError> {
+    if entry.schema_version != crate::ARTIFACT_VERSION {
+        return Err(RegistryError::UnsupportedSchema {
+            model_id: entry.model_id.clone(),
+            found: entry.schema_version,
+            supported: crate::ARTIFACT_VERSION,
+        });
+    }
+    let bytes = std::fs::read(dir.join(&entry.path)).map_err(|e| {
+        std::io::Error::new(e.kind(), format!("artifact {} unreadable: {e}", entry.path))
+    })?;
+    let found = fnv1a64(&bytes);
+    if found != entry.checksum {
+        return Err(RegistryError::ArtifactChecksum {
+            model_id: entry.model_id.clone(),
+            expected: entry.checksum.clone(),
+            found,
+        });
+    }
+    let artifact = match std::str::from_utf8(&bytes) {
+        Ok(text) => ModelArtifact::decode(text),
+        Err(e) => Err(ArtifactError::Envelope(EnvelopeError::Malformed {
+            noun: ARTIFACT_FORMAT.noun,
+            reason: format!("not UTF-8: {e}"),
+        })),
+    };
+    artifact.map_err(|error| RegistryError::Artifact {
+        model_id: entry.model_id.clone(),
+        error,
+    })
+}
+
 /// One model's verdict from [`verify`]: `Ok(checksum)` when the artifact
-/// file hashes to the index's recorded checksum, decodes, and matches
-/// this build's schema version; `Err(reason)` otherwise.
+/// passes [`load_entry`]'s checks, `Err(reason)` naming the failed check
+/// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifiedModel {
     /// The index entry's model id.
@@ -480,10 +445,10 @@ pub struct VerifiedModel {
 }
 
 /// Offline integrity sweep of the registry at `dir` (the `models
-/// --verify` command): validates the index (magic, version, checksum,
-/// coherence), then checks **every** artifact — file readable, bytes hash
-/// to the index's recorded checksum, payload decodes, schema version
-/// supported — reporting per model instead of failing at the first
+/// --verify` command): validates the index (envelope and coherence),
+/// then checks **every** artifact — schema version supported, file
+/// readable, bytes hash to the index's recorded checksum, artifact
+/// decodes — reporting per model instead of failing at the first
 /// corruption the way the fail-fast [`Catalog::load`] does.
 ///
 /// # Errors
@@ -493,36 +458,16 @@ pub struct VerifiedModel {
 /// are *not* errors — they come back as `Err` statuses in the report.
 pub fn verify(dir: &Path) -> Result<Vec<VerifiedModel>, RegistryError> {
     let index = RegistryIndex::load(dir)?;
-    let mut report = Vec::with_capacity(index.entries.len());
-    for entry in &index.entries {
-        let status = (|| {
-            if entry.schema_version != crate::ARTIFACT_VERSION {
-                return Err(format!(
-                    "schema version {} unsupported (this build reads {})",
-                    entry.schema_version,
-                    crate::ARTIFACT_VERSION
-                ));
-            }
-            let bytes = std::fs::read(dir.join(&entry.path))
-                .map_err(|e| format!("artifact {} unreadable: {e}", entry.path))?;
-            let found = fnv1a64(&bytes);
-            if found != entry.checksum {
-                return Err(format!(
-                    "checksum mismatch: index records {}, file hashes to {found}",
-                    entry.checksum
-                ));
-            }
-            let text =
-                String::from_utf8(bytes).map_err(|e| format!("artifact is not UTF-8: {e}"))?;
-            ModelArtifact::decode(&text).map_err(|e| format!("artifact does not decode: {e}"))?;
-            Ok(entry.checksum.clone())
-        })();
-        report.push(VerifiedModel {
+    Ok(index
+        .entries
+        .iter()
+        .map(|entry| VerifiedModel {
             model_id: entry.model_id.clone(),
-            status,
-        });
-    }
-    Ok(report)
+            status: load_entry(dir, entry)
+                .map(|_| entry.checksum.clone())
+                .map_err(|e| e.to_string()),
+        })
+        .collect())
 }
 
 /// One servable model: the decoded ensemble, its load-time-compiled form,
@@ -600,34 +545,14 @@ impl Catalog {
         };
         let mut entries = Vec::with_capacity(index.entries.len());
         for entry in &index.entries {
-            if entry.schema_version != crate::ARTIFACT_VERSION {
-                return Err(RegistryError::UnsupportedSchema {
-                    model_id: entry.model_id.clone(),
-                    found: entry.schema_version,
-                    supported: crate::ARTIFACT_VERSION,
-                });
-            }
-            let bytes = std::fs::read(dir.join(&entry.path))?;
-            let found = fnv1a64(&bytes);
-            if found != entry.checksum {
-                return Err(RegistryError::ArtifactChecksum {
-                    model_id: entry.model_id.clone(),
-                    expected: entry.checksum.clone(),
-                    found,
-                });
-            }
-            let wrap = |error: ArtifactError| RegistryError::Artifact {
-                model_id: entry.model_id.clone(),
-                error,
-            };
-            let text = String::from_utf8(bytes).map_err(|e| {
-                wrap(ArtifactError::Malformed(format!(
-                    "artifact is not UTF-8: {e}"
-                )))
-            })?;
-            let artifact = ModelArtifact::decode(&text).map_err(wrap)?;
+            let artifact = load_entry(dir, entry)?;
             let meta = artifact.payload().meta.clone();
-            let model = artifact.into_trained().map_err(wrap)?;
+            let model = artifact
+                .into_trained()
+                .map_err(|error| RegistryError::Artifact {
+                    model_id: entry.model_id.clone(),
+                    error,
+                })?;
             entries.push(ModelEntry::from_trained(
                 &entry.model_id,
                 entry.checksum.clone(),
@@ -722,17 +647,10 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sm_attack::attack::AttackConfig;
-    use sm_layout::{SplitLayer, Suite};
+    use crate::artifact::tests::{mutate, small_model};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use std::path::PathBuf;
-
-    fn small_model() -> TrainedAttack {
-        let views = Suite::ispd2011_like(0.01)
-            .expect("valid scale")
-            .split_all(SplitLayer::new(8).expect("valid layer"));
-        let train: Vec<_> = views[1..].iter().collect();
-        TrainedAttack::train(&AttackConfig::imp9(), &train, None).expect("trains")
-    }
 
     fn tmp_registry(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("smserve_registry_{tag}"));
@@ -789,36 +707,32 @@ mod tests {
         let flipped = text.replace("\"b.model\"", "\"c.model\"");
         assert!(matches!(
             RegistryIndex::decode(&flipped),
-            Err(RegistryError::ChecksumMismatch { .. })
+            Err(RegistryError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
         ));
-        let bad_magic = text.replacen(REGISTRY_MAGIC, "NOT-AN-INDEX", 1);
+        let bad_magic = text.replacen(REGISTRY_FORMAT.magic, "NOT-AN-INDEX", 1);
         assert!(matches!(
             RegistryIndex::decode(&bad_magic),
-            Err(RegistryError::BadMagic { .. })
+            Err(RegistryError::Envelope(EnvelopeError::BadMagic { .. }))
         ));
         let bad_version = text.replacen("\"version\":1", "\"version\":9", 1);
         assert!(matches!(
             RegistryIndex::decode(&bad_version),
-            Err(RegistryError::UnsupportedVersion {
+            Err(RegistryError::Envelope(EnvelopeError::UnsupportedVersion {
                 found: 9,
-                supported: REGISTRY_VERSION
-            })
+                supported: REGISTRY_VERSION,
+                ..
+            }))
         ));
         assert!(matches!(
             RegistryIndex::decode(""),
-            Err(RegistryError::Malformed(_))
+            Err(RegistryError::Envelope(EnvelopeError::Malformed { .. }))
         ));
     }
 
     #[test]
     fn incoherent_indexes_are_typed_errors() {
-        let entry = |id: &str| IndexEntry {
-            model_id: id.into(),
-            path: format!("{id}.model"),
-            checksum: "fnv1a64:0000000000000000".into(),
-            schema_version: crate::ARTIFACT_VERSION,
-            meta: TrainMeta::default(),
-        };
         let empty = RegistryIndex {
             default_model: "a".into(),
             entries: vec![],
@@ -996,11 +910,125 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    RegistryError::Malformed(_) | RegistryError::ChecksumMismatch { .. }
+                    RegistryError::Envelope(
+                        EnvelopeError::Malformed { .. } | EnvelopeError::ChecksumMismatch { .. }
+                    )
                 ),
                 "cut at {cut}: unexpected {err:?}"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn entry(id: &str) -> IndexEntry {
+        IndexEntry {
+            model_id: id.into(),
+            path: format!("{id}.model"),
+            checksum: "fnv1a64:0000000000000000".into(),
+            schema_version: crate::ARTIFACT_VERSION,
+            meta: TrainMeta::default(),
+        }
+    }
+
+    #[test]
+    fn index_bytes_are_pinned_to_the_released_format() {
+        let index = RegistryIndex {
+            default_model: "a".into(),
+            entries: vec![entry("a")],
+        };
+        assert_eq!(
+            index.encode(),
+            "{\"magic\":\"SPLITMFG-REGISTRY\",\"version\":1,\"checksum\":\"fnv1a64:799697ca316c3ff7\"}\n\
+             {\"default_model\":\"a\",\"entries\":[{\"model_id\":\"a\",\"path\":\"a.model\",\
+             \"checksum\":\"fnv1a64:0000000000000000\",\"schema_version\":1,\"meta\":{\"benchmarks\":[],\
+             \"split_layer\":\"\",\"excluded_target\":null,\"created_unix_s\":0}}]}\n"
+        );
+    }
+
+    /// Decoder property on the index payload: edits re-sealed past the
+    /// envelope decode to an index that round-trips, or fail with one of
+    /// the index's own typed errors.
+    #[test]
+    fn mutated_index_payloads_decode_or_fail_typed() {
+        let index = RegistryIndex {
+            default_model: "b".into(),
+            entries: vec![entry("a"), entry("b"), entry("c")],
+        };
+        let payload = serde_json::to_string(&index).expect("serializes");
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1d3);
+        for case in 0..2_000 {
+            let text = durable::seal(&REGISTRY_FORMAT, &mutate(&payload, &mut rng));
+            match RegistryIndex::decode(&text) {
+                Ok(index) => {
+                    let again = RegistryIndex::decode(&index.encode()).expect("re-decodes");
+                    assert_eq!(again, index, "case {case}");
+                }
+                Err(
+                    RegistryError::Payload(_)
+                    | RegistryError::BadModelId(_)
+                    | RegistryError::DuplicateModel(_)
+                    | RegistryError::UnknownModel(_)
+                    | RegistryError::Empty
+                    | RegistryError::BadPath { .. },
+                ) => {}
+                Err(e) => panic!("case {case}: {e:?}"),
+            }
+        }
+    }
+
+    /// `verify` reports each entry through the same check `Catalog::load`
+    /// serves from, and each failure names what failed.
+    #[test]
+    fn verify_names_the_failing_check_per_model() {
+        let dir = tmp_registry("verify_checks");
+        let artifact = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
+        for id in ["ok", "flipped", "gone", "stale", "garbled"] {
+            publish(&dir, id, &artifact, id == "ok").expect("publishes");
+        }
+        let mut bytes = std::fs::read(dir.join("flipped.model")).expect("reads");
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(dir.join("flipped.model"), bytes).expect("corrupts");
+        std::fs::remove_file(dir.join("gone.model")).expect("deletes");
+        // A garbled file the index vouches for: its checksum matches, so
+        // the artifact's own decoding must catch it.
+        std::fs::write(dir.join("garbled.model"), b"garbage\n").expect("garbles");
+        let mut index = RegistryIndex::load(&dir).expect("index loads");
+        for e in &mut index.entries {
+            match e.model_id.as_str() {
+                "stale" => e.schema_version = 99,
+                "garbled" => e.checksum = fnv1a64(b"garbage\n"),
+                _ => {}
+            }
+        }
+        index.save(&dir).expect("saves");
+
+        let report = verify(&dir).expect("index verifies");
+        let status = |id: &str| {
+            report
+                .iter()
+                .find(|m| m.model_id == id)
+                .expect("reported")
+                .status
+                .clone()
+        };
+        assert_eq!(
+            status("ok"),
+            Ok(index.get("ok").expect("ok").checksum.clone())
+        );
+        for (id, check) in [
+            ("flipped", "artifact checksum mismatch"),
+            ("gone", "artifact gone.model unreadable"),
+            ("stale", "schema version 99"),
+            ("garbled", "malformed model artifact"),
+        ] {
+            let reason = status(id).expect_err(id);
+            assert!(reason.contains(check), "{id}: {reason}");
+        }
+        assert!(matches!(
+            Catalog::load(&dir, None),
+            Err(RegistryError::ArtifactChecksum { model_id, .. }) if model_id == "flipped"
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,6 +5,7 @@
 //! cycle (and therefore across processes).
 
 use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
+use sm_attack::durable::EnvelopeError;
 use sm_attack::{oracle, Parallelism};
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ArtifactError, ModelArtifact, TrainMeta};
@@ -147,7 +148,9 @@ fn artifact_errors_are_typed_not_panics() {
     if corrupted != text {
         assert!(matches!(
             ModelArtifact::decode(&corrupted),
-            Err(ArtifactError::ChecksumMismatch { .. })
+            Err(ArtifactError::Envelope(
+                EnvelopeError::ChecksumMismatch { .. }
+            ))
         ));
     }
 
@@ -155,10 +158,11 @@ fn artifact_errors_are_typed_not_panics() {
     let future = text.replacen("\"version\":1", "\"version\":2", 1);
     assert!(matches!(
         ModelArtifact::decode(&future),
-        Err(ArtifactError::UnsupportedVersion {
+        Err(ArtifactError::Envelope(EnvelopeError::UnsupportedVersion {
             found: 2,
-            supported: 1
-        })
+            supported: 1,
+            ..
+        }))
     ));
 
     // Loading a nonexistent path is a typed Io error.
