@@ -122,13 +122,7 @@ impl From<RegistryError> for CliError {
 }
 impl From<CheckpointError> for CliError {
     fn from(e: CheckpointError) -> Self {
-        match e {
-            // Unwrap the layers the CLI already has variants for, so an
-            // attack failure inside a resumable run prints identically to
-            // one outside it.
-            CheckpointError::Attack(e) => CliError::Attack(e),
-            other => CliError::Checkpoint(other),
-        }
+        CliError::Checkpoint(e)
     }
 }
 
@@ -434,7 +428,7 @@ fn load_model_flag(args: &Args) -> Result<Option<TrainedAttack>, CliError> {
         ));
     }
     let artifact = ModelArtifact::load(Path::new(path))?;
-    let model = artifact.into_trained()?;
+    let model = artifact.into_trained();
     eprintln!(
         "loaded {} from {path} ({} trees, {} training samples)",
         model.config().name,
@@ -791,7 +785,7 @@ fn serve_source_flags(args: &Args) -> Result<(ModelSource, String), CliError> {
                     return Err(CliError::Usage(format!("--{flag} requires --registry")));
                 }
             }
-            let model = ModelArtifact::load(Path::new(path))?.into_trained()?;
+            let model = ModelArtifact::load(Path::new(path))?.into_trained();
             let label = model.config().name.clone();
             Ok((ModelSource::Single(model), label))
         }

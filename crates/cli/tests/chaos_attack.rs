@@ -253,3 +253,51 @@ fn resume_with_no_checkpoint_is_a_fresh_start() {
         fx.golden
     );
 }
+
+/// The same SIGKILL-and-resume cycle for `pa`: its scoring checkpoint
+/// resumes to stdout byte-identical to an uninterrupted run.
+#[test]
+fn pa_sigkilled_mid_scoring_resumes_byte_identical() {
+    let fx = fixture();
+    let pa = [
+        "pa",
+        "--dir",
+        "suite",
+        "--target",
+        "sb1",
+        "--model",
+        "model.bin",
+    ];
+    let golden = run_in(&fx.dir, &pa, None);
+    assert_eq!(golden.status.code(), Some(0), "{}", stderr_of(&golden));
+    let ck = fx.dir.join("ck_pa");
+    let _ = std::fs::remove_dir_all(&ck);
+    let ck_flag = ck.to_str().expect("utf8 path");
+    let with = |extra: &[&'static str]| {
+        let mut args = pa.to_vec();
+        args.extend(["--checkpoint-dir", ck_flag]);
+        args.extend(extra);
+        args
+    };
+    let killed = run_in(
+        &fx.dir,
+        &with(&["--checkpoint-every", "2"]),
+        Some("checkpoint.after_tmp=kill@2"),
+    );
+    assert_eq!(
+        killed.status.signal(),
+        Some(SIGKILL),
+        "expected death by SIGKILL, got {:?}",
+        killed.status
+    );
+    let resumed = run_in(&fx.dir, &with(&["--resume", "true"]), None);
+    assert_eq!(resumed.status.code(), Some(0), "{}", stderr_of(&resumed));
+    assert_eq!(
+        resumed.stdout, golden.stdout,
+        "resumed pa output differs from the uninterrupted run"
+    );
+    assert!(
+        !ck.join("pa-sb1.ckpt").exists(),
+        "checkpoint must be removed after a completed resume"
+    );
+}

@@ -10,11 +10,9 @@
 //! ```
 //!
 //! The payload line is a [`Fingerprint`] of the
-//! run the state belongs to, plus the [`RunState`] — either the partial
-//! scoring of one view (completed per-v-pin top-K slots, the partial
-//! candidate histogram, the pair count and the target cursor) or a
-//! cross-validation cursor (completed folds plus the partial
-//! [`LocCurveBuilder`] accumulators).
+//! run the state belongs to, plus the [`RunState`]: the partial scoring
+//! of one view (completed per-v-pin top-K slots, the partial candidate
+//! histogram, the pair count and the target cursor).
 //!
 //! ## Resume is bit-identical
 //!
@@ -42,12 +40,17 @@
 //! ## Version-bump policy
 //!
 //! Any change to the serialized shape of [`Fingerprint`], [`RunState`],
-//! [`VpinScore`]/[`Cand`], the [`LocCurveBuilder`] accumulators, or the
-//! histogram convention requires bumping [`CHECKPOINT_VERSION`]; readers
-//! reject other versions with a typed error. Checkpoints are short-lived
-//! (they are deleted when a run completes), so no cross-version
-//! migration is provided — an old checkpoint after an upgrade is a
-//! refusal, and the run restarts from scratch.
+//! [`VpinScore`]/[`Cand`], or the histogram convention requires bumping
+//! [`CHECKPOINT_VERSION`]; readers reject other versions with a typed
+//! error. Checkpoints are short-lived (they are deleted when a run
+//! completes), so no cross-version migration is provided — an old
+//! checkpoint after an upgrade is a refusal, and the run restarts from
+//! scratch.
+//!
+//! Version 1 once also carried a cross-validation state. Dropping it
+//! needed no bump: the scoring payload kept its bytes, and no binary ever
+//! wrote a cross-validation checkpoint (only a library driver with no
+//! caller did), so one now decodes as a [`CheckpointError::Payload`].
 
 use std::path::{Path, PathBuf};
 
@@ -57,8 +60,6 @@ use sm_ml::parallel::shard_ranges;
 
 use crate::attack::{ScoreOptions, ScoredView, TrainedAttack, VpinScore, HIST_BINS};
 use crate::durable::{self, atomic_write, fnv1a64, EnvelopeError, Format};
-use crate::error::AttackError;
-use crate::loc::LocCurveBuilder;
 
 /// Current checkpoint format version (bump policy: see the module docs).
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -101,8 +102,6 @@ pub enum CheckpointError {
     Exists(PathBuf),
     /// The requested operation cannot be checkpointed.
     Unsupported(&'static str),
-    /// The underlying attack computation failed (training a fold, ...).
-    Attack(AttackError),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -128,7 +127,6 @@ impl std::fmt::Display for CheckpointError {
                 path.display()
             ),
             CheckpointError::Unsupported(m) => write!(f, "cannot checkpoint: {m}"),
-            CheckpointError::Attack(e) => write!(f, "attack: {e}"),
         }
     }
 }
@@ -138,12 +136,6 @@ impl std::error::Error for CheckpointError {}
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         CheckpointError::Io(e)
-    }
-}
-
-impl From<AttackError> for CheckpointError {
-    fn from(e: AttackError) -> Self {
-        CheckpointError::Attack(e)
     }
 }
 
@@ -171,16 +163,14 @@ impl ViewId {
 /// and the shard size, all proven bit-identical knobs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Fingerprint {
-    /// Run kind: `"attack"`, `"pa"`, or `"xval"` — resuming an attack
-    /// checkpoint into a pa run is a refusal even with equal configs.
+    /// Run kind: `"attack"` or `"pa"` — resuming an attack checkpoint
+    /// into a pa run is a refusal even with equal configs.
     pub kind: String,
     /// FNV-1a-64 of the serialized [`crate::attack::AttackConfig`].
     pub config_hash: String,
-    /// FNV-1a-64 of the serialized [`crate::attack::TrainedParts`], or
-    /// `"-"` when no single model spans the run (cross-validation trains
-    /// one per fold).
+    /// FNV-1a-64 of the serialized [`crate::attack::TrainedParts`].
     pub model_hash: String,
-    /// The views the run scores, in order.
+    /// The view the run scores, as a one-element list.
     pub views: Vec<ViewId>,
     /// [`ScoreOptions::top_fraction`] — changes the retained top-K.
     pub top_fraction: f64,
@@ -206,25 +196,6 @@ impl Fingerprint {
             config_hash: fnv1a64(config.as_bytes()),
             model_hash: fnv1a64(parts.as_bytes()),
             views: vec![ViewId::of(view)],
-            top_fraction: options.top_fraction,
-            top_floor: options.top_floor,
-        }
-    }
-
-    /// Fingerprint of a cross-validation run over `views` (the model is
-    /// per-fold, so only the config is pinned).
-    #[must_use]
-    pub fn for_xval(
-        config: &crate::attack::AttackConfig,
-        views: &[SplitView],
-        options: &ScoreOptions,
-    ) -> Self {
-        let config = serde_json::to_string(config).expect("config serialization is infallible");
-        Self {
-            kind: "xval".to_owned(),
-            config_hash: fnv1a64(config.as_bytes()),
-            model_hash: "-".to_owned(),
-            views: views.iter().map(ViewId::of).collect(),
             top_fraction: options.top_fraction,
             top_floor: options.top_floor,
         }
@@ -301,25 +272,11 @@ pub struct ScoringState {
     pub num_view_vpins: usize,
 }
 
-/// Cross-validation cursor: the first `folds_done` folds are complete
-/// and folded into the curve accumulators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct XvalState {
-    /// Folds completed (the resume cursor).
-    pub folds_done: usize,
-    /// Test-design names of the completed folds, in fold order.
-    pub fold_names: Vec<String>,
-    /// Partial LoC-curve accumulators over the completed folds.
-    pub curve: LocCurveBuilder,
-}
-
 /// The resumable state a checkpoint carries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum RunState {
     /// Partial scoring of a single view.
     Scoring(ScoringState),
-    /// Partial cross-validation sweep.
-    Xval(XvalState),
 }
 
 /// The checksummed payload line of a checkpoint file.
@@ -360,81 +317,49 @@ impl Checkpoint {
     /// error instead of a panic.
     fn validate(&self) -> Result<(), CheckpointError> {
         let payload = |m: String| Err(CheckpointError::Payload(m));
-        match &self.state {
-            RunState::Scoring(s) => {
-                if s.slots.len() != s.targets_done {
-                    return payload(format!(
-                        "cursor says {} targets done but {} slots are recorded",
-                        s.targets_done,
-                        s.slots.len()
-                    ));
-                }
-                if s.hist.len() != HIST_BINS {
-                    return payload(format!(
-                        "histogram has {} bins, this build uses {HIST_BINS}",
-                        s.hist.len()
-                    ));
-                }
-                let total: usize = self.fingerprint.views.first().map_or(0, |v| v.num_vpins);
-                if s.targets_done > total {
-                    return payload(format!(
-                        "cursor {} is past the view's {total} v-pins",
-                        s.targets_done
-                    ));
-                }
-                if s.num_view_vpins != total {
-                    return payload(format!(
-                        "state counts {} v-pins, the fingerprint's view has {total}",
-                        s.num_view_vpins
-                    ));
-                }
-                // Targets are scored in order, so slot k is v-pin k, and
-                // every candidate is a v-pin of the view.
-                for (k, slot) in s.slots.iter().enumerate() {
-                    if slot.vpin as usize != k || slot.top.iter().any(|c| c.index as usize >= total)
-                    {
-                        return payload(format!("slot {k} is not a scoring of v-pin {k}"));
-                    }
-                }
-                // Each scored pair lands in one bin, and a target scores at
-                // most every v-pin, so the counts cannot overflow on resume.
-                let binned = s.hist.iter().try_fold(0u64, |acc, &h| acc.checked_add(h));
-                let most = (s.targets_done as u64).checked_mul(total as u64);
-                if binned != Some(s.pairs_scored) || most.is_none_or(|m| s.pairs_scored > m) {
-                    return payload(format!(
-                        "{} pairs scored do not match the histogram of {} targets",
-                        s.pairs_scored, s.targets_done
-                    ));
-                }
+        let RunState::Scoring(s) = &self.state;
+        if s.slots.len() != s.targets_done {
+            return payload(format!(
+                "cursor says {} targets done but {} slots are recorded",
+                s.targets_done,
+                s.slots.len()
+            ));
+        }
+        if s.hist.len() != HIST_BINS {
+            return payload(format!(
+                "histogram has {} bins, this build uses {HIST_BINS}",
+                s.hist.len()
+            ));
+        }
+        let total: usize = self.fingerprint.views.first().map_or(0, |v| v.num_vpins);
+        if s.targets_done > total {
+            return payload(format!(
+                "cursor {} is past the view's {total} v-pins",
+                s.targets_done
+            ));
+        }
+        if s.num_view_vpins != total {
+            return payload(format!(
+                "state counts {} v-pins, the fingerprint's view has {total}",
+                s.num_view_vpins
+            ));
+        }
+        // Targets are scored in order, so slot k is v-pin k, and
+        // every candidate is a v-pin of the view.
+        for (k, slot) in s.slots.iter().enumerate() {
+            if slot.vpin as usize != k || slot.top.iter().any(|c| c.index as usize >= total) {
+                return payload(format!("slot {k} is not a scoring of v-pin {k}"));
             }
-            RunState::Xval(x) => {
-                if x.fold_names.len() != x.folds_done {
-                    return payload(format!(
-                        "cursor says {} folds done but {} fold names are recorded",
-                        x.folds_done,
-                        x.fold_names.len()
-                    ));
-                }
-                if x.folds_done > self.fingerprint.views.len() {
-                    return payload(format!(
-                        "cursor {} is past the run's {} folds",
-                        x.folds_done,
-                        self.fingerprint.views.len()
-                    ));
-                }
-                if x.folds_done == 0 || x.curve.num_views() != x.folds_done {
-                    return payload(format!(
-                        "curve accumulators cover {} views, cursor says {}",
-                        x.curve.num_views(),
-                        x.folds_done
-                    ));
-                }
-                if let Some((name, len)) = x.curve.misshapen_accumulator() {
-                    return payload(format!(
-                        "curve accumulator {name} has {len} bins, this build uses {HIST_BINS}"
-                    ));
-                }
-            }
+        }
+        // Each scored pair lands in one bin, and a target scores at
+        // most every v-pin, so the counts cannot overflow on resume.
+        let binned = s.hist.iter().try_fold(0u64, |acc, &h| acc.checked_add(h));
+        let most = (s.targets_done as u64).checked_mul(total as u64);
+        if binned != Some(s.pairs_scored) || most.is_none_or(|m| s.pairs_scored > m) {
+            return payload(format!(
+                "{} pairs scored do not match the histogram of {} targets",
+                s.pairs_scored, s.targets_done
+            ));
         }
         Ok(())
     }
@@ -468,9 +393,8 @@ pub struct CheckpointSpec {
     /// Checkpoint file path (created/replaced atomically, deleted on
     /// completion).
     pub path: PathBuf,
-    /// Targets per shard between checkpoint writes (folds always
-    /// checkpoint once per fold). Clamped to at least 1. May differ
-    /// between the interrupted and the resuming process.
+    /// Targets per shard between checkpoint writes, clamped to at least
+    /// one. May differ between the interrupted and the resuming process.
     pub every: usize,
 }
 
@@ -559,16 +483,8 @@ pub fn score_resumable_as(
         (Resume::IfPresent, true) => {
             let checkpoint = Checkpoint::load(&spec.path)?;
             fingerprint.verify(&checkpoint.fingerprint)?;
-            match checkpoint.state {
-                RunState::Scoring(s) => s,
-                RunState::Xval(_) => {
-                    return Err(CheckpointError::Mismatch {
-                        field: "state kind",
-                        expected: "scoring".into(),
-                        found: "xval".into(),
-                    })
-                }
-            }
+            let RunState::Scoring(s) = checkpoint.state;
+            s
         }
     };
     for range in shard_ranges(n, spec.every) {

@@ -83,14 +83,8 @@ impl ScoredView {
 /// Produces bit-identical results to [`LocCurve::from_views`]: per-bin
 /// sums accumulate in view order, so the floating-point operand order is
 /// exactly the batch function's inner loop. Memory is bounded by the three
-/// `HIST_BINS` accumulator arrays instead of every scored view at once —
-/// what the paper-scale streaming cross-validation drivers rely on.
-///
-/// Serializes for checkpointing: the accumulators are plain `f64` sums
-/// and `serde_json` round-trips `f64` exactly (shortest-roundtrip
-/// printing), so a builder restored from a checkpoint continues
-/// bit-identically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// `HIST_BINS` accumulator arrays instead of every scored view at once.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocCurveBuilder {
     num_views: usize,
     acc: Vec<f64>,
@@ -113,26 +107,6 @@ impl LocCurveBuilder {
             mean_loc: vec![0.0; HIST_BINS],
             loc_fraction: vec![0.0; HIST_BINS],
         }
-    }
-
-    /// Number of views folded in so far.
-    pub fn num_views(&self) -> usize {
-        self.num_views
-    }
-
-    /// The name and length of an accumulator that does not have one entry
-    /// per histogram bin, if any: a builder decoded from a checkpoint can
-    /// carry any length, and [`Self::add_view`] and [`Self::finish`] index
-    /// every bin.
-    pub(crate) fn misshapen_accumulator(&self) -> Option<(&'static str, usize)> {
-        [
-            ("acc", &self.acc),
-            ("mean_loc", &self.mean_loc),
-            ("loc_fraction", &self.loc_fraction),
-        ]
-        .into_iter()
-        .find(|(_, bins)| bins.len() != HIST_BINS)
-        .map(|(name, bins)| (name, bins.len()))
     }
 
     /// Folds one scored view into the running per-bin averages.
@@ -382,7 +356,6 @@ mod tests {
         for v in [&a, &b, &c] {
             builder.add_view(v);
         }
-        assert_eq!(builder.num_views(), 3);
         assert_eq!(builder.finish(), batch);
     }
 

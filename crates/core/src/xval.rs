@@ -4,6 +4,10 @@
 //! N−1, keeping training and testing strictly separated — the key
 //! methodological fix over the prior work [5].
 //!
+//! [`leave_one_out`] returns every fold's [`FoldResult`] at once: the
+//! table, figure and ablation harnesses read each fold's scored view, so
+//! memory grows with the suite (N scored views plus the sample cache).
+//!
 //! Per-design samples are extracted **once** and shared across folds: a
 //! design's sample stream is seeded by its name (see
 //! [`crate::samples::view_sample_seed`]), so its samples depend only on the
@@ -24,11 +28,7 @@ use sm_ml::parallel::par_map;
 use sm_ml::Dataset;
 
 use crate::attack::{AttackConfig, ScoreOptions, ScoredView, TrainOptions, TrainedAttack};
-use crate::checkpoint::{
-    Checkpoint, CheckpointError, CheckpointSpec, Fingerprint, Resume, RunState, XvalState,
-};
 use crate::error::AttackError;
-use crate::loc::{LocCurve, LocCurveBuilder};
 use crate::neighborhood::neighborhood_radius;
 use crate::samples::{generate_view_samples, sample_base_seed, view_sample_seed};
 
@@ -151,241 +151,10 @@ pub fn leave_one_out(
     .collect()
 }
 
-/// Streaming leave-one-out driver: visits each fold in view order and
-/// hands its [`FoldResult`] to `visit`, dropping it before the next fold
-/// is trained — at most one fold's model, sample set and scored view are
-/// live at a time.
-///
-/// This is the bounded-memory path for paper-scale runs (`SM_SCALE >= 10`,
-/// where a single scored view is hundreds of megabytes and
-/// [`leave_one_out`] would hold all N at once plus the per-design sample
-/// cache). The trade-off is recomputation: each fold re-extracts its N−1
-/// training sample sets instead of sharing a cache, which is exactly
-/// [`TrainedAttack::train`] — so every fold is bit-identical to the
-/// batch driver's output (proven by the cached-vs-uncached parity test and
-/// the streaming parity test below).
-///
-/// # Errors
-///
-/// Propagates the first fold failure; returns
-/// [`AttackError::NoTrainingData`] if fewer than two views are supplied.
-pub fn for_each_fold<F>(
-    config: &AttackConfig,
-    views: &[SplitView],
-    score_options: &ScoreOptions,
-    mut visit: F,
-) -> Result<(), AttackError>
-where
-    F: FnMut(FoldResult),
-{
-    if views.len() < 2 {
-        return Err(AttackError::NoTrainingData);
-    }
-    for t in 0..views.len() {
-        visit(run_fold(config, views, t, score_options)?);
-    }
-    Ok(())
-}
-
-/// Trains and scores fold `t` from scratch — the shared unit of work of
-/// [`for_each_fold`] and [`for_each_fold_resumable`].
-fn run_fold(
-    config: &AttackConfig,
-    views: &[SplitView],
-    t: usize,
-    score_options: &ScoreOptions,
-) -> Result<FoldResult, AttackError> {
-    let test = &views[t];
-    let train: Vec<&SplitView> = views
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| *i != t)
-        .map(|(_, v)| v)
-        .collect();
-    let t0 = Instant::now();
-    let model = TrainedAttack::train(config, &train, None)?;
-    let train_time = t0.elapsed();
-    let t1 = Instant::now();
-    let scored = model.score(test, score_options);
-    let score_time = t1.elapsed();
-    Ok(FoldResult {
-        test_name: test.name.clone(),
-        scored,
-        train_time,
-        score_time,
-    })
-}
-
-/// Outcome of a resumable cross-validation sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub enum XvalOutcome {
-    /// Every fold ran; the checkpoint file has been removed.
-    Complete {
-        /// Averaged LoC curve over all folds (what an uninterrupted
-        /// [`LocCurveBuilder`] sweep over [`for_each_fold`] produces, bit
-        /// for bit).
-        curve: LocCurve,
-        /// Total folds.
-        folds: usize,
-    },
-    /// `should_stop` turned true at a fold boundary; the final checkpoint
-    /// is on disk.
-    Interrupted {
-        /// Folds completed and persisted.
-        folds_done: usize,
-        /// Total folds of the run.
-        folds_total: usize,
-    },
-}
-
-/// Crash-safe [`for_each_fold`]: checkpoints the fold cursor and the
-/// partial [`LocCurveBuilder`] accumulators after every fold, resuming
-/// from the last completed fold after a crash.
-///
-/// The checkpoint granularity is one **fold** — training is an in-memory
-/// ensemble fit and is not itself checkpointable, so a process killed
-/// mid-fold resumes from that fold's start and re-trains it. Completed
-/// folds are never recomputed, and the final curve is bit-identical to an
-/// uninterrupted sweep because [`LocCurveBuilder`] accumulates per-view
-/// sums in fold order and its `f64` state round-trips exactly through the
-/// checkpoint (`serde_json` shortest-roundtrip printing).
-///
-/// `visit` observes each fold as it completes — only newly computed folds
-/// on a resume, not replayed ones.
-///
-/// # Errors
-///
-/// Typed [`CheckpointError`]s: checkpoint i/o or corruption (a refuse, not
-/// a partial resume), fingerprint mismatch against a foreign checkpoint,
-/// [`CheckpointError::Exists`] when starting fresh over a leftover
-/// checkpoint, [`CheckpointError::Unsupported`] for explicit
-/// `score_options.targets`, and fold failures as
-/// [`CheckpointError::Attack`] (including
-/// [`AttackError::NoTrainingData`] for fewer than two views).
-#[allow(clippy::too_many_arguments)]
-pub fn for_each_fold_resumable<F>(
-    config: &AttackConfig,
-    views: &[SplitView],
-    score_options: &ScoreOptions,
-    spec: &CheckpointSpec,
-    resume: Resume,
-    should_stop: &dyn Fn() -> bool,
-    mut visit: F,
-) -> Result<XvalOutcome, CheckpointError>
-where
-    F: FnMut(FoldResult),
-{
-    if views.len() < 2 {
-        return Err(CheckpointError::Attack(AttackError::NoTrainingData));
-    }
-    if score_options.targets.is_some() {
-        return Err(CheckpointError::Unsupported(
-            "explicit score targets (cross-validation scores whole views)",
-        ));
-    }
-    let fingerprint = Fingerprint::for_xval(config, views, score_options);
-    let (folds_done, mut fold_names, mut builder) = match (resume, spec.path.exists()) {
-        (Resume::Fresh, true) => return Err(CheckpointError::Exists(spec.path.clone())),
-        (_, false) => (0, Vec::new(), LocCurveBuilder::new()),
-        (Resume::IfPresent, true) => {
-            let checkpoint = Checkpoint::load(&spec.path)?;
-            fingerprint.verify(&checkpoint.fingerprint)?;
-            let state = match checkpoint.state {
-                RunState::Xval(x) => x,
-                RunState::Scoring(_) => {
-                    return Err(CheckpointError::Mismatch {
-                        field: "state kind",
-                        expected: "xval".into(),
-                        found: "scoring".into(),
-                    })
-                }
-            };
-            let expected: Vec<&str> = views[..state.folds_done]
-                .iter()
-                .map(|v| v.name.as_str())
-                .collect();
-            if state.fold_names != expected {
-                return Err(CheckpointError::Mismatch {
-                    field: "completed folds",
-                    expected: expected.join(","),
-                    found: state.fold_names.join(","),
-                });
-            }
-            (state.folds_done, state.fold_names, state.curve)
-        }
-    };
-    for t in folds_done..views.len() {
-        let fold = run_fold(config, views, t, score_options)?;
-        builder.add_view(&fold.scored);
-        fold_names.push(fold.test_name.clone());
-        let done = t + 1;
-        visit(fold);
-        Checkpoint {
-            fingerprint: fingerprint.clone(),
-            state: RunState::Xval(XvalState {
-                folds_done: done,
-                fold_names: fold_names.clone(),
-                curve: builder.clone(),
-            }),
-        }
-        .save(&spec.path)?;
-        if done < views.len() && should_stop() {
-            return Ok(XvalOutcome::Interrupted {
-                folds_done: done,
-                folds_total: views.len(),
-            });
-        }
-    }
-    match std::fs::remove_file(&spec.path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(CheckpointError::Io(e)),
-    }
-    Ok(XvalOutcome::Complete {
-        curve: builder.finish(),
-        folds: views.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sm_layout::{SplitLayer, Suite};
-
-    #[test]
-    fn streaming_folds_match_the_batch_driver() {
-        let views = Suite::ispd2011_like(0.02)
-            .expect("valid scale")
-            .split_all(SplitLayer::new(8).expect("valid"));
-        let config = AttackConfig::imp9();
-        let opts = ScoreOptions::default();
-        let batch = leave_one_out(&config, &views, &opts).expect("batch xval runs");
-        let mut streamed = Vec::new();
-        for_each_fold(&config, &views, &opts, |fold| {
-            streamed.push((fold.test_name, fold.scored));
-        })
-        .expect("streaming xval runs");
-        assert_eq!(streamed.len(), batch.len());
-        for (b, (name, scored)) in batch.iter().zip(&streamed) {
-            assert_eq!(&b.test_name, name);
-            assert_eq!(&b.scored, scored, "fold {name} diverged");
-        }
-    }
-
-    #[test]
-    fn streaming_driver_rejects_too_few_views() {
-        let views = Suite::ispd2011_like(0.02)
-            .expect("valid scale")
-            .split_all(SplitLayer::new(8).expect("valid"));
-        let one = vec![views[0].clone()];
-        let res = for_each_fold(
-            &AttackConfig::imp9(),
-            &one,
-            &ScoreOptions::default(),
-            |_| panic!("no fold should be produced"),
-        );
-        assert!(matches!(res, Err(AttackError::NoTrainingData)));
-    }
 
     #[test]
     fn folds_cover_every_design_once() {

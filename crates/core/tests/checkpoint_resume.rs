@@ -1,5 +1,5 @@
 //! Resume bit-identity and corruption-refusal proofs for the crash-safe
-//! attack pipeline (`sm_attack::checkpoint` / `xval::for_each_fold_resumable`).
+//! attack pipeline (`sm_attack::checkpoint`).
 //!
 //! The central claims, proven the way `enumeration_parity` proves scoring ==
 //! `oracle::score`:
@@ -17,14 +17,13 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use sm_attack::attack::{AttackConfig, ScoreOptions, ScoredView, TrainedAttack};
+use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack, HIST_BINS};
 use sm_attack::checkpoint::{
     score_resumable, score_resumable_as, Checkpoint, CheckpointError, CheckpointSpec, Fingerprint,
-    Resume, RunState, ScoreOutcome, ScoringState, ViewId, XvalState, CHECKPOINT_FORMAT,
+    Resume, RunState, ScoreOutcome, ScoringState, ViewId, CHECKPOINT_FORMAT,
 };
 use sm_attack::durable::{self, EnvelopeError};
-use sm_attack::xval::{for_each_fold, for_each_fold_resumable, XvalOutcome};
-use sm_attack::{LocCurveBuilder, Parallelism};
+use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, SplitView, Suite};
 
 fn views() -> Vec<SplitView> {
@@ -378,76 +377,6 @@ fn corrupt_checkpoints_are_typed_errors_and_refuse_to_resume() {
     cleanup(&spec);
 }
 
-#[test]
-fn xval_resume_reproduces_the_uninterrupted_curve_bit_for_bit() {
-    let views = views();
-    let config = AttackConfig::imp9();
-    let opts = ScoreOptions::default();
-    // Reference: the plain streaming driver folded into a curve builder.
-    let mut reference = LocCurveBuilder::new();
-    let mut reference_names = Vec::new();
-    for_each_fold(&config, &views, &opts, |fold| {
-        reference.add_view(&fold.scored);
-        reference_names.push(fold.test_name.clone());
-    })
-    .expect("streaming xval runs");
-    let reference_curve = reference.finish();
-
-    // Uninterrupted resumable sweep.
-    let spec = temp_spec("xval_complete", 1);
-    let outcome = for_each_fold_resumable(
-        &config,
-        &views,
-        &opts,
-        &spec,
-        Resume::Fresh,
-        &|| false,
-        |_| {},
-    )
-    .expect("resumable xval runs");
-    match outcome {
-        XvalOutcome::Complete { curve, folds } => {
-            assert_eq!(folds, views.len());
-            assert_eq!(curve, reference_curve, "uninterrupted sweep diverged");
-        }
-        other => panic!("expected completion, got {other:?}"),
-    }
-    assert!(!spec.path.exists());
-
-    // Interrupted at every fold boundary; each fold visited exactly once
-    // across all legs.
-    let spec = temp_spec("xval_stepwise", 1);
-    let mut visited = Vec::new();
-    let mut legs = 0;
-    let curve = loop {
-        legs += 1;
-        assert!(legs <= views.len() + 1, "must converge in one leg per fold");
-        let resume = if legs == 1 {
-            Resume::Fresh
-        } else {
-            Resume::IfPresent
-        };
-        match for_each_fold_resumable(&config, &views, &opts, &spec, resume, &|| true, |fold| {
-            visited.push(fold.test_name.clone())
-        })
-        .expect("leg runs")
-        {
-            XvalOutcome::Complete { curve, .. } => break curve,
-            XvalOutcome::Interrupted {
-                folds_done,
-                folds_total,
-            } => {
-                assert_eq!(folds_done, legs);
-                assert_eq!(folds_total, views.len());
-            }
-        }
-    };
-    assert_eq!(visited, reference_names, "folds replayed or skipped");
-    assert_eq!(curve, reference_curve, "stepwise xval resume diverged");
-    assert!(!spec.path.exists());
-    cleanup(&spec);
-}
-
 /// Deepest `[`/`{` nesting of a JSON text, string contents skipped.
 fn nesting_depth(json: &str) -> usize {
     let (mut depth, mut deepest) = (0usize, 0usize);
@@ -475,8 +404,8 @@ fn nesting_depth(json: &str) -> usize {
     deepest
 }
 
-/// The parser refuses nesting past `serde_json::RECURSION_LIMIT`; pin both
-/// checkpoint kinds, scoring and cross-validation, well under it.
+/// The parser refuses nesting past `serde_json::RECURSION_LIMIT`; pin
+/// checkpoints well under it.
 #[test]
 fn checkpoints_nest_far_below_the_parser_depth_limit() {
     let views = views();
@@ -491,31 +420,15 @@ fn checkpoints_nest_far_below_the_parser_depth_limit() {
         &|| true,
     )
     .expect("first leg");
-    let scoring = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
+    let text = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
     cleanup(&spec);
 
-    let spec = temp_spec("depth_xval", 1);
-    for_each_fold_resumable(
-        &AttackConfig::imp9(),
-        &views,
-        &ScoreOptions::default(),
-        &spec,
-        Resume::Fresh,
-        &|| true,
-        |_| {},
-    )
-    .expect("first fold");
-    let xval = std::fs::read_to_string(&spec.path).expect("xval checkpoint");
-    cleanup(&spec);
-
-    for (kind, text) in [("scoring", scoring), ("xval", xval)] {
-        let depth = text.lines().map(nesting_depth).max().expect("two lines");
-        assert!(
-            depth <= serde_json::RECURSION_LIMIT / 8,
-            "{kind} checkpoint nests {depth} deep"
-        );
-        Checkpoint::decode(&text).expect("decodes under the limit");
-    }
+    let depth = text.lines().map(nesting_depth).max().expect("two lines");
+    assert!(
+        depth <= serde_json::RECURSION_LIMIT / 8,
+        "checkpoint nests {depth} deep"
+    );
+    Checkpoint::decode(&text).expect("decodes under the limit");
 }
 
 #[test]
@@ -535,7 +448,7 @@ fn checkpoint_bytes_are_pinned_to_the_released_format() {
         state: RunState::Scoring(ScoringState {
             targets_done: 0,
             slots: vec![],
-            hist: vec![0; sm_attack::attack::HIST_BINS],
+            hist: vec![0; HIST_BINS],
             pairs_scored: 0,
             num_view_vpins: 2,
         }),
@@ -550,56 +463,6 @@ fn checkpoint_bytes_are_pinned_to_the_released_format() {
         )
     );
     assert!(text.ends_with("}}}\n"), "one trailing newline");
-}
-
-/// `text`'s payload with the JSON list after `"key":[` emptied, re-sealed.
-fn with_emptied_list(text: &str, key: &str) -> String {
-    let payload = durable::open(&CHECKPOINT_FORMAT, text).expect("valid envelope");
-    let tag = format!("\"{key}\":[");
-    let start = payload.find(&tag).expect("list present") + tag.len();
-    let end = start + payload[start..].find(']').expect("list ends");
-    durable::seal(
-        &CHECKPOINT_FORMAT,
-        &format!("{}{}", &payload[..start], &payload[end..]),
-    )
-}
-
-/// A cross-validation checkpoint whose curve accumulators lost their bins
-/// must be refused on decode and on resume: `LocCurveBuilder::add_view`
-/// and `finish` index every bin, so it used to panic the resuming process.
-#[test]
-fn resealed_curve_accumulators_of_the_wrong_arity_are_payload_errors() {
-    let views = views();
-    let config = AttackConfig::imp9();
-    let opts = ScoreOptions::default();
-    let spec = temp_spec("xval_arity", 1);
-    let first_fold = || {
-        for_each_fold_resumable(
-            &config,
-            &views,
-            &opts,
-            &spec,
-            Resume::IfPresent,
-            &|| true,
-            |_| {},
-        )
-    };
-    first_fold().expect("first fold");
-    let good = std::fs::read_to_string(&spec.path).expect("xval checkpoint");
-    for key in ["acc", "mean_loc", "loc_fraction"] {
-        let text = with_emptied_list(&good, key);
-        let bins = format!("accumulator {key} has 0 bins");
-        match Checkpoint::decode(&text) {
-            Err(CheckpointError::Payload(m)) => assert!(m.contains(&bins), "{m}"),
-            other => panic!("{key}: {other:?}"),
-        }
-        std::fs::write(&spec.path, &text).expect("writes");
-        match first_fold() {
-            Err(CheckpointError::Payload(m)) => assert!(m.contains(&bins), "{m}"),
-            other => panic!("{key}: resume gave {other:?}"),
-        }
-    }
-    cleanup(&spec);
 }
 
 /// Scoring states that would index past the view or overflow the pair
@@ -634,9 +497,7 @@ fn resealed_scoring_states_out_of_bounds_are_payload_errors() {
     ];
     for (what, edit) in edits {
         let mut bad = good.clone();
-        let RunState::Scoring(state) = &mut bad.state else {
-            panic!("a scoring checkpoint");
-        };
+        let RunState::Scoring(state) = &mut bad.state;
         edit(state, n);
         let text = bad.encode();
         assert!(
@@ -678,68 +539,52 @@ fn mutate(payload: &str, rng: &mut ChaCha8Rng) -> String {
     String::from_utf8(bytes).expect("ASCII edits of an ASCII payload")
 }
 
-/// Decoder property on checkpoint payloads, both kinds: every edited,
-/// re-sealed payload decodes or is a `Payload` error, and every one that
-/// decodes resumes (one shard or fold at most) to a result or a typed
-/// error, never a panic.
+/// Decoder property on checkpoint payloads: every edited, re-sealed
+/// payload decodes or is a `Payload` error, and every one that decodes
+/// resumes (one shard at most) to a result or a typed error, never a panic.
 #[test]
 fn mutated_checkpoint_payloads_fail_typed_and_resume_without_panics() {
     let views = views();
-    let config = AttackConfig::imp9();
-    let model = train(&config, &views, 0);
+    let model = train(&AttackConfig::imp9(), &views, 0);
     let opts = ScoreOptions::default();
     let spec = temp_spec("mutated", 5);
     score_resumable(&model, &views[0], &opts, &spec, Resume::Fresh, &|| true).expect("first leg");
-    let scoring = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
-    // An xval checkpoint with every fold done, so a resume only finishes
-    // the curve: the accumulators are what an edit reaches.
-    let scored: ScoredView = model.score(&views[0], &opts);
-    let mut curve = sm_attack::LocCurveBuilder::new();
-    views.iter().for_each(|_| curve.add_view(&scored));
-    let xval = Checkpoint {
-        fingerprint: Fingerprint::for_xval(&config, &views, &opts),
-        state: RunState::Xval(XvalState {
-            folds_done: views.len(),
-            fold_names: views.iter().map(|v| v.name.clone()).collect(),
-            curve,
-        }),
-    }
-    .encode();
-    let payloads = [scoring, xval].map(|text| {
-        durable::open(&CHECKPOINT_FORMAT, &text)
-            .expect("valid envelope")
-            .to_owned()
-    });
+    let text = std::fs::read_to_string(&spec.path).expect("scoring checkpoint");
+    let payload = durable::open(&CHECKPOINT_FORMAT, &text).expect("valid envelope");
 
     let mut rng = ChaCha8Rng::seed_from_u64(0xc4e);
-    let mut resumed = [0usize; 2];
+    let mut resumed = 0;
     for case in 0..300 {
-        for (kind, payload) in payloads.iter().enumerate() {
-            let text = durable::seal(&CHECKPOINT_FORMAT, &mutate(payload, &mut rng));
-            match Checkpoint::decode(&text) {
-                Err(CheckpointError::Payload(_)) => continue,
-                Err(e) => panic!("case {case}: {e:?}"),
-                Ok(_) => resumed[kind] += 1,
-            }
-            std::fs::write(&spec.path, &text).expect("writes");
-            // Ok or any typed error: a fingerprint edit is a Mismatch.
-            let _ = if kind == 0 {
-                score_resumable(&model, &views[0], &opts, &spec, Resume::IfPresent, &|| true)
-                    .map(drop)
-            } else {
-                for_each_fold_resumable(
-                    &config,
-                    &views,
-                    &opts,
-                    &spec,
-                    Resume::IfPresent,
-                    &|| true,
-                    |_| {},
-                )
-                .map(drop)
-            };
+        let text = durable::seal(&CHECKPOINT_FORMAT, &mutate(payload, &mut rng));
+        match Checkpoint::decode(&text) {
+            Err(CheckpointError::Payload(_)) => continue,
+            Err(e) => panic!("case {case}: {e:?}"),
+            Ok(_) => resumed += 1,
         }
+        std::fs::write(&spec.path, &text).expect("writes");
+        // Ok or any typed error: a fingerprint edit is a Mismatch.
+        let _ = score_resumable(&model, &views[0], &opts, &spec, Resume::IfPresent, &|| true);
     }
-    assert!(resumed.iter().all(|&n| n > 0), "resumed {resumed:?}");
+    assert!(resumed > 0, "no edit kept the payload valid");
     cleanup(&spec);
+}
+
+/// Version 1 once had a cross-validation state kind that no binary wrote.
+/// A payload of that shape, sealed with a valid checksum, is now a typed
+/// payload error rather than a resumable state.
+#[test]
+fn cross_validation_checkpoints_are_payload_errors() {
+    let zeros = format!("[{}]", vec!["0.0"; HIST_BINS].join(","));
+    let payload = format!(
+        "{{\"fingerprint\":{{\"kind\":\"xval\",\"config_hash\":\"fnv1a64:0000000000000001\",\
+         \"model_hash\":\"-\",\"views\":[{{\"name\":\"sb1\",\"num_vpins\":2}},\
+         {{\"name\":\"sb5\",\"num_vpins\":3}}],\"top_fraction\":0.06,\"top_floor\":1}},\
+         \"state\":{{\"Xval\":{{\"folds_done\":1,\"fold_names\":[\"sb1\"],\"curve\":\
+         {{\"num_views\":1,\"acc\":{zeros},\"mean_loc\":{zeros},\"loc_fraction\":{zeros}}}}}}}}}"
+    );
+    let text = durable::seal(&CHECKPOINT_FORMAT, &payload);
+    match Checkpoint::decode(&text) {
+        Err(CheckpointError::Payload(m)) => assert!(m.contains("Xval"), "{m}"),
+        other => panic!("an xval payload decoded as {other:?}"),
+    }
 }

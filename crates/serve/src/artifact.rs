@@ -148,15 +148,11 @@ impl ModelArtifact {
         &self.payload
     }
 
-    /// Reconstructs the live model, re-validating schema coherence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ArtifactError::Incompatible`] if the recorded schema does
-    /// not match this build's feature set or histogram convention.
-    pub fn into_trained(self) -> Result<TrainedAttack, ArtifactError> {
-        self.validate_schema()?;
-        Ok(TrainedAttack::from_parts(self.payload.parts))
+    /// Reconstructs the live model. Every artifact is schema-coherent by
+    /// construction: [`Self::decode`] checks the schema and
+    /// [`Self::from_trained`] derives it from the model.
+    pub fn into_trained(self) -> TrainedAttack {
+        TrainedAttack::from_parts(self.payload.parts)
     }
 
     fn validate_schema(&self) -> Result<(), ArtifactError> {
@@ -275,7 +271,7 @@ pub(crate) mod tests {
         let art = ModelArtifact::from_trained(&model, TrainMeta::default());
         let back = ModelArtifact::decode(&art.encode()).expect("decodes");
         assert_eq!(art, back);
-        assert_eq!(back.into_trained().expect("coherent"), model);
+        assert_eq!(back.into_trained(), model);
     }
 
     #[test]
@@ -498,13 +494,8 @@ pub(crate) mod tests {
 
     #[test]
     fn stale_schema_is_incompatible() {
-        let art = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
-        let mut stale = art.clone();
+        let mut stale = ModelArtifact::from_trained(&small_model(), TrainMeta::default());
         stale.payload.schema.loc_hist_bins = 16;
-        assert!(matches!(
-            stale.clone().into_trained(),
-            Err(ArtifactError::Incompatible(_))
-        ));
         // Re-encoding the stale payload produces a valid checksum, so decode
         // must still reject it on schema grounds.
         assert!(matches!(
@@ -562,7 +553,7 @@ pub(crate) mod tests {
             match ModelArtifact::decode(&text) {
                 Ok(artifact) => {
                     decoded += 1;
-                    let model = artifact.into_trained().expect("decode checked the schema");
+                    let model = artifact.into_trained();
                     let width = model.config().features.len();
                     let mut prob = [f64::NAN];
                     model

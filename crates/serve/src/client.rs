@@ -235,57 +235,7 @@ impl Client {
     /// [`ClientError::Io`] on socket failure or server close,
     /// [`ClientError::Protocol`] on a malformed reply.
     pub fn recv(&mut self) -> Result<Response, ClientError> {
-        match self.wire {
-            Wire::Ndjson => self.recv_ndjson(),
-            Wire::Binary => self.recv_binary(),
-        }
-    }
-
-    fn recv_ndjson(&mut self) -> Result<Response, ClientError> {
-        let mut reply = String::new();
-        let n = self.reader.read_line(&mut reply)?;
-        if n == 0 {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection",
-            )));
-        }
-        serde_json::from_str(reply.trim_end())
-            .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))
-    }
-
-    fn recv_binary(&mut self) -> Result<Response, ClientError> {
-        let mut header = [0u8; binary::HEADER_LEN];
-        self.reader.read_exact(&mut header)?;
-        // A shed server answers with an NDJSON Busy line before any wire
-        // detection could happen (it never read our first byte). Spot
-        // the JSON opener and fall back to line framing for this reply.
-        if header[0] == b'{' {
-            let mut reply = Vec::from(header);
-            let mut rest = Vec::new();
-            self.reader.read_until(b'\n', &mut rest)?;
-            reply.extend_from_slice(&rest);
-            let text = std::str::from_utf8(&reply)
-                .map_err(|_| ClientError::Protocol("non-UTF-8 reply line".into()))?;
-            return serde_json::from_str(text.trim_end())
-                .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")));
-        }
-        let h = binary::decode_header(header, u64::MAX)
-            .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))?;
-        // The declared length is the peer's claim, not a size to reserve:
-        // memory grows only with the bytes that actually arrive.
-        let mut payload = Vec::new();
-        let n = (&mut self.reader)
-            .take(u64::from(h.len))
-            .read_to_end(&mut payload)?;
-        if n < h.len as usize {
-            return Err(ClientError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection mid-frame",
-            )));
-        }
-        binary::decode_response(h.frame_type, &payload)
-            .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))
+        read_reply(&mut self.reader, self.wire)
     }
 
     /// [`Client::call`], but a [`Response::Error`] reply becomes
@@ -303,6 +253,46 @@ impl Client {
             other => Ok(other),
         }
     }
+}
+
+/// Reads one reply as a client speaking `wire` receives it: an NDJSON
+/// line, or a binary frame. Memory grows only with the bytes that arrive,
+/// never with a length the peer declares.
+fn read_reply(reader: &mut impl BufRead, wire: Wire) -> Result<Response, ClientError> {
+    let mut line = Vec::new();
+    if wire == Wire::Binary {
+        let mut header = [0u8; binary::HEADER_LEN];
+        reader.read_exact(&mut header)?;
+        // A shed server answers with an NDJSON Busy line before any wire
+        // detection could happen (it never read our first byte). Spot
+        // the JSON opener and fall back to line framing for this reply.
+        if header[0] == b'{' {
+            line.extend_from_slice(&header);
+        } else {
+            let h = binary::decode_header(header, u64::MAX)
+                .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")))?;
+            let mut payload = Vec::new();
+            let n = reader.take(u64::from(h.len)).read_to_end(&mut payload)?;
+            if n < h.len as usize {
+                return Err(ClientError::Io(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection mid-frame",
+                )));
+            }
+            return binary::decode_response(h.frame_type, &payload)
+                .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")));
+        }
+    }
+    if reader.read_until(b'\n', &mut line)? == 0 && line.is_empty() {
+        return Err(ClientError::Io(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "server closed the connection",
+        )));
+    }
+    let text = std::str::from_utf8(&line)
+        .map_err(|_| ClientError::Protocol("non-UTF-8 reply line".into()))?;
+    serde_json::from_str(text.trim_end())
+        .map_err(|e| ClientError::Protocol(format!("unparseable response: {e}")))
 }
 
 /// Bounded-retry schedule: exponential backoff with deterministic,
@@ -969,6 +959,13 @@ fn bench_conn_pipelined(
 mod tests {
     use super::*;
 
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    use rand::RngCore;
+    use sm_attack::attack::{Cand, VpinScore};
+    use sm_attack::ScoredView;
+
     #[test]
     fn percentiles_pick_expected_ranks() {
         let lat: Vec<u64> = (1..=100).collect();
@@ -1341,5 +1338,171 @@ mod tests {
         let err = client.call(&Request::Health).expect_err("exhausts");
         assert!(matches!(err, ClientError::Busy { .. }), "{err}");
         assert_eq!(client.retries(), 2, "max_attempts bounds total work");
+    }
+
+    thread_local! {
+        /// The largest single allocation this thread has requested since
+        /// the last reset.
+        static LARGEST: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// Forwards to `System`, noting each request's size in [`LARGEST`].
+    struct LargestAllocation;
+
+    fn note(size: usize) {
+        // A const-initialized `Cell` needs no allocation to reach, and
+        // `try_with` is a no-op while the thread is being torn down.
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method forwards its arguments to `System` unchanged
+    // and returns what `System` returned.
+    unsafe impl GlobalAlloc for LargestAllocation {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note(layout.size());
+            System.alloc_zeroed(layout)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            System.dealloc(ptr, layout);
+        }
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note(new_size);
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: LargestAllocation = LargestAllocation;
+
+    /// Parses `bytes` as one reply on `wire`: the result must be `Ok` or
+    /// a typed `Io`/`Protocol` error, and no single allocation may exceed
+    /// a bound linear in the bytes given (a declared length is not one).
+    fn parse_checked(bytes: &[u8], wire: Wire, what: &str) {
+        LARGEST.with(|l| l.set(0));
+        let result = read_reply(&mut &bytes[..], wire);
+        let largest = LARGEST.with(Cell::get);
+        assert!(
+            matches!(
+                result,
+                Ok(_) | Err(ClientError::Io(_) | ClientError::Protocol(_))
+            ),
+            "{wire:?} {what}: {result:?}"
+        );
+        assert!(
+            largest <= 4096 + 16 * bytes.len(),
+            "{wire:?} {what}: a {largest}-byte allocation for {} bytes",
+            bytes.len()
+        );
+    }
+
+    /// One valid reply of each shape, as each wire carries it.
+    fn valid_replies(wire: Wire) -> Vec<Vec<u8>> {
+        let scored = ScoredView {
+            slots: vec![
+                VpinScore {
+                    vpin: 0,
+                    true_prob: Some(0.75),
+                    top: vec![Cand {
+                        p: 0.75,
+                        index: 1,
+                        dist: 12,
+                    }],
+                },
+                VpinScore {
+                    vpin: 1,
+                    true_prob: None,
+                    top: Vec::new(),
+                },
+            ],
+            hist: vec![1, 0, 2],
+            num_view_vpins: 2,
+            pairs_scored: 3,
+        };
+        let replies = [
+            health_reply("Imp-9", 9, 4),
+            Response::Scores {
+                probs: vec![0.25, 1.0],
+            },
+            Response::AttackResult {
+                summary: crate::protocol::AttackSummary {
+                    design: "sb1".into(),
+                    num_vpins: 2,
+                    pairs_scored: 3,
+                    threshold: 0.5,
+                    accuracy: 0.5,
+                    mean_loc: 1.5,
+                    max_accuracy: 0.5,
+                },
+                scored: Some(scored),
+            },
+            Response::Busy { retry_after_ms: 50 },
+            Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "no".into(),
+            },
+        ];
+        let line = |r: &Response| format!("{}\n", serde_json::to_string(r).expect("ser"));
+        let mut out: Vec<Vec<u8>> = replies
+            .iter()
+            .map(|r| match wire {
+                Wire::Ndjson => line(r).into_bytes(),
+                Wire::Binary => binary::encode_response(r),
+            })
+            .collect();
+        if wire == Wire::Binary {
+            // A shed server's NDJSON Busy line reaches binary clients too.
+            out.push(line(&Response::Busy { retry_after_ms: 50 }).into_bytes());
+        }
+        out
+    }
+
+    /// The reply parser is a decoder of untrusted bytes: valid replies
+    /// parse, and arbitrary bytes, every truncation of a valid reply and
+    /// every single-byte change of one give `Ok` or a typed
+    /// `Io`/`Protocol` error, never a panic, and never an allocation sized
+    /// by a declared length.
+    #[test]
+    fn reply_parser_is_typed_and_bounded_on_any_bytes() {
+        let mut rng = ChaCha8Rng::seed_from_u64(0x7e9);
+        for wire in [Wire::Ndjson, Wire::Binary] {
+            for _ in 0..2_000 {
+                let mut bytes = vec![0u8; rng.gen_range(0..48usize)];
+                rng.fill_bytes(&mut bytes);
+                if bytes.len() >= binary::HEADER_LEN && rng.gen_bool(0.5) {
+                    // A well-formed header declaring any length.
+                    let len = rng.next_u32();
+                    let frame_type = [
+                        binary::FRAME_JSON_RESPONSE,
+                        binary::FRAME_SCORES,
+                        binary::FRAME_ATTACK_RESULT,
+                    ][rng.gen_range(0..3usize)];
+                    bytes[..binary::HEADER_LEN]
+                        .copy_from_slice(&binary::encode_header(frame_type, len));
+                }
+                parse_checked(&bytes, wire, "arbitrary bytes");
+            }
+            let declared = binary::encode_header(binary::FRAME_SCORES, u32::MAX);
+            parse_checked(&declared, wire, "4 GiB declared");
+            for reply in valid_replies(wire) {
+                let parsed = read_reply(&mut &reply[..], wire);
+                assert!(parsed.is_ok(), "{wire:?}: {parsed:?}");
+                for cut in 0..reply.len() {
+                    parse_checked(&reply[..cut], wire, &format!("cut at {cut}"));
+                }
+                for at in 0..reply.len() {
+                    let mut changed = reply.clone();
+                    for b in 0..=u8::MAX {
+                        if b != reply[at] {
+                            changed[at] = b;
+                            parse_checked(&changed, wire, &format!("byte {at} = {b}"));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -57,7 +57,7 @@
 //!
 //! // ... checkpoint, reload, and the restored model scores bit-identically.
 //! let artifact = ModelArtifact::from_trained(&model, TrainMeta::default());
-//! let restored = ModelArtifact::decode(&artifact.encode())?.into_trained()?;
+//! let restored = ModelArtifact::decode(&artifact.encode())?.into_trained();
 //! let opts = ScoreOptions::default();
 //! assert_eq!(model.score(&views[0], &opts), restored.score(&views[0], &opts));
 //! # Ok::<(), Box<dyn std::error::Error>>(())

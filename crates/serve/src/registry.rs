@@ -547,12 +547,7 @@ impl Catalog {
         for entry in &index.entries {
             let artifact = load_entry(dir, entry)?;
             let meta = artifact.payload().meta.clone();
-            let model = artifact
-                .into_trained()
-                .map_err(|error| RegistryError::Artifact {
-                    model_id: entry.model_id.clone(),
-                    error,
-                })?;
+            let model = artifact.into_trained();
             entries.push(ModelEntry::from_trained(
                 &entry.model_id,
                 entry.checksum.clone(),

@@ -39,10 +39,7 @@ fn loaded_model_reproduces_the_loc_histogram_bit_for_bit() {
         ModelArtifact::from_trained(&fresh, TrainMeta::default())
             .save(&path)
             .expect("saves");
-        let loaded = ModelArtifact::load(&path)
-            .expect("loads")
-            .into_trained()
-            .expect("coherent");
+        let loaded = ModelArtifact::load(&path).expect("loads").into_trained();
         assert_eq!(
             fresh, loaded,
             "{}: model must survive the disk",
@@ -112,10 +109,7 @@ fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
     ModelArtifact::from_trained(&binned, TrainMeta::default())
         .save(&path)
         .expect("saves");
-    let loaded = ModelArtifact::load(&path)
-        .expect("loads")
-        .into_trained()
-        .expect("coherent");
+    let loaded = ModelArtifact::load(&path).expect("loads").into_trained();
 
     let opts = ScoreOptions::default();
     let scored_loaded = loaded.score(&views[0], &opts);

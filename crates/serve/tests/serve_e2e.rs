@@ -43,8 +43,7 @@ fn full_train_store_serve_score_lifecycle() {
     let encoded = ModelArtifact::from_trained(&fresh, TrainMeta::default()).encode();
     let served_model = ModelArtifact::decode(&encoded)
         .expect("decodes")
-        .into_trained()
-        .expect("coherent");
+        .into_trained();
 
     let handle = ServerHandle::bind(served_model, "127.0.0.1:0", test_options())
         .expect("binds an ephemeral port");
@@ -215,9 +214,7 @@ fn ndjson_and_binary_wires_are_bit_identical_end_to_end() {
     let (model, view) = trained_and_test_view();
     let local_scored = model.score(&view, &ScoreOptions::default());
     let handle = ServerHandle::bind(
-        ModelArtifact::from_trained(&model, TrainMeta::default())
-            .into_trained()
-            .expect("artifact round-trips"),
+        ModelArtifact::from_trained(&model, TrainMeta::default()).into_trained(),
         "127.0.0.1:0",
         test_options(),
     )
