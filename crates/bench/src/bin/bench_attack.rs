@@ -41,7 +41,7 @@ use serde::Serialize;
 use sm_attack::attack::{AttackConfig, ScoreOptions, ScoredView, TrainedAttack, SCORE_BATCH};
 use sm_attack::neighborhood::VpinIndex;
 use sm_attack::{oracle, PairKernel};
-use sm_bench::{peak_rss_bytes, Harness};
+use sm_bench::{env_parse, peak_rss_bytes, Harness};
 use sm_layout::SplitView;
 
 #[derive(Serialize)]
@@ -119,15 +119,6 @@ fn env_flag(name: &str, default: bool) -> bool {
         Ok("1") | Ok("true") => true,
         Err(_) => default,
         Ok(other) => panic!("{name} must be 0 or 1, got {other:?}"),
-    }
-}
-
-fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(s) => s
-            .parse()
-            .unwrap_or_else(|_| panic!("invalid {name} value {s:?}")),
     }
 }
 

@@ -15,8 +15,13 @@
 //! models are also asserted equal, so the guard doubles as an end-to-end
 //! bit-identity check on the benchmark workload.
 //!
+//! `SM_BENCH_SPLIT=4|6|8` picks the split layer (default 8). Layer-8
+//! trees are shallow; layer 6 grows the deep trees whose small nodes the
+//! fit's sparse split search serves.
+//!
 //! ```bash
 //! SM_SCALE=0.2 cargo run --release -p sm-bench --bin bench_train -- results/BENCH_train.json
+//! SM_SCALE=0.2 SM_BENCH_SPLIT=6 cargo run --release -p sm-bench --bin bench_train -- results/BENCH_train_split6.json
 //! ```
 
 use std::time::Instant;
@@ -24,7 +29,7 @@ use std::time::Instant;
 use serde::Serialize;
 use sm_attack::attack::{AttackConfig, TrainOptions, TrainedAttack};
 use sm_attack::{oracle, AttackError, Parallelism};
-use sm_bench::Harness;
+use sm_bench::{env_parse, Harness};
 use sm_layout::SplitView;
 use sm_ml::Dataset;
 
@@ -83,7 +88,7 @@ fn time_fit(
 fn main() {
     let out_path = std::env::args().nth(1);
     let harness = Harness::from_env();
-    let layer = 8u8;
+    let layer: u8 = env_parse("SM_BENCH_SPLIT", 8);
     let views = harness.views(layer);
     let train: Vec<&SplitView> = views[1..].iter().collect();
     // The paper's flagship configuration (all 11 features, neighborhood

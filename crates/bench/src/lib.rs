@@ -50,6 +50,21 @@ pub fn scale_from_env() -> f64 {
     }
 }
 
+/// Reads the environment variable `name` as a `T`, or `default` when it
+/// is unset.
+///
+/// # Panics
+///
+/// Panics, naming the variable, when it is set but does not parse.
+pub fn env_parse<T: std::str::FromStr>(name: &str, default: T) -> T {
+    match std::env::var(name) {
+        Err(_) => default,
+        Ok(s) => s
+            .parse()
+            .unwrap_or_else(|_| panic!("invalid {name} value {s:?}")),
+    }
+}
+
 /// Peak resident set size of this process in bytes (Linux `VmHWM`), or
 /// `None` where `/proc` is unavailable. Benchmarks report this as the
 /// memory bound their streaming claims rest on.

@@ -501,6 +501,12 @@ fn score_maybe_resumable(
         spec,
         *resume,
         &interrupt::requested,
+        &|done, total| {
+            eprintln!(
+                "resuming from checkpoint {} at {done}/{total} targets",
+                spec.path.display()
+            );
+        },
     )? {
         ScoreOutcome::Complete(scored) => Ok(scored),
         ScoreOutcome::Interrupted {

@@ -25,6 +25,26 @@ fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
+/// The `done/total` target cursor of the run's stderr notice that it
+/// resumed the checkpoint `ckpt`, if it printed one.
+fn resume_notice(out: &Output, ckpt: &Path) -> Option<(usize, usize)> {
+    let prefix = format!("resuming from checkpoint {} at ", ckpt.display());
+    let stderr = stderr_of(out);
+    let cursor = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix(prefix.as_str()))?;
+    let (done, total) = cursor.strip_suffix(" targets")?.split_once('/')?;
+    Some((done.parse().ok()?, total.parse().ok()?))
+}
+
+/// Requires the notice of a resumed run: a cursor past the first shard
+/// and short of the end.
+fn assert_resumed(out: &Output, ckpt: &Path) {
+    let (done, total) = resume_notice(out, ckpt)
+        .unwrap_or_else(|| panic!("no resume notice for {ckpt:?}: {}", stderr_of(out)));
+    assert!(0 < done && done < total, "cursor {done}/{total}");
+}
+
 /// Shared fixture: a generated challenge suite, a trained model artifact,
 /// and the golden (uninterrupted) attack output — built once, read by
 /// every test.
@@ -112,6 +132,8 @@ fn resume_and_compare(tag: &str, ck: &Path) {
     // No --checkpoint-every here: the resume runs with the (much larger)
     // default shard size, so the persisted cursor lands mid-shard — the
     // realign path must score the tail, not skip it.
+    let ckpt = ck.join("attack-sb1.ckpt");
+    assert!(ckpt.exists(), "{tag}: the killed run left no checkpoint");
     let out = run_in(
         &fx.dir,
         &[
@@ -137,6 +159,7 @@ fn resume_and_compare(tag: &str, ck: &Path) {
         "{tag} resume: {}",
         stderr_of(&out)
     );
+    assert_resumed(&out, &ckpt);
     let resumed = std::fs::read(fx.dir.join(&json)).expect("resumed json");
     assert_eq!(
         resumed, fx.golden,
@@ -248,6 +271,11 @@ fn resume_with_no_checkpoint_is_a_fresh_start() {
         None,
     );
     assert_eq!(out.status.code(), Some(0), "{}", stderr_of(&out));
+    assert!(
+        !stderr_of(&out).contains("resuming from checkpoint"),
+        "a fresh run must not claim a resume: {}",
+        stderr_of(&out)
+    );
     assert_eq!(
         std::fs::read(fx.dir.join(json)).expect("json written"),
         fx.golden
@@ -292,6 +320,7 @@ fn pa_sigkilled_mid_scoring_resumes_byte_identical() {
     );
     let resumed = run_in(&fx.dir, &with(&["--resume", "true"]), None);
     assert_eq!(resumed.status.code(), Some(0), "{}", stderr_of(&resumed));
+    assert_resumed(&resumed, &ck.join("pa-sb1.ckpt"));
     assert_eq!(
         resumed.stdout, golden.stdout,
         "resumed pa output differs from the uninterrupted run"

@@ -503,7 +503,6 @@ pub(crate) fn score_with(
         let mut local_slots = Vec::with_capacity(range.len());
         let nf = attack.config.features.len();
         let mut cands: Vec<u32> = Vec::new();
-        let mut legal: Vec<u32> = Vec::new();
         let mut rows: Vec<f64> = Vec::with_capacity(SCORE_BATCH * nf);
         let mut probs: Vec<f64> = Vec::with_capacity(SCORE_BATCH);
         let mut top = TopK::new(top_k);
@@ -512,26 +511,14 @@ pub(crate) fn score_with(
             let i = targets[slot_idx];
             let iu = i as usize;
             let truth = view.true_match(iu);
-            enumerate_candidates(attack, view, source, index, slot_idx, i, n, &mut cands);
+            enumerate_candidates(attack, view, source, index, slot_idx, i, drives, &mut cands);
             let mut slot = VpinScore {
                 vpin: i,
                 true_prob: None,
                 top: Vec::new(),
             };
-            // Legality-filter the enumeration, then score SCORE_BATCH
-            // candidates per kernel call.
-            legal.clear();
-            if drives[iu] {
-                legal.extend(
-                    cands
-                        .iter()
-                        .copied()
-                        .filter(|&j| j != i && !drives[j as usize]),
-                );
-            } else {
-                legal.extend(cands.iter().copied().filter(|&j| j != i));
-            }
-            for chunk in legal.chunks(SCORE_BATCH) {
+            // Score SCORE_BATCH legal candidates per kernel call.
+            for chunk in cands.chunks(SCORE_BATCH) {
                 kernel.fill_batch(i, chunk, &mut rows);
                 probs.clear();
                 probs.resize(chunk.len(), 0.0);
@@ -571,6 +558,10 @@ pub(crate) fn score_with(
     }
 }
 
+/// Writes the legal candidates of target `i` to `out` (cleared first):
+/// the pairs [`SplitView::is_legal_pair`] allows, picked by the spatial
+/// index's driver/sink lists where there is one, filtered by the `drives`
+/// flags while enumerating otherwise.
 #[allow(clippy::too_many_arguments)]
 fn enumerate_candidates(
     attack: &TrainedAttack,
@@ -579,31 +570,30 @@ fn enumerate_candidates(
     index: Option<&VpinIndex>,
     slot_idx: usize,
     i: u32,
-    n: usize,
+    drives: &[bool],
     out: &mut Vec<u32>,
 ) {
+    let iu = i as usize;
+    let legal = |j: u32| j != i && !(drives[iu] && drives[j as usize]);
+    out.clear();
     match source {
         CandidateSource::Explicit(lists) => {
-            out.clear();
-            out.extend_from_slice(&lists[slot_idx]);
-            out.retain(|&j| j != i);
+            out.extend(lists[slot_idx].iter().copied().filter(|&j| legal(j)));
         }
         CandidateSource::Config => {
-            let iu = i as usize;
             if attack.config.limit_diff_vpin_y {
                 let index = index.expect("index exists for Y-limited configs");
-                index.same_y(view.vpins()[iu].loc.y, i, out);
+                index.partners_same_y(view, iu, out);
                 if let Some(r) = attack.radius {
                     out.retain(|&j| view.distance(iu, j as usize) <= r);
                 }
             } else if let Some(r) = attack.radius {
                 let index = index.expect("index exists for neighborhood configs");
-                index.within_radius_unordered(view, view.vpins()[iu].loc, r, i, out);
+                index.partners_within_radius(view, iu, r, out);
             } else {
-                // Unrestricted (`ML`) configuration: every other v-pin is
-                // a candidate.
-                out.clear();
-                out.extend((0..n as u32).filter(|&j| j != i));
+                // Unrestricted (`ML`) configuration: every legal v-pin is a
+                // candidate.
+                out.extend((0..drives.len() as u32).filter(|&j| legal(j)));
             }
         }
     }

@@ -449,11 +449,22 @@ pub fn score_resumable(
     resume: Resume,
     should_stop: &dyn Fn() -> bool,
 ) -> Result<ScoreOutcome, CheckpointError> {
-    score_resumable_as("attack", model, view, options, spec, resume, should_stop)
+    score_resumable_as(
+        "attack",
+        model,
+        view,
+        options,
+        spec,
+        resume,
+        should_stop,
+        &|_, _| {},
+    )
 }
 
 /// [`score_resumable`] with an explicit run kind (`"attack"` / `"pa"`),
-/// so a proximity-attack checkpoint can never resume a plain attack run.
+/// so a proximity-attack checkpoint can never resume a plain attack run,
+/// and `on_resume`, called with the loaded cursor (targets done, targets
+/// in all) before any scoring when a checkpoint is resumed.
 #[allow(clippy::too_many_arguments)]
 pub fn score_resumable_as(
     kind: &str,
@@ -463,6 +474,7 @@ pub fn score_resumable_as(
     spec: &CheckpointSpec,
     resume: Resume,
     should_stop: &dyn Fn() -> bool,
+    on_resume: &dyn Fn(usize, usize),
 ) -> Result<ScoreOutcome, CheckpointError> {
     if options.targets.is_some() {
         return Err(CheckpointError::Unsupported(
@@ -484,6 +496,7 @@ pub fn score_resumable_as(
             let checkpoint = Checkpoint::load(&spec.path)?;
             fingerprint.verify(&checkpoint.fingerprint)?;
             let RunState::Scoring(s) = checkpoint.state;
+            on_resume(s.targets_done, n);
             s
         }
     };

@@ -303,8 +303,8 @@ impl PairKernel {
     }
 
     /// Per-v-pin driver flags (`VPin::drives`), one byte per pin — the
-    /// legality filter reads this instead of dereferencing whole `VPin`
-    /// structs per candidate.
+    /// scoring loop's unindexed candidate sources check legality with this
+    /// instead of dereferencing whole `VPin` structs per candidate.
     pub fn drives(&self) -> &[bool] {
         &self.drives
     }

@@ -112,6 +112,9 @@ pub struct VpinIndex {
     /// [`SplitView::is_legal_pair`]).
     sink_buckets: Vec<Vec<u32>>,
     by_y: HashMap<i64, Vec<u32>>,
+    /// Per track, the non-driving v-pins of `by_y`, in ascending index
+    /// order: a driver's legal partners on its track.
+    sink_by_y: HashMap<i64, Vec<u32>>,
 }
 
 impl VpinIndex {
@@ -125,19 +128,22 @@ impl VpinIndex {
         let mut buckets = vec![Vec::new(); grid.len()];
         let mut sink_buckets = vec![Vec::new(); grid.len()];
         let mut by_y: HashMap<i64, Vec<u32>> = HashMap::new();
+        let mut sink_by_y: HashMap<i64, Vec<u32>> = HashMap::new();
         for (i, vp) in view.vpins().iter().enumerate() {
             let flat = grid.flat_of(vp.loc);
             buckets[flat].push(i as u32);
+            by_y.entry(vp.loc.y).or_default().push(i as u32);
             if !vp.drives() {
                 sink_buckets[flat].push(i as u32);
+                sink_by_y.entry(vp.loc.y).or_default().push(i as u32);
             }
-            by_y.entry(vp.loc.y).or_default().push(i as u32);
         }
         Self {
             grid,
             buckets,
             sink_buckets,
             by_y,
+            sink_by_y,
         }
     }
 
@@ -276,6 +282,27 @@ impl VpinIndex {
         out.clear();
         if let Some(list) = self.by_y.get(&y) {
             out.extend(list.iter().copied().filter(|&j| j != exclude));
+        }
+    }
+
+    /// The legal partners of v-pin `i` on its own track: [`Self::same_y`]
+    /// at `i`'s y, excluding `i`, with [`SplitView::is_legal_pair`] applied
+    /// by the choice of list, as [`Self::partners_within_radius`] does.
+    /// Written to `out` (cleared first) in ascending index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a v-pin of `view`.
+    pub fn partners_same_y(&self, view: &SplitView, i: usize, out: &mut Vec<u32>) {
+        let vp = &view.vpins()[i];
+        let tracks = if vp.drives() {
+            &self.sink_by_y
+        } else {
+            &self.by_y
+        };
+        out.clear();
+        if let Some(list) = tracks.get(&vp.loc.y) {
+            out.extend(list.iter().copied().filter(|&j| j != i as u32));
         }
     }
 

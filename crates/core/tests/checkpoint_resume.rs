@@ -263,6 +263,7 @@ fn mismatched_runs_are_typed_refusals_naming_the_field() {
         &spec,
         Resume::IfPresent,
         &|| false,
+        &|_, _| panic!("a foreign kind must not resume"),
     )
     .expect_err("foreign kind must refuse");
     assert_eq!(mismatch_field(err), "run kind");

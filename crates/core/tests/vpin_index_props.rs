@@ -161,6 +161,15 @@ proptest! {
             .filter(|&j| j != probe as u32 && view.vpins()[j as usize].loc.y == y)
             .collect();
         prop_assert_eq!(&out, &brute);
+        // The probe's legal partners on its track: that list filtered by
+        // `is_legal_pair`, in the same order.
+        idx.partners_same_y(&view, probe, &mut out);
+        let legal: Vec<u32> = brute
+            .iter()
+            .copied()
+            .filter(|&j| view.is_legal_pair(probe, j as usize))
+            .collect();
+        prop_assert_eq!(&out, &legal);
         // A y no v-pin occupies yields the empty set.
         idx.same_y(-7, u32::MAX, &mut out);
         prop_assert!(out.is_empty());

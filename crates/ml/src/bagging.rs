@@ -15,7 +15,7 @@ use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::learners::TreeLearner;
 use crate::parallel::{par_map, Parallelism};
-use crate::tree::Tree;
+use crate::tree::{FitData, Tree};
 
 /// Default number of REPTrees in Weka's `Bagging` meta-classifier.
 pub const DEFAULT_BAGGING_TREES: usize = 10;
@@ -94,7 +94,8 @@ impl Bagging {
     /// [`Bagging::fit`] with an explicit [`Parallelism`] setting. Each tree
     /// derives its own RNG from `seed` and its tree index, so members are
     /// independent of fit order and the ensemble is bit-identical across
-    /// every parallelism setting.
+    /// every parallelism setting. The members share one [`FitData`], built
+    /// here and dropped on return.
     ///
     /// # Errors
     ///
@@ -107,11 +108,12 @@ impl Bagging {
         parallelism: Parallelism,
     ) -> Result<Self, TrainError> {
         data.check_trainable()?;
+        let fit = FitData::new(data);
         let trees = par_map(parallelism, n_trees, |t| {
             let mut rng =
                 ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
             let idx = data.bootstrap_indices(&mut rng);
-            learner.fit_tree(data, &idx, &mut rng)
+            learner.fit_tree_on(&fit, &idx, &mut rng)
         })
         .into_iter()
         .collect::<Result<Vec<Tree>, TrainError>>()?;

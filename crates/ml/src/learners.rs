@@ -14,12 +14,25 @@ use serde::{Deserialize, Serialize};
 
 use crate::data::Dataset;
 use crate::error::TrainError;
-use crate::tree::{Tree, TreeParams};
+use crate::tree::{FitData, Tree, TreeParams};
 
 /// A strategy for fitting one decision tree on an index subset.
 ///
 /// Implementations must be deterministic given the RNG state.
 pub trait TreeLearner {
+    /// Fits one tree on the samples selected by `idx` from a dataset
+    /// prepared once for many fits (an ensemble's members share one).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainError::EmptyDataset`] if `idx` is empty.
+    fn fit_tree_on(
+        &self,
+        fit: &FitData<'_>,
+        idx: &[u32],
+        rng: &mut ChaCha8Rng,
+    ) -> Result<Tree, TrainError>;
+
     /// Fits one tree on the samples selected by `idx`.
     ///
     /// # Errors
@@ -30,14 +43,16 @@ pub trait TreeLearner {
         data: &Dataset,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
-    ) -> Result<Tree, TrainError>;
+    ) -> Result<Tree, TrainError> {
+        self.fit_tree_on(&FitData::new(data), idx, rng)
+    }
 }
 
 /// Reduced-Error-Pruning tree (Weka `REPTree`).
 ///
-/// Grows on `grow_fraction` of the index set, prunes any subtree that does
-/// not beat a single leaf on the held-out remainder, then backfits Eq. (1)
-/// leaf counts from the full index set. Pruned trees are smaller and
+/// Grows on `grow_fraction` of the index set and prunes any subtree that
+/// does not beat a single leaf on the held-out remainder; the Eq. (1) leaf
+/// counts are those of the full index set, taken during pruning. Pruned trees are smaller and
 /// generalise better, which is what lets Bagging get away with 10 of them
 /// where RandomForest needs 100 RandomTrees.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,17 +76,17 @@ impl Default for RepTreeLearner {
     }
 }
 
-/// The tree grower a learner runs: [`Tree::fit`], or the oracle's scan
+/// The tree grower a learner runs: [`Tree::fit_on`], or the oracle's scan
 /// ([`crate::oracle::fit_tree`]) in the oracle learners.
 pub(crate) type GrowFn =
-    fn(&Dataset, &[u32], TreeParams, &mut ChaCha8Rng) -> Result<Tree, TrainError>;
+    fn(&FitData<'_>, &[u32], TreeParams, &mut ChaCha8Rng) -> Result<Tree, TrainError>;
 
 impl RepTreeLearner {
-    /// Grows with `grow`, prunes and backfits.
+    /// Grows with `grow` and prunes.
     pub(crate) fn fit_tree_with(
         &self,
         grow: GrowFn,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
@@ -80,24 +95,23 @@ impl RepTreeLearner {
         }
         if idx.len() < 4 {
             // Too small to hold anything out; grow unpruned.
-            return grow(data, idx, self.params, rng);
+            return grow(fit, idx, self.params, rng);
         }
         let (grow_idx, held) = split_indices(idx, self.grow_fraction, rng);
-        let mut tree = grow(data, &grow_idx, self.params, rng)?;
-        tree.prune_with(data, &held);
-        tree.backfit(data, idx);
+        let mut tree = grow(fit, &grow_idx, self.params, rng)?;
+        tree.prune_with(fit.data(), &held);
         Ok(tree)
     }
 }
 
 impl TreeLearner for RepTreeLearner {
-    fn fit_tree(
+    fn fit_tree_on(
         &self,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        self.fit_tree_with(Tree::fit, data, idx, rng)
+        self.fit_tree_with(Tree::fit_on, fit, idx, rng)
     }
 }
 
@@ -129,11 +143,11 @@ impl RandomTreeLearner {
     pub(crate) fn fit_tree_with(
         &self,
         grow: GrowFn,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        let m = data.num_features().max(1);
+        let m = fit.data().num_features().max(1);
         let k = self
             .k
             .unwrap_or_else(|| (m as f64).log2().floor() as usize + 1)
@@ -142,18 +156,18 @@ impl RandomTreeLearner {
             feature_subset: Some(k),
             ..self.params
         };
-        grow(data, idx, params, rng)
+        grow(fit, idx, params, rng)
     }
 }
 
 impl TreeLearner for RandomTreeLearner {
-    fn fit_tree(
+    fn fit_tree_on(
         &self,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        self.fit_tree_with(Tree::fit, data, idx, rng)
+        self.fit_tree_with(Tree::fit_on, fit, idx, rng)
     }
 }
 

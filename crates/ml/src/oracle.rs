@@ -1,6 +1,7 @@
 //! Test oracles for tree training: the per-node scan that [`Tree::fit`]'s
-//! histogram kernel is checked against, and REPTree and RandomTree
-//! learners built on it.
+//! histogram kernel is checked against, the per-tree sort of
+//! [`quantile_thresholds`], the sample walk of [`backfit`], and REPTree and
+//! RandomTree learners built on them.
 //!
 //! Nothing in the product trains with these. The parity suites, the
 //! property tests and the training benchmark fit the same data both ways
@@ -11,10 +12,11 @@
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::binned::quantile_midpoints;
 use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::learners::TreeLearner;
-use crate::tree::{entropy, quantile_thresholds, split_samples, FeatureOrder, Tree, TreeParams};
+use crate::tree::{entropy, split_samples, FeatureOrder, FitData, Tree, TreeParams};
 
 /// Fits a tree by scanning every candidate threshold of every node: a
 /// binary search per sample per candidate feature. Grows the same tree as
@@ -49,19 +51,34 @@ pub fn fit_tree<R: Rng>(
     Ok(tree)
 }
 
+/// The oracle grower in the shape [`crate::learners::RepTreeLearner`] and
+/// [`crate::learners::RandomTreeLearner`] take: [`fit_tree`] on the
+/// prepared set's dataset, never reading its presort.
+fn grow(
+    fit: &FitData<'_>,
+    idx: &[u32],
+    params: TreeParams,
+    rng: &mut ChaCha8Rng,
+) -> Result<Tree, TrainError> {
+    fit_tree(fit.data(), idx, params, rng)
+}
+
 /// [`crate::learners::RepTreeLearner`] growing its trees with
-/// [`fit_tree`]; pruning and backfitting are the product learner's own.
+/// [`fit_tree`]; pruning is the product learner's own, and the Eq. (1)
+/// counts it leaves are re-derived by [`backfit`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RepTreeLearner(pub crate::learners::RepTreeLearner);
 
 impl TreeLearner for RepTreeLearner {
-    fn fit_tree(
+    fn fit_tree_on(
         &self,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        self.0.fit_tree_with(fit_tree, data, idx, rng)
+        let mut tree = self.0.fit_tree_with(grow, fit, idx, rng)?;
+        backfit(&mut tree, fit.data(), idx);
+        Ok(tree)
     }
 }
 
@@ -71,14 +88,78 @@ impl TreeLearner for RepTreeLearner {
 pub struct RandomTreeLearner(pub crate::learners::RandomTreeLearner);
 
 impl TreeLearner for RandomTreeLearner {
-    fn fit_tree(
+    fn fit_tree_on(
         &self,
-        data: &Dataset,
+        fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        self.0.fit_tree_with(fit_tree, data, idx, rng)
+        self.0.fit_tree_with(grow, fit, idx, rng)
     }
+}
+
+/// Re-derives every node's class counts by walking each sample of `idx`
+/// from the root (the paper's Eq. (1) counts of the *full* training set).
+/// A REPTree's pruning leaves these counts on its nodes already; this is
+/// the independent walk that checks them.
+///
+/// # Panics
+///
+/// Panics if an index of `idx` is not a row of `data`, or `data` has fewer
+/// features than the tree splits on.
+pub fn backfit(tree: &mut Tree, data: &Dataset, idx: &[u32]) {
+    let nodes = tree.nodes_mut();
+    for n in nodes.iter_mut() {
+        n.pos = 0;
+        n.neg = 0;
+    }
+    for &i in idx {
+        let x = data.row(i as usize);
+        let label = data.label(i as usize);
+        let mut at = 0usize;
+        loop {
+            let n = &mut nodes[at];
+            if label {
+                n.pos += 1;
+            } else {
+                n.neg += 1;
+            }
+            if n.is_leaf() {
+                break;
+            }
+            at = if x[n.feature as usize] <= n.threshold {
+                n.left as usize
+            } else {
+                n.right as usize
+            };
+        }
+    }
+}
+
+/// Per-feature candidate thresholds: midpoints between adjacent distinct
+/// quantile values of the training samples, by a sort of each feature's
+/// values per tree. [`Tree::fit`] derives the same thresholds from a sort
+/// made once per ensemble.
+///
+/// Values sort by [`f64::total_cmp`], which is a total order even in the
+/// presence of NaN (NaNs collect at the end instead of silently misordering
+/// the column the way `partial_cmp(..).unwrap_or(Equal)` did). `-0.0` sorts
+/// before `0.0` under `total_cmp`, but the `dedup()` right after compares
+/// with `==` (where `-0.0 == 0.0`), so exactly one representative of the
+/// pair survives — and since any midpoint computed from either compares
+/// identically against every sample, the chosen representative does not
+/// affect the grown tree.
+pub fn quantile_thresholds(data: &Dataset, idx: &[u32], bins: usize) -> Vec<Vec<f64>> {
+    let mut vals: Vec<f64> = Vec::with_capacity(idx.len());
+    (0..data.num_features())
+        .map(|j| {
+            vals.clear();
+            vals.extend(idx.iter().map(|&i| data.feature(i as usize, j)));
+            vals.sort_by(f64::total_cmp);
+            vals.dedup();
+            quantile_midpoints(&vals, bins)
+        })
+        .collect()
 }
 
 /// Grows the subtree of `idx` at `depth` into `tree` by scanning every
