@@ -11,9 +11,11 @@
 //! spatial grid queries vs the all-pairs scan, and the process peak RSS.
 //! Exits nonzero if the shipped path is not faster than the oracle, if
 //! the compiled kernel is not faster than the per-pair kernel on the same
-//! pairs, if spatial enumeration is not faster than the all-pairs scan,
-//! or if the shipped `ScoredView` diverges from the oracle's — the CI
-//! guards against performance and correctness regressions.
+//! pairs, if the index and the all-pairs scan enumerate different legal
+//! partners, if at split layer 6 or below spatial enumeration is less
+//! than [`MIN_ENUM_SPEEDUP`] times as fast as the scan, or if the shipped
+//! `ScoredView` diverges from the oracle's — the CI guards against
+//! performance and correctness regressions.
 //!
 //! ```bash
 //! SM_SCALE=0.2 cargo run --release -p sm-bench --bin bench_attack -- results/BENCH_attack.json
@@ -44,6 +46,18 @@ use sm_attack::{oracle, PairKernel};
 use sm_bench::{env_parse, peak_rss_bytes, Harness};
 use sm_layout::SplitView;
 
+/// The all-pairs scan must take at least this many times as long as the
+/// index query in the same run, at split layers up to
+/// [`MAX_ENUM_GATED_LAYER`]. On a 2-vCPU host a layer-6 run at
+/// `SM_SCALE=0.2` gives 1.5-2.6x, and a build whose query scans every
+/// v-pin 0.87-1.07x.
+const MIN_ENUM_SPEEDUP: f64 = 1.3;
+
+/// Deepest split layer whose enumeration speedup is gated. Layer 8 has
+/// few v-pins per design (78 on sb1 at `SM_SCALE=0.2`), too few partners
+/// per target for the grid to beat a scan, so its ratio is reported only.
+const MAX_ENUM_GATED_LAYER: u8 = 6;
+
 #[derive(Serialize)]
 struct KernelResult {
     best_s: f64,
@@ -70,11 +84,10 @@ struct StageSplit {
 
 #[derive(Serialize)]
 struct EnumStage {
-    /// Candidate pairs enumerated per full pass (before legality
-    /// filtering).
+    /// Legal candidate pairs enumerated per full pass (both directions).
     pairs_enumerated: u64,
     /// Best full-pass time of the spatial grid queries
-    /// (`within_radius_unordered` per target).
+    /// (`partners_within_radius` per target).
     spatial_best_s: f64,
     /// Spatial enumeration cost per enumerated pair.
     spatial_ns_per_pair: f64,
@@ -233,12 +246,14 @@ fn stage_split(model: &TrainedAttack, view: &SplitView, iters: usize) -> StageSp
     }
 }
 
-/// Times candidate enumeration alone — the stage the spatial grid
-/// replaces — normalised per enumerated pair: radius queries against the
-/// [`VpinIndex`] versus the per-target all-pairs distance scan (the exact
-/// loop the attack ran before the spatial path existed). Returns `None`
-/// for configurations without a neighborhood radius, where both
-/// enumerations are the same trivial scan.
+/// Times candidate enumeration alone, normalised per enumerated pair:
+/// the legal partners within the neighborhood radius of every target,
+/// from the [`VpinIndex`] query scoring runs
+/// (`partners_within_radius`) and from the per-target all-pairs scan
+/// with the legality filter (the loop `oracle::score` runs). Asserts
+/// both give every target the same partner set. Returns `None` for
+/// configurations without a neighborhood radius, where both
+/// enumerations are the same scan.
 fn enumeration_split(
     model: &TrainedAttack,
     view: &SplitView,
@@ -247,16 +262,21 @@ fn enumeration_split(
 ) -> Option<EnumStage> {
     let radius = model.radius()?;
     let n = view.num_vpins();
-    let vpins = view.vpins();
     let mut out: Vec<u32> = Vec::new();
     let index = VpinIndex::with_radius(view, radius);
+    let scan = |i: usize, out: &mut Vec<u32>| {
+        out.clear();
+        out.extend((0..n as u32).filter(|&j| {
+            view.distance(i, j as usize) <= radius && view.is_legal_pair(i, j as usize)
+        }));
+    };
     let mut pairs = 0u64;
     let mut spatial_best = f64::INFINITY;
     for pass in 0..=iters {
         let t = Instant::now();
         let mut count = 0u64;
-        for i in 0..n as u32 {
-            index.within_radius_unordered(view, vpins[i as usize].loc, radius, i, &mut out);
+        for i in 0..n {
+            index.partners_within_radius(view, i, radius, &mut out);
             count += out.len() as u64;
         }
         let dt = t.elapsed().as_secs_f64();
@@ -267,23 +287,29 @@ fn enumeration_split(
     }
     let (mut all_pairs_best, mut all_ns, mut speedup) = (None, None, None);
     if oracle {
+        let mut expect: Vec<u32> = Vec::new();
+        for i in 0..n {
+            index.partners_within_radius(view, i, radius, &mut out);
+            out.sort_unstable();
+            scan(i, &mut expect);
+            assert_eq!(out, expect, "v-pin {i}: the index and the scan disagree");
+        }
         let mut best = f64::INFINITY;
         for pass in 0..=iters {
             let t = Instant::now();
             let mut count = 0u64;
             for i in 0..n {
-                let loc = vpins[i].loc;
-                out.clear();
-                out.extend((0..n as u32).filter(|&j| {
-                    j as usize != i && vpins[j as usize].loc.manhattan(loc) <= radius
-                }));
+                scan(i, &mut out);
                 count += out.len() as u64;
             }
             let dt = t.elapsed().as_secs_f64();
             if pass > 0 {
                 best = best.min(dt);
             }
-            assert_eq!(count, pairs, "oracle scan enumerated a different pair set");
+            assert_eq!(
+                count, pairs,
+                "oracle scan enumerated a different pair count"
+            );
         }
         all_pairs_best = Some(best);
         all_ns = Some(best * 1e9 / pairs.max(1) as f64);
@@ -418,20 +444,19 @@ fn main() {
         }
     }
     if let Some(ref e) = report.enumeration {
-        match (e.all_pairs_best_s, e.all_pairs_ns_per_pair) {
-            (Some(all_s), Some(all_ns)) if e.spatial_best_s >= all_s => {
+        match (e.enumeration_speedup, e.all_pairs_ns_per_pair) {
+            (Some(ratio), Some(all_ns)) => {
                 eprintln!(
-                    "[bench_attack] FAIL: spatial enumeration ({:.2} ns/pair) is not faster than the all-pairs scan ({all_ns:.2} ns/pair)",
-                    e.spatial_ns_per_pair
+                    "[bench_attack] enumeration {ratio:.2}x faster than the all-pairs scan ({:.2} vs {all_ns:.2} ns/pair over {} pairs)",
+                    e.spatial_ns_per_pair, e.pairs_enumerated
                 );
-                failed = true;
+                if layer <= MAX_ENUM_GATED_LAYER && ratio < MIN_ENUM_SPEEDUP {
+                    eprintln!(
+                        "[bench_attack] FAIL: enumeration speedup {ratio:.2}x is below {MIN_ENUM_SPEEDUP} at split layer {layer}"
+                    );
+                    failed = true;
+                }
             }
-            (Some(_), Some(all_ns)) => eprintln!(
-                "[bench_attack] enumeration {:.2}x faster ({:.2} vs {all_ns:.2} ns/pair over {} pairs)",
-                e.enumeration_speedup.unwrap_or(f64::NAN),
-                e.spatial_ns_per_pair,
-                e.pairs_enumerated
-            ),
             _ => eprintln!(
                 "[bench_attack] spatial enumeration {:.2} ns/pair over {} pairs (oracle skipped)",
                 e.spatial_ns_per_pair, e.pairs_enumerated

@@ -16,10 +16,8 @@ use sm_attack::Parallelism;
 use sm_layout::io::{read_challenge, write_challenge, write_truth};
 use sm_layout::{SplitLayer, SplitView, Suite};
 use sm_serve::artifact::{ArtifactError, ModelArtifact, TrainMeta};
-use sm_serve::client::{
-    bench, AttackWorkload, BenchConfig, Client, ClientError, ClientTimeouts, RetryPolicy,
-};
-use sm_serve::protocol::{Request, Response, Wire};
+use sm_serve::client::{Client, ClientError};
+use sm_serve::protocol::{Request, Response};
 use sm_serve::registry::{publish, verify, RegistryError, RegistryIndex};
 use sm_serve::server::{
     event_loop_count, pool_size, serve_source_with, ModelSource, ServeOptions, ShadowConfig,
@@ -41,7 +39,7 @@ pub enum CliError {
     Attack(sm_attack::AttackError),
     /// A model artifact failed to load, validate, or save.
     Artifact(ArtifactError),
-    /// A `bench-serve` client failure.
+    /// A client failure talking to a running server (`models --addr`).
     Client(ClientError),
     /// A model registry failed to load, validate, or accept a publish.
     Registry(RegistryError),
@@ -204,26 +202,6 @@ pub fn dispatch(args: &Args) -> Result<(), CliError> {
             args.check_known(&["registry", "addr", "verify"])?;
             cmd_models(args)
         }
-        "bench-serve" => {
-            args.check_known(&[
-                "addr",
-                "connections",
-                "requests",
-                "batch",
-                "json",
-                "seed",
-                "retries",
-                "timeout-ms",
-                "model-id",
-                "wire",
-                "pipeline",
-                "attack-dir",
-                "attack-target",
-                "attack-detail",
-                "attack-threshold",
-            ])?;
-            cmd_bench_serve(args)
-        }
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -264,14 +242,6 @@ pub fn print_help() {
          \x20             [--max-queue 0] [--event-loops 0]           TCP inference server (ndjson+binary)\n\
          \x20 models      (--registry DIR [--verify true]\n\
          \x20             | --addr HOST:PORT)                         list / verify models\n\
-         \x20 bench-serve --addr HOST:PORT [--connections 4]\n\
-         \x20             [--requests 50] [--batch 64] [--json FILE]\n\
-         \x20             [--retries 3] [--timeout-ms 30000]\n\
-         \x20             [--model-id ID] [--wire ndjson]\n\
-         \x20             [--pipeline 1]\n\
-         \x20             [--attack-dir DIR --attack-target NAME\n\
-         \x20             [--attack-detail false]\n\
-         \x20             [--attack-threshold 0.5]]                   load-test a running server\n\
          \x20 help                                                    this text\n\
          \n\
          configs: ml-9, imp-9, imp-7, imp-11, and Y variants (imp-9y, ...)\n\
@@ -280,18 +250,13 @@ pub fn print_help() {
          --model FILE loads a 'train' artifact instead of retraining; the\n\
          artifact records its own configuration, so --config is rejected.\n\
          serve timeouts/caps take 0 to disable (--max-queue 0 = 2x pool);\n\
-         an overloaded server sheds connections with a Busy reply, which\n\
-         bench-serve retries up to --retries times with backoff.\n\
+         an overloaded server sheds connections with a Busy reply.\n\
          the server speaks two wires on one port, detected per connection\n\
          from the first byte: NDJSON (v1) and length-prefixed binary\n\
-         frames (v2, --wire binary on bench-serve). --event-loops 0 sizes\n\
-         the reactor from the CPU count; scoring workers batch concurrent\n\
-         same-model requests that are already queued, never waiting for\n\
-         more (scores are bit-identical either way). bench-serve\n\
-         --pipeline N keeps N requests in flight per connection;\n\
-         --attack-dir/--attack-target switch the workload to\n\
-         whole-challenge Attack requests (--attack-detail true returns the\n\
-         full scored view).\n\
+         frames (v2). --event-loops 0 sizes the reactor from the CPU\n\
+         count; scoring workers batch concurrent same-model requests that\n\
+         are already queued, never waiting for more (scores are\n\
+         bit-identical either way).\n\
          a registry is a directory of checksummed artifacts plus an index;\n\
          'train --registry' publishes into it atomically, 'serve --registry'\n\
          hosts every entry (requests route with \"model_id\", absent = the\n\
@@ -1035,72 +1000,6 @@ fn cmd_models(args: &Args) -> Result<(), CliError> {
     }
 }
 
-fn cmd_bench_serve(args: &Args) -> Result<(), CliError> {
-    let addr: String = args
-        .get_str("addr")
-        .ok_or_else(|| CliError::Usage("--addr HOST:PORT required".into()))?
-        .into();
-    let defaults = BenchConfig::default();
-    let io_ms: u64 = args.get_or("timeout-ms", defaults.timeouts.io_ms)?;
-    let attack = match (args.get_str("attack-dir"), args.get_str("attack-target")) {
-        (None, None) => None,
-        (Some(dir), Some(target)) => {
-            let base = Path::new(dir).join(target);
-            Some(AttackWorkload {
-                challenge: fs::read_to_string(base.with_extension("challenge"))?,
-                truth: fs::read_to_string(base.with_extension("truth"))?,
-                threshold: args.get_or("attack-threshold", 0.5)?,
-                detail: args.get_or("attack-detail", false)?,
-            })
-        }
-        _ => {
-            return Err(CliError::Usage(
-                "--attack-dir and --attack-target go together".into(),
-            ))
-        }
-    };
-    if attack.is_none()
-        && (args.get_str("attack-threshold").is_some() || args.get_str("attack-detail").is_some())
-    {
-        return Err(CliError::Usage(
-            "--attack-threshold/--attack-detail require --attack-dir and --attack-target".into(),
-        ));
-    }
-    let config = BenchConfig {
-        connections: args.get_or("connections", defaults.connections)?,
-        requests_per_connection: args.get_or("requests", defaults.requests_per_connection)?,
-        batch_size: args.get_or("batch", defaults.batch_size)?,
-        seed: args.get_or("seed", defaults.seed)?,
-        timeouts: ClientTimeouts {
-            io_ms,
-            ..defaults.timeouts
-        },
-        retry: RetryPolicy::with_retries(args.get_or("retries", 3u32)?),
-        model_id: args.get_str("model-id").map(str::to_owned),
-        wire: args.get_or("wire", Wire::Ndjson)?,
-        pipeline: args.get_or("pipeline", defaults.pipeline)?,
-        attack,
-    };
-    if config.connections == 0
-        || config.requests_per_connection == 0
-        || config.batch_size == 0
-        || config.pipeline == 0
-    {
-        return Err(CliError::Usage(
-            "--connections, --requests, --batch, and --pipeline must all be >= 1".into(),
-        ));
-    }
-    let report = bench(&addr, &config)?;
-    println!("{report}");
-    if let Some(path) = args.get_str("json") {
-        let json = serde_json::to_string_pretty(&report)
-            .map_err(|e| CliError::Usage(format!("report serialization failed: {e}")))?;
-        fs::write(path, json + "\n")?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1214,12 +1113,12 @@ mod tests {
             &["info", "--dir", "x", "--verbose", "1"][..],
             &["train", "--dir", "x", "--out", "y", "--model", "z"][..],
             &["serve", "--model", "x", "--port", "80"][..],
-            &["bench-serve", "--addr", "x", "--conns", "2"][..],
+            &["models", "--addr", "x", "--conns", "2"][..],
             // Removed options: the batch linger, intra-request batch
             // threads and JSON-framed scoring.
             &["serve", "--model", "x", "--batch-linger-us", "auto"][..],
             &["serve", "--model", "x", "--batch-threads", "seq"][..],
-            &["bench-serve", "--addr", "x", "--json-payload", "true"][..],
+            &["models", "--addr", "x", "--json-payload", "true"][..],
         ] {
             let err = dispatch_tokens(tokens).expect_err("must reject");
             assert!(
@@ -1300,16 +1199,24 @@ mod tests {
                 "max-queue",
             ),
             (
-                &["bench-serve", "--addr", "x", "--retries", "forever"][..],
-                "retries",
+                &["serve", "--model", "x", "--event-loops", "many"][..],
+                "event-loops",
             ),
             (
-                &["bench-serve", "--addr", "x", "--timeout-ms", "never"][..],
-                "timeout-ms",
+                &["models", "--registry", "x", "--verify", "maybe"][..],
+                "verify",
             ),
             (
-                &["bench-serve", "--addr", "x", "--pipeline", "wide"][..],
-                "pipeline",
+                &[
+                    "attack",
+                    "--dir",
+                    "x",
+                    "--target",
+                    "sb1",
+                    "--checkpoint-every",
+                    "often",
+                ][..],
+                "checkpoint-every",
             ),
         ] {
             let err = dispatch_tokens(tokens).expect_err("must reject");
@@ -1322,23 +1229,6 @@ mod tests {
                 "{tokens:?} -> {err:?}"
             );
         }
-    }
-
-    #[test]
-    fn bench_attack_flags_travel_as_a_pair() {
-        // The workload flags are validated before any socket is opened.
-        let err = dispatch_tokens(&["bench-serve", "--addr", "x", "--attack-dir", "d"])
-            .expect_err("must reject");
-        assert!(
-            matches!(err, CliError::Usage(ref m) if m.contains("go together")),
-            "{err:?}"
-        );
-        let err = dispatch_tokens(&["bench-serve", "--addr", "x", "--attack-detail", "true"])
-            .expect_err("must reject");
-        assert!(
-            matches!(err, CliError::Usage(ref m) if m.contains("require")),
-            "{err:?}"
-        );
     }
 
     #[test]
@@ -1412,17 +1302,27 @@ mod tests {
     }
 
     #[test]
-    fn serve_and_bench_serve_validate_required_flags() {
+    fn serve_models_and_attack_validate_required_flags() {
         assert!(matches!(
             dispatch_tokens(&["serve"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            dispatch_tokens(&["bench-serve"]),
+            dispatch_tokens(&["models"]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            dispatch_tokens(&["bench-serve", "--addr", "x", "--connections", "0"]),
+            dispatch_tokens(&[
+                "attack",
+                "--dir",
+                "x",
+                "--target",
+                "sb1",
+                "--checkpoint-dir",
+                "/nonexistent/ck",
+                "--checkpoint-every",
+                "0"
+            ]),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(

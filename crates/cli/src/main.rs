@@ -8,7 +8,7 @@
 //! splitmfg pa          --dir DIR --target sb1 [--config imp-9y] proximity attack
 //! splitmfg train       --dir DIR --out FILE [--target sb1]      write a model artifact
 //! splitmfg serve       --model FILE [--addr 127.0.0.1:7878]     TCP inference server
-//! splitmfg bench-serve --addr HOST:PORT [--json FILE]           load-test a server
+//! splitmfg models      --registry DIR | --addr HOST:PORT        list / verify models
 //! splitmfg help                                                 this text
 //! ```
 //!

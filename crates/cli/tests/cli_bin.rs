@@ -17,7 +17,8 @@ fn help_prints_usage_to_stdout_and_exits_zero() {
         assert_eq!(out.status.code(), Some(0), "{spelling:?}");
         let stdout = String::from_utf8(out.stdout).expect("utf8");
         assert!(stdout.contains("commands:"), "{spelling:?}: {stdout}");
-        assert!(stdout.contains("bench-serve"), "{spelling:?}");
+        assert!(stdout.contains("models"), "{spelling:?}");
+        assert!(!stdout.contains("bench-serve"), "{spelling:?}");
         assert!(
             out.stderr.is_empty(),
             "help must not write to stderr: {}",

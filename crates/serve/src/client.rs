@@ -1,20 +1,17 @@
-//! Blocking protocol client, retry policy, and the `bench-serve` load
-//! driver.
+//! Blocking protocol client and retry policy.
 //!
 //! Every entry point speaks either wire format ([`Wire::Ndjson`] or the
 //! length-prefixed [`Wire::Binary`] protocol v2): the server detects the
 //! format per connection from the first byte, so a client just picks one
-//! at connect time and sticks with it.
+//! at connect time and sticks with it. Load generation is not part of
+//! the product: `sm-bench`'s `serve_load` binary drives a server through
+//! this client.
 
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
-
-use crate::protocol::{binary, ErrorCode, Request, Response, StatsSnapshot, Wire};
+use crate::protocol::{binary, ErrorCode, Request, Response, Wire, MAX_REPLY_LINE_BYTES};
 
 /// Client-side failure talking to a `splitmfg serve` instance.
 #[derive(Debug)]
@@ -256,8 +253,9 @@ impl Client {
 }
 
 /// Reads one reply as a client speaking `wire` receives it: an NDJSON
-/// line, or a binary frame. Memory grows only with the bytes that arrive,
-/// never with a length the peer declares.
+/// line of at most [`MAX_REPLY_LINE_BYTES`], or a binary frame. Memory
+/// grows only with the bytes that arrive, never with a length the peer
+/// declares, and never past the line cap.
 fn read_reply(reader: &mut impl BufRead, wire: Wire) -> Result<Response, ClientError> {
     let mut line = Vec::new();
     if wire == Wire::Binary {
@@ -283,10 +281,16 @@ fn read_reply(reader: &mut impl BufRead, wire: Wire) -> Result<Response, ClientE
                 .map_err(|e| ClientError::Protocol(format!("bad response frame: {e}")));
         }
     }
-    if reader.read_until(b'\n', &mut line)? == 0 && line.is_empty() {
+    let room = (MAX_REPLY_LINE_BYTES + 1 - line.len()) as u64;
+    if reader.by_ref().take(room).read_until(b'\n', &mut line)? == 0 && line.is_empty() {
         return Err(ClientError::Io(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
             "server closed the connection",
+        )));
+    }
+    if line.len() > MAX_REPLY_LINE_BYTES {
+        return Err(ClientError::Protocol(format!(
+            "reply line longer than {MAX_REPLY_LINE_BYTES} bytes"
         )));
     }
     let text = std::str::from_utf8(&line)
@@ -296,8 +300,9 @@ fn read_reply(reader: &mut impl BufRead, wire: Wire) -> Result<Response, ClientE
 }
 
 /// Bounded-retry schedule: exponential backoff with deterministic,
-/// seed-derived jitter. Retries apply **only** to transport failures and
-/// `Busy` sheds ([`ClientError::is_retryable`]); a semantic
+/// seed-derived jitter. A caller retries **only** transport failures and
+/// `Busy` sheds ([`ClientError::is_retryable`]), with the server's
+/// `retry_after_ms` as a floor on the delay; a semantic
 /// [`ClientError::Remote`] is final on the first attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -333,15 +338,6 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    #[must_use]
-    pub fn none() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
     /// A default-shaped policy allowing `retries` retries after the
     /// first attempt.
     #[must_use]
@@ -369,592 +365,6 @@ impl RetryPolicy {
     }
 }
 
-/// A [`Client`] wrapper that transparently reconnects and retries under a
-/// [`RetryPolicy`]: `Io` failures and `Busy` sheds are retried (with the
-/// server's `retry_after_ms` hint respected as a floor), semantic
-/// [`ClientError::Remote`] replies are returned immediately.
-pub struct RetryingClient {
-    addr: String,
-    timeouts: ClientTimeouts,
-    policy: RetryPolicy,
-    wire: Wire,
-    conn: Option<Client>,
-    retries: u64,
-    busy_retries: u64,
-}
-
-impl RetryingClient {
-    /// Creates a lazy NDJSON client for `addr`; the first [`Self::call`]
-    /// connects.
-    #[must_use]
-    pub fn new(addr: &str, timeouts: ClientTimeouts, policy: RetryPolicy) -> Self {
-        Self::new_wire(addr, timeouts, policy, Wire::Ndjson)
-    }
-
-    /// [`Self::new`] with an explicit wire format; every connection
-    /// (including reconnects) speaks it.
-    #[must_use]
-    pub fn new_wire(addr: &str, timeouts: ClientTimeouts, policy: RetryPolicy, wire: Wire) -> Self {
-        Self {
-            addr: addr.to_owned(),
-            timeouts,
-            policy,
-            wire,
-            conn: None,
-            retries: 0,
-            busy_retries: 0,
-        }
-    }
-
-    /// Retries performed so far across all calls (a call that succeeds
-    /// on its first attempt contributes 0).
-    #[must_use]
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// The subset of [`Self::retries`] caused by [`Response::Busy`]
-    /// sheds (as opposed to transport failures) — lets callers audit a
-    /// server's `shed` counter exactly.
-    #[must_use]
-    pub fn busy_retries(&self) -> u64 {
-        self.busy_retries
-    }
-
-    /// Sends `request`, reconnecting and retrying per the policy.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error once the policy is exhausted, or
-    /// immediately for non-retryable failures ([`ClientError::Remote`],
-    /// [`ClientError::Protocol`]).
-    pub fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
-        let max_attempts = self.policy.max_attempts.max(1);
-        let mut attempt = 0u32;
-        loop {
-            attempt += 1;
-            match self.attempt(request) {
-                Ok(response) => return Ok(response),
-                Err(e) if e.is_retryable() => {
-                    // The connection is dead (Io) or about to be closed
-                    // by the server (Busy): reconnect on the next try.
-                    self.conn = None;
-                    if attempt >= max_attempts {
-                        return Err(e);
-                    }
-                    self.retries += 1;
-                    let mut delay = self.policy.backoff_ms(attempt);
-                    if let ClientError::Busy { retry_after_ms } = e {
-                        self.busy_retries += 1;
-                        delay = delay.max(retry_after_ms);
-                    }
-                    std::thread::sleep(Duration::from_millis(delay));
-                }
-                Err(e) => {
-                    if matches!(e, ClientError::Protocol(_)) {
-                        // The stream is desynchronized; don't reuse it.
-                        self.conn = None;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    fn attempt(&mut self, request: &Request) -> Result<Response, ClientError> {
-        if self.conn.is_none() {
-            self.conn = Some(Client::connect_wire(
-                self.addr.as_str(),
-                self.timeouts,
-                self.wire,
-            )?);
-        }
-        self.conn
-            .as_mut()
-            .expect("connection just established")
-            .call_ok(request)
-    }
-}
-
-/// Exact percentile over an already-sorted latency sample (nearest-rank on
-/// the `(n - 1)`-scaled index; 0 for an empty sample).
-pub fn percentile_us(sorted: &[u64], pct: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    sorted[percentile_rank(sorted.len(), pct)]
-}
-
-/// The sorted-order rank [`percentile_us`] reads for `pct` over `len`
-/// samples. Shared with the server's latency ring so its select-nth
-/// quantiles land on the very same element a full sort would pick.
-pub(crate) fn percentile_rank(len: usize, pct: f64) -> usize {
-    debug_assert!(len > 0);
-    let idx = ((pct / 100.0) * (len - 1) as f64).round() as usize;
-    idx.min(len - 1)
-}
-
-/// Whole-challenge `Attack` workload for [`bench`], replacing the default
-/// synthetic `ScorePairs` stream. The challenge/truth strings are file
-/// *contents* (the same text `splitmfg gen` writes), sent verbatim with
-/// every request.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackWorkload {
-    /// `.challenge` file contents (the attacker-visible FEOL view).
-    pub challenge: String,
-    /// `.truth` file contents (for the server-side accuracy summary).
-    pub truth: String,
-    /// Summary threshold sent with every request.
-    pub threshold: f64,
-    /// Request the complete scored view (`detail: true`) — much larger
-    /// responses, exercising the dense `ScoredView` encoding.
-    pub detail: bool,
-}
-
-impl Default for AttackWorkload {
-    fn default() -> Self {
-        Self {
-            challenge: String::new(),
-            truth: String::new(),
-            threshold: 0.5,
-            detail: false,
-        }
-    }
-}
-
-/// Load-test shape for [`bench`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchConfig {
-    /// Concurrent client connections.
-    pub connections: usize,
-    /// Requests issued per connection.
-    pub requests_per_connection: usize,
-    /// Feature vectors per request (the per-request batch size for the
-    /// `ScorePairs` workload; ignored for an attack workload).
-    pub batch_size: usize,
-    /// Seed for the synthetic feature vectors.
-    pub seed: u64,
-    /// Registry model id every request routes to; `None` targets the
-    /// server's default model.
-    pub model_id: Option<String>,
-    /// Socket deadlines for every bench connection.
-    pub timeouts: ClientTimeouts,
-    /// Retry policy for every bench request (the per-connection jitter
-    /// seed is further mixed with the connection index). Only the
-    /// lockstep path (`pipeline == 1`) retries individual requests;
-    /// pipelined connections reconnect and press on instead.
-    pub retry: RetryPolicy,
-    /// Wire format every bench connection speaks.
-    pub wire: Wire,
-    /// Requests kept in flight per connection. `1` (the default) is the
-    /// classic lockstep loop; higher values send ahead through
-    /// [`Client::send`] and drain replies in order, measuring the
-    /// server's pipelining behavior.
-    pub pipeline: usize,
-    /// When set, every request is a whole-challenge `Attack` instead of
-    /// a synthetic `ScorePairs` batch.
-    pub attack: Option<AttackWorkload>,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        Self {
-            connections: 4,
-            requests_per_connection: 50,
-            batch_size: 64,
-            seed: 0xbe7c,
-            model_id: None,
-            timeouts: ClientTimeouts::default(),
-            retry: RetryPolicy::default(),
-            wire: Wire::Ndjson,
-            pipeline: 1,
-            attack: None,
-        }
-    }
-}
-
-/// Throughput / latency report of one [`bench`] run, JSON-serializable for
-/// perf trajectory files.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchReport {
-    /// Wire format the run spoke (`ndjson` or `binary`).
-    pub wire: String,
-    /// Connections driven concurrently.
-    pub connections: usize,
-    /// Requests kept in flight per connection (1 = lockstep).
-    pub pipeline: usize,
-    /// Workload the run issued: `score_pairs` or `attack`.
-    pub workload: String,
-    /// The catalog id that served the run: the `--model-id` target when
-    /// one was set, otherwise the server default reported by the `Health`
-    /// probe.
-    pub served_model: String,
-    /// Total requests completed across all connections.
-    pub total_requests: u64,
-    /// Total candidate pairs scored (requests × batch size).
-    pub total_pairs: u64,
-    /// Requests that failed even after retries.
-    pub errors: u64,
-    /// Reconnect-and-retry attempts consumed across all connections
-    /// (`Busy` sheds and transport failures that were recovered).
-    pub retries: u64,
-    /// Wall-clock duration of the whole run, seconds.
-    pub wall_s: f64,
-    /// Completed requests per second.
-    pub requests_per_s: f64,
-    /// Scored pairs per second.
-    pub pairs_per_s: f64,
-    /// Median request latency, microseconds.
-    pub p50_us: u64,
-    /// 95th-percentile request latency, microseconds.
-    pub p95_us: u64,
-    /// 99th-percentile request latency, microseconds.
-    pub p99_us: u64,
-    /// Worst request latency, microseconds.
-    pub max_us: u64,
-    /// Mean rows per coalescing scoring invocation *during this run*,
-    /// from the server's `batched_rows`/`score_batches` deltas between
-    /// the pre- and post-run `Stats` probes. `0` when the probes failed
-    /// or no coalescible scoring happened.
-    pub mean_batch_fill: f64,
-    /// The server's own counters sampled right after the run (shed /
-    /// timed-out / failed connections are visible here), when the final
-    /// `Stats` probe succeeded.
-    pub server_stats: Option<StatsSnapshot>,
-}
-
-impl std::fmt::Display for BenchReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let pipe = if self.pipeline > 1 {
-            format!(", pipeline {}", self.pipeline)
-        } else {
-            String::new()
-        };
-        writeln!(
-            f,
-            "{} connections ({}, {}{}), {} requests ({} pairs), {} errors, {} retries in {:.3} s \
-             [model {}]",
-            self.connections,
-            self.wire,
-            self.workload,
-            pipe,
-            self.total_requests,
-            self.total_pairs,
-            self.errors,
-            self.retries,
-            self.wall_s,
-            self.served_model
-        )?;
-        writeln!(
-            f,
-            "throughput : {:.0} req/s, {:.0} pairs/s",
-            self.requests_per_s, self.pairs_per_s
-        )?;
-        write!(
-            f,
-            "latency    : p50 {} us, p95 {} us, p99 {} us, max {} us",
-            self.p50_us, self.p95_us, self.p99_us, self.max_us
-        )?;
-        if let Some(stats) = &self.server_stats {
-            write!(
-                f,
-                "\nserver     : {} requests, {} errors, {} io_errors, {} shed, {} timeouts",
-                stats.requests, stats.errors, stats.io_errors, stats.shed, stats.timeouts
-            )?;
-        }
-        if self.mean_batch_fill > 0.0 {
-            write!(
-                f,
-                "\nbatching   : {:.1} rows/kernel call",
-                self.mean_batch_fill
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// Drives `connections` concurrent clients against a running server,
-/// each issuing `requests_per_connection` requests of the configured
-/// workload (synthetic `ScorePairs` batches by default, whole-challenge
-/// `Attack`s via [`BenchConfig::attack`]), lockstep or pipelined, and
-/// reports throughput, latency percentiles, retries, and the server's
-/// post-run counters.
-///
-/// # Errors
-///
-/// Returns [`ClientError`] if the initial `Health` probe fails (no server
-/// or wrong protocol); per-request failures during the run are counted in
-/// the report instead.
-pub fn bench(addr: &str, config: &BenchConfig) -> Result<BenchReport, ClientError> {
-    // One up-front probe learns the model's feature count and fails fast.
-    // With an explicit target, ListModels resolves that entry's feature
-    // count (models in one registry may disagree on width); otherwise
-    // Health describes the default model.
-    let mut probe = Client::connect_with(addr, config.timeouts)?;
-    let (served_model, features) = match &config.model_id {
-        None => match probe.call_ok(&Request::Health)? {
-            Response::Health {
-                model_id, features, ..
-            } => (model_id, features),
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "health probe answered with unexpected response {other:?}"
-                )))
-            }
-        },
-        Some(target) => match probe.call_ok(&Request::ListModels)? {
-            Response::Models { models, .. } => {
-                let entry = models
-                    .iter()
-                    .find(|m| &m.model_id == target)
-                    .ok_or_else(|| ClientError::Remote {
-                        code: ErrorCode::NotFound,
-                        message: format!("model '{target}' is not in the serving catalog"),
-                    })?;
-                (entry.model_id.clone(), entry.features)
-            }
-            other => {
-                return Err(ClientError::Protocol(format!(
-                    "model listing answered with unexpected response {other:?}"
-                )))
-            }
-        },
-    };
-    // A pre-run Stats sample turns the post-run counters into *this
-    // run's* deltas (batch fill would otherwise smear across runs
-    // against a long-lived server). Best-effort like the post-run probe.
-    let pre_stats = match probe.call_ok(&Request::Stats) {
-        Ok(Response::Stats { stats }) => Some(stats),
-        _ => None,
-    };
-    drop(probe);
-    let start = Instant::now();
-    let per_conn: Vec<ConnOutcome> = sm_ml::par_map(
-        sm_ml::Parallelism::Threads(config.connections.max(1)),
-        config.connections,
-        |conn| {
-            let mut rng = ChaCha8Rng::seed_from_u64(config.seed ^ ((conn as u64) << 17));
-            if config.pipeline <= 1 {
-                bench_conn_lockstep(addr, config, conn, features, &mut rng)
-            } else {
-                bench_conn_pipelined(addr, config, features, &mut rng)
-            }
-        },
-    );
-    let wall_s = start.elapsed().as_secs_f64();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut errors = 0u64;
-    let mut retries = 0u64;
-    let mut total_pairs = 0u64;
-    for out in per_conn {
-        latencies.extend(out.latencies);
-        errors += out.errors;
-        retries += out.retries;
-        total_pairs += out.pairs;
-    }
-    latencies.sort_unstable();
-    let total_requests = latencies.len() as u64;
-    let server_stats = match Client::connect_with(addr, config.timeouts)
-        .and_then(|mut c| c.call_ok(&Request::Stats))
-    {
-        Ok(Response::Stats { stats }) => Some(stats),
-        _ => None,
-    };
-    let mean_batch_fill = match (&pre_stats, &server_stats) {
-        (Some(pre), Some(post)) => {
-            let calls = post.score_batches.saturating_sub(pre.score_batches);
-            let rows = post.batched_rows.saturating_sub(pre.batched_rows);
-            if calls == 0 {
-                0.0
-            } else {
-                rows as f64 / calls as f64
-            }
-        }
-        _ => 0.0,
-    };
-    let workload = if config.attack.is_some() {
-        "attack".to_owned()
-    } else {
-        "score_pairs".to_owned()
-    };
-    Ok(BenchReport {
-        wire: config.wire.as_str().to_owned(),
-        connections: config.connections,
-        pipeline: config.pipeline.max(1),
-        workload,
-        served_model,
-        total_requests,
-        total_pairs,
-        errors,
-        retries,
-        wall_s,
-        requests_per_s: total_requests as f64 / wall_s.max(1e-9),
-        pairs_per_s: total_pairs as f64 / wall_s.max(1e-9),
-        p50_us: percentile_us(&latencies, 50.0),
-        p95_us: percentile_us(&latencies, 95.0),
-        p99_us: percentile_us(&latencies, 99.0),
-        max_us: latencies.last().copied().unwrap_or(0),
-        mean_batch_fill,
-        server_stats,
-    })
-}
-
-/// What one bench connection produced: per-request latencies for the
-/// successful requests, plus error/retry/pair totals.
-struct ConnOutcome {
-    latencies: Vec<u64>,
-    errors: u64,
-    retries: u64,
-    pairs: u64,
-}
-
-/// Builds the next request of the configured workload.
-fn build_request(config: &BenchConfig, features: usize, rng: &mut ChaCha8Rng) -> Request {
-    match &config.attack {
-        None => Request::ScorePairs {
-            features: (0..config.batch_size)
-                .map(|_| (0..features).map(|_| rng.gen_range(0.0..5000.0)).collect())
-                .collect(),
-            model_id: config.model_id.clone(),
-        },
-        Some(w) => Request::Attack {
-            challenge: w.challenge.clone(),
-            truth: w.truth.clone(),
-            threshold: w.threshold,
-            detail: w.detail,
-            model_id: config.model_id.clone(),
-        },
-    }
-}
-
-/// Pairs credited by a successful reply of the configured workload, or
-/// `None` when the reply does not answer that workload (an error, a
-/// `Busy`, or a mismatched variant).
-fn reply_pairs(config: &BenchConfig, response: &Response) -> Option<u64> {
-    match (response, &config.attack) {
-        (Response::Scores { probs }, None) => Some(probs.len() as u64),
-        (Response::AttackResult { summary, .. }, Some(_)) => Some(summary.pairs_scored),
-        _ => None,
-    }
-}
-
-fn elapsed_us(t: Instant) -> u64 {
-    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
-}
-
-/// The classic lockstep loop: one request in flight, full retry policy.
-fn bench_conn_lockstep(
-    addr: &str,
-    config: &BenchConfig,
-    conn: usize,
-    features: usize,
-    rng: &mut ChaCha8Rng,
-) -> ConnOutcome {
-    let mut out = ConnOutcome {
-        latencies: Vec::with_capacity(config.requests_per_connection),
-        errors: 0,
-        retries: 0,
-        pairs: 0,
-    };
-    let policy = RetryPolicy {
-        jitter_seed: config.retry.jitter_seed ^ ((conn as u64) << 23),
-        ..config.retry
-    };
-    let mut client = RetryingClient::new_wire(addr, config.timeouts, policy, config.wire);
-    for _ in 0..config.requests_per_connection {
-        let request = build_request(config, features, rng);
-        let t = Instant::now();
-        match client.call(&request) {
-            Ok(reply) => match reply_pairs(config, &reply) {
-                Some(pairs) => {
-                    out.pairs += pairs;
-                    out.latencies.push(elapsed_us(t));
-                }
-                None => out.errors += 1,
-            },
-            Err(_) => out.errors += 1,
-        }
-    }
-    out.retries = client.retries();
-    out
-}
-
-/// The pipelined loop: up to `config.pipeline` requests in flight on one
-/// connection, replies drained strictly in order. A transport failure
-/// voids every in-flight request (their replies will never arrive),
-/// reconnects, and presses on — individual requests are not retried, so
-/// the measured stream stays back-to-back.
-fn bench_conn_pipelined(
-    addr: &str,
-    config: &BenchConfig,
-    features: usize,
-    rng: &mut ChaCha8Rng,
-) -> ConnOutcome {
-    let mut out = ConnOutcome {
-        latencies: Vec::with_capacity(config.requests_per_connection),
-        errors: 0,
-        retries: 0,
-        pairs: 0,
-    };
-    let total = config.requests_per_connection;
-    let window = config.pipeline.max(1);
-    let mut issued = 0usize;
-    loop {
-        let mut client = match Client::connect_wire(addr, config.timeouts, config.wire) {
-            Ok(c) => c,
-            Err(_) => {
-                // A refused connect burns one request slot so a dead
-                // server terminates the loop instead of spinning.
-                out.errors += 1;
-                issued += 1;
-                if issued >= total {
-                    return out;
-                }
-                continue;
-            }
-        };
-        let mut inflight: std::collections::VecDeque<Instant> = std::collections::VecDeque::new();
-        let mut broken = false;
-        while issued < total || !inflight.is_empty() {
-            // Fill the window before draining the oldest reply.
-            if issued < total && inflight.len() < window {
-                let request = build_request(config, features, rng);
-                issued += 1;
-                if client.send(&request).is_err() {
-                    // The failed send plus everything in flight dies.
-                    out.errors += 1 + inflight.len() as u64;
-                    inflight.clear();
-                    broken = true;
-                    break;
-                }
-                inflight.push_back(Instant::now());
-                continue;
-            }
-            let t = inflight.pop_front().expect("drain implies in-flight");
-            match client.recv() {
-                Ok(reply) => match reply_pairs(config, &reply) {
-                    Some(pairs) => {
-                        out.pairs += pairs;
-                        out.latencies.push(elapsed_us(t));
-                    }
-                    None => out.errors += 1,
-                },
-                Err(_) => {
-                    // Everything still in flight dies with the stream.
-                    out.errors += 1 + inflight.len() as u64;
-                    inflight.clear();
-                    broken = true;
-                    break;
-                }
-            }
-        }
-        if !broken || issued >= total {
-            return out;
-        }
-        out.retries += 1; // one reconnect consumed
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -962,73 +372,16 @@ mod tests {
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
 
-    use rand::RngCore;
+    use rand::{Rng, RngCore, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use sm_attack::attack::{Cand, VpinScore};
     use sm_attack::ScoredView;
-
-    #[test]
-    fn percentiles_pick_expected_ranks() {
-        let lat: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile_us(&lat, 0.0), 1);
-        assert_eq!(percentile_us(&lat, 50.0), 51); // round(0.5 * 99) = 50
-        assert_eq!(percentile_us(&lat, 100.0), 100);
-        assert_eq!(percentile_us(&[], 50.0), 0);
-        assert_eq!(percentile_us(&[7], 99.0), 7);
-    }
-
-    #[test]
-    fn bench_report_renders_every_number() {
-        let report = BenchReport {
-            wire: "binary".into(),
-            connections: 2,
-            pipeline: 8,
-            workload: "attack".into(),
-            served_model: "incumbent".into(),
-            total_requests: 10,
-            total_pairs: 640,
-            errors: 1,
-            retries: 3,
-            wall_s: 0.5,
-            requests_per_s: 20.0,
-            pairs_per_s: 1280.0,
-            p50_us: 10,
-            p95_us: 20,
-            p99_us: 30,
-            max_us: 40,
-            mean_batch_fill: 96.5,
-            server_stats: Some(StatsSnapshot {
-                requests: 11,
-                errors: 1,
-                io_errors: 2,
-                shed: 3,
-                timeouts: 4,
-                ..StatsSnapshot::default()
-            }),
-        };
-        let text = report.to_string();
-        for needle in [
-            "2 connections (binary, attack, pipeline 8)",
-            "1 errors",
-            "3 retries",
-            "p95 20 us",
-            "1280 pairs/s",
-            "3 shed",
-            "4 timeouts",
-            "[model incumbent]",
-            "96.5 rows/kernel call",
-        ] {
-            assert!(text.contains(needle), "missing '{needle}' in:\n{text}");
-        }
-        let back: BenchReport =
-            serde_json::from_str(&serde_json::to_string(&report).expect("ser")).expect("de");
-        assert_eq!(report, back);
-    }
 
     #[test]
     fn send_recv_pipelines_replies_in_request_order() {
         // An NDJSON peer that answers each line with an identifying
         // Scores reply: three pipelined sends must drain as replies
-        // 0, 1, 2 — the ordering contract the pipelined bench rests on.
+        // 0, 1, 2 — the ordering contract pipelined callers rest on.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
@@ -1132,7 +485,6 @@ mod tests {
 
     #[test]
     fn retry_policy_constructors_bound_attempts() {
-        assert_eq!(RetryPolicy::none().max_attempts, 1);
         assert_eq!(RetryPolicy::with_retries(0).max_attempts, 1);
         assert_eq!(RetryPolicy::with_retries(3).max_attempts, 4);
         assert_eq!(RetryPolicy::with_retries(u32::MAX).max_attempts, u32::MAX);
@@ -1168,10 +520,9 @@ mod tests {
         }
     }
 
-    /// A scripted single-shot TCP peer: for each accepted connection it
-    /// sends the next canned reply line after reading one line, then
-    /// closes. Lets retry behavior be tested without a real model.
-    fn scripted_server(replies: Vec<Option<Response>>) -> std::net::SocketAddr {
+    /// A scripted TCP peer: for each accepted connection it reads one
+    /// line, sends the next canned reply line, and closes.
+    fn scripted_server(replies: Vec<Response>) -> std::net::SocketAddr {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
         let addr = listener.local_addr().expect("addr");
         std::thread::spawn(move || {
@@ -1182,80 +533,12 @@ mod tests {
                 let mut reader = BufReader::new(stream.try_clone().expect("clone"));
                 let mut line = String::new();
                 let _ = reader.read_line(&mut line);
-                if let Some(response) = reply {
-                    let mut out = serde_json::to_string(&response).expect("ser");
-                    out.push('\n');
-                    let _ = (&stream).write_all(out.as_bytes());
-                }
-                // `None` (and fall-through) close the connection.
+                let mut out = serde_json::to_string(&reply).expect("ser");
+                out.push('\n');
+                let _ = (&stream).write_all(out.as_bytes());
             }
         });
         addr
-    }
-
-    #[test]
-    fn busy_then_success_costs_exactly_one_retry() {
-        let addr = scripted_server(vec![
-            Some(Response::Busy { retry_after_ms: 1 }),
-            Some(health_reply("Imp-9", 9, 10)),
-        ]);
-        let policy = RetryPolicy {
-            max_attempts: 5,
-            base_backoff_ms: 1,
-            max_backoff_ms: 2,
-            jitter_seed: 7,
-        };
-        let mut client = RetryingClient::new(
-            &addr.to_string(),
-            ClientTimeouts {
-                connect_ms: 2_000,
-                io_ms: 2_000,
-            },
-            policy,
-        );
-        match client.call(&Request::Health).expect("retry succeeds") {
-            Response::Health { model, .. } => assert_eq!(model, "Imp-9"),
-            other => panic!("unexpected reply: {other:?}"),
-        }
-        assert_eq!(client.retries(), 1, "exactly one retry consumed");
-    }
-
-    #[test]
-    fn remote_errors_are_never_retried() {
-        let addr = scripted_server(vec![
-            Some(Response::Error {
-                code: ErrorCode::BadRequest,
-                message: "bad batch".into(),
-            }),
-            // A second accept would absorb an (incorrect) retry; the
-            // assertion on retries() proves it was never consumed.
-            Some(health_reply("never", 0, 0)),
-        ]);
-        let mut client = RetryingClient::new(
-            &addr.to_string(),
-            ClientTimeouts {
-                connect_ms: 2_000,
-                io_ms: 2_000,
-            },
-            RetryPolicy {
-                max_attempts: 5,
-                base_backoff_ms: 1,
-                max_backoff_ms: 2,
-                jitter_seed: 7,
-            },
-        );
-        let err = client.call(&Request::Health).expect_err("remote is final");
-        assert!(
-            matches!(
-                err,
-                ClientError::Remote {
-                    code: ErrorCode::BadRequest,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-        assert_eq!(client.retries(), 0);
     }
 
     #[test]
@@ -1272,32 +555,16 @@ mod tests {
         assert!(!ErrorCode::NotFound.retryable());
         assert!(err.to_string().contains("[not_found]"));
 
-        let addr = scripted_server(vec![
-            Some(Response::Error {
-                code: ErrorCode::NotFound,
-                message: "model 'ghost' not found in the serving catalog".into(),
-            }),
-            // Bait for an incorrect retry, like the remote-error test.
-            Some(health_reply("never", 0, 0)),
-        ]);
-        let mut client = RetryingClient::new(
-            &addr.to_string(),
-            ClientTimeouts {
-                connect_ms: 2_000,
-                io_ms: 2_000,
-            },
-            RetryPolicy {
-                max_attempts: 5,
-                base_backoff_ms: 1,
-                max_backoff_ms: 2,
-                jitter_seed: 11,
-            },
-        );
+        let addr = scripted_server(vec![Response::Error {
+            code: ErrorCode::NotFound,
+            message: "model 'ghost' not found in the serving catalog".into(),
+        }]);
+        let mut client = Client::connect(addr).expect("connects");
         let request = Request::ScorePairs {
             features: vec![vec![1.0]],
             model_id: Some("ghost".into()),
         };
-        let err = client.call(&request).expect_err("not_found is final");
+        let err = client.call_ok(&request).expect_err("not_found is an error");
         assert!(
             matches!(
                 err,
@@ -1308,36 +575,6 @@ mod tests {
             ),
             "{err}"
         );
-        assert_eq!(client.retries(), 0, "never retried");
-        assert_eq!(client.busy_retries(), 0);
-    }
-
-    #[test]
-    fn attempts_are_bounded_when_every_try_fails() {
-        // Three Busy replies, then the server thread stops accepting: a
-        // 3-attempt policy must consume exactly 2 retries and surface
-        // the last Busy.
-        let addr = scripted_server(vec![
-            Some(Response::Busy { retry_after_ms: 1 }),
-            Some(Response::Busy { retry_after_ms: 1 }),
-            Some(Response::Busy { retry_after_ms: 1 }),
-        ]);
-        let mut client = RetryingClient::new(
-            &addr.to_string(),
-            ClientTimeouts {
-                connect_ms: 2_000,
-                io_ms: 2_000,
-            },
-            RetryPolicy {
-                max_attempts: 3,
-                base_backoff_ms: 1,
-                max_backoff_ms: 2,
-                jitter_seed: 9,
-            },
-        );
-        let err = client.call(&Request::Health).expect_err("exhausts");
-        assert!(matches!(err, ClientError::Busy { .. }), "{err}");
-        assert_eq!(client.retries(), 2, "max_attempts bounds total work");
     }
 
     thread_local! {
@@ -1487,6 +724,15 @@ mod tests {
             }
             let declared = binary::encode_header(binary::FRAME_SCORES, u32::MAX);
             parse_checked(&declared, wire, "4 GiB declared");
+            // A line that never ends is cut at the cap as a typed error,
+            // buffered no further than the cap.
+            LARGEST.with(|l| l.set(0));
+            let endless = read_reply(&mut BufReader::new(std::io::repeat(b'{')), wire);
+            assert!(
+                matches!(endless, Err(ClientError::Protocol(_))),
+                "{wire:?}: {endless:?}"
+            );
+            assert!(LARGEST.with(Cell::get) <= 2 * (MAX_REPLY_LINE_BYTES + 1));
             for reply in valid_replies(wire) {
                 let parsed = read_reply(&mut &reply[..], wire);
                 assert!(parsed.is_ok(), "{wire:?}: {parsed:?}");

@@ -34,11 +34,9 @@
 //!   shutdown, and exponential backoff on `accept()` errors — with
 //!   exact request/latency/error/shed accounting.
 //! - [`client`] — a blocking protocol client for either wire with
-//!   connect/io deadlines, a deterministic [`client::RetryPolicy`]
-//!   (bounded attempts, exponential backoff, seeded jitter; retries
-//!   only `Io`/`Busy` failures), plus the `bench-serve` load driver
-//!   reporting throughput, p50/p95/p99 latency, and observed batch
-//!   fill.
+//!   connect/io deadlines, a bounded reply reader, and a deterministic
+//!   [`client::RetryPolicy`] backoff schedule (exponential, seeded
+//!   jitter) for callers that retry the `Io`/`Busy` failures.
 //!
 //! Everything is offline-buildable: no async runtime, only `std::net`,
 //! `std::sync` and the workspace's vendored crates.
@@ -72,10 +70,7 @@ pub mod server;
 mod session;
 
 pub use artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_FORMAT, ARTIFACT_VERSION};
-pub use client::{
-    percentile_us, AttackWorkload, BenchConfig, BenchReport, Client, ClientError, ClientTimeouts,
-    RetryPolicy, RetryingClient,
-};
+pub use client::{Client, ClientError, ClientTimeouts, RetryPolicy};
 pub use protocol::{
     AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot, Wire,
 };
@@ -84,6 +79,6 @@ pub use registry::{
     RegistryIndex, VerifiedModel, REGISTRY_FORMAT, REGISTRY_VERSION, SINGLE_MODEL_ID,
 };
 pub use server::{
-    event_loop_count, pool_size, queue_depth, serve_source_with, ModelSource, ServeOptions,
-    ServerHandle, ShadowConfig, ShutdownHandle, BUSY_RETRY_AFTER_MS,
+    event_loop_count, percentile_rank, pool_size, queue_depth, serve_source_with, ModelSource,
+    ServeOptions, ServerHandle, ShadowConfig, ShutdownHandle, BUSY_RETRY_AFTER_MS,
 };

@@ -109,7 +109,9 @@ pub enum ErrorCode {
     BadRequest,
     /// The request line exceeded the server's `max_request_bytes` cap.
     /// The server closes the connection after this reply (the rest of
-    /// the oversized line is unread). Not retryable as-is.
+    /// the oversized line is unread). Not retryable as-is. Also the
+    /// answer, on an open connection, to an NDJSON request whose reply
+    /// would exceed [`MAX_REPLY_LINE_BYTES`].
     TooLarge,
     /// The request stalled past the server's mid-request read deadline
     /// (slow-loris defence). The server closes the connection after
@@ -334,6 +336,16 @@ pub enum Response {
         message: String,
     },
 }
+
+/// Longest NDJSON reply line, newline included. A server whose reply
+/// would be longer answers `TooLarge` in its place, and the connection
+/// stays usable; a client refuses a longer line without buffering past
+/// the cap. The largest replies are `Attack`s with `detail: true`, which
+/// grow with the square of a design's v-pins. For the largest layer-6
+/// design they are 0.6 MB at `gen --scale 0.1`, 2.4 MB at the default
+/// 0.2, 14.7 MB at 0.5 and 21 MB (past this cap) at 0.6. Binary frames
+/// have no such cap, so larger scored views travel on the binary wire.
+pub const MAX_REPLY_LINE_BYTES: usize = 16 << 20;
 
 /// Which wire encoding a client speaks. The server needs no such knob:
 /// it detects the wire per connection from the first byte.

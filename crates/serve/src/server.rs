@@ -72,7 +72,6 @@ use sm_layout::io::read_challenge;
 use sm_ml::Parallelism;
 
 use crate::artifact::ARTIFACT_VERSION;
-use crate::client::percentile_rank;
 use crate::protocol::{
     binary, AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot,
 };
@@ -266,6 +265,18 @@ fn accept_backoff(consecutive_failures: u32) -> Duration {
     ACCEPT_BACKOFF_MAX.min(ACCEPT_BACKOFF_BASE.saturating_mul(1 << exp))
 }
 
+/// The rank a full sort would read for percentile `pct` of `len` samples:
+/// nearest rank on the `(len - 1)`-scaled index. The latency percentiles
+/// of [`StatsSnapshot`] select exactly that element without sorting, and
+/// load drivers index their sorted samples with it to report the same
+/// statistic. 0 when `len` is 0.
+#[must_use]
+pub fn percentile_rank(len: usize, pct: f64) -> usize {
+    let last = len.saturating_sub(1);
+    let idx = ((pct / 100.0) * last as f64).round() as usize;
+    idx.min(last)
+}
+
 /// Fixed-capacity ring of latency samples: pushes past the capacity
 /// overwrite the oldest sample, so percentiles always describe recent
 /// traffic from bounded memory.
@@ -306,7 +317,7 @@ impl LatencyRing {
     }
 
     ///`[p50, p95, p99, max]` over the retained samples — the exact
-    /// elements a full sort + [`percentile_us`] would pick, found with
+    /// elements a full sort + [`percentile_rank`] would pick, found with
     /// chained `select_nth_unstable` partitions over the reused scratch
     /// buffer instead of an O(n log n) sort of a fresh allocation.
     ///
@@ -1631,7 +1642,21 @@ fn run_attack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::percentile_us;
+
+    /// The full-sort oracle [`LatencyRing::quantiles`] must agree with.
+    fn percentile(sorted: &[u64], pct: f64) -> u64 {
+        sorted[percentile_rank(sorted.len(), pct)]
+    }
+
+    #[test]
+    fn percentile_ranks_are_nearest_rank_on_the_scaled_index() {
+        let lat: Vec<u64> = (1..=100).collect();
+        assert_eq!(percentile(&lat, 0.0), 1);
+        assert_eq!(percentile(&lat, 50.0), 51); // round(0.5 * 99) = 50
+        assert_eq!(percentile(&lat, 100.0), 100);
+        assert_eq!(percentile(&[7], 99.0), 7);
+        assert_eq!(percentile_rank(0, 99.0), 0);
+    }
 
     #[test]
     fn default_options_pool_with_sequential_batches() {
@@ -1654,9 +1679,9 @@ mod tests {
         }
         let sorted = ring.sorted();
         let expect = [
-            percentile_us(&sorted, 50.0),
-            percentile_us(&sorted, 95.0),
-            percentile_us(&sorted, 99.0),
+            percentile(&sorted, 50.0),
+            percentile(&sorted, 95.0),
+            percentile(&sorted, 99.0),
             *sorted.last().unwrap(),
         ];
         assert_eq!(ring.quantiles(), expect);
@@ -1665,7 +1690,7 @@ mod tests {
         ring.push(u64::MAX);
         let sorted = ring.sorted();
         assert_eq!(ring.quantiles()[3], u64::MAX);
-        assert_eq!(ring.quantiles()[0], percentile_us(&sorted, 50.0));
+        assert_eq!(ring.quantiles()[0], percentile(&sorted, 50.0));
         // Single sample: every quantile is that sample.
         let mut one = LatencyRing::with_capacity(4);
         one.push(17);
@@ -1704,13 +1729,6 @@ mod tests {
         assert!((1..=MAX_AUTO_EVENT_LOOPS).contains(&auto), "auto in range");
         opts.event_loops = 7;
         assert_eq!(event_loop_count(&opts), 7, "explicit counts are honored");
-    }
-
-    #[test]
-    fn snapshot_of_empty_state_is_all_zero() {
-        let lat: Vec<u64> = Vec::new();
-        assert_eq!(percentile_us(&lat, 50.0), 0);
-        assert_eq!(percentile_us(&lat, 99.0), 0);
     }
 
     #[test]

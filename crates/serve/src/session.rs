@@ -36,6 +36,7 @@
 //! | request refused (malformed, unknown model, bad row width) | `BadRequest`/`NotFound` | `requests` + `errors` |
 //! | binary header with bad magic, version or type | `BadRequest`, then close | `requests` + `errors` |
 //! | request past the byte cap | `TooLarge`, then close | `errors` |
+//! | NDJSON reply past [`MAX_REPLY_LINE_BYTES`] | `TooLarge` in its place | `requests` + `errors` |
 //! | request stalled past the mid-request deadline | `Timeout`, then close | `timeouts` + `errors` |
 //! | EOF inside a frame (torn frame), socket failure, stalled reply write | close | `io_errors` |
 //! | idle deadline, EOF between requests | close | — |
@@ -49,7 +50,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::framing::{Frame, ReadBuf, Split};
-use crate::protocol::{binary, ErrorCode, Request, Response, Wire};
+use crate::protocol::{binary, ErrorCode, Request, Response, Wire, MAX_REPLY_LINE_BYTES};
 use crate::server::LatencyRing;
 
 /// The per-connection deadlines and cap a session enforces.
@@ -425,11 +426,10 @@ impl Session {
         clock: &impl Fn() -> Instant,
     ) {
         Counters::bump(&counters.requests);
-        if matches!(resp, Response::Error { .. }) {
+        let now = clock();
+        if !self.queue(resp, now) || matches!(resp, Response::Error { .. }) {
             Counters::bump(&counters.errors);
         }
-        let now = clock();
-        self.queue(resp, now);
         self.io_on_write_fail = true;
         if then_close {
             self.phase = Phase::Closing;
@@ -452,18 +452,38 @@ impl Session {
     }
 
     /// Encodes `resp` for the connection's wire into the write buffer.
-    fn queue(&mut self, resp: &Response, now: Instant) {
-        match self.wire.unwrap_or(Wire::Ndjson) {
+    /// Returns `false` when an NDJSON line past [`MAX_REPLY_LINE_BYTES`]
+    /// was replaced by a `TooLarge` error.
+    fn queue(&mut self, resp: &Response, now: Instant) -> bool {
+        let fits = match self.wire.unwrap_or(Wire::Ndjson) {
             Wire::Ndjson => {
-                let line = serde_json::to_string(resp).expect("responses always serialize");
+                let mut line = serde_json::to_string(resp).expect("responses always serialize");
+                let fits = line.len() < MAX_REPLY_LINE_BYTES;
+                if !fits {
+                    let message = format!(
+                        "the reply is {} bytes, past the {MAX_REPLY_LINE_BYTES} byte NDJSON \
+                         line cap; the binary wire carries it",
+                        line.len() + 1
+                    );
+                    let error = Response::Error {
+                        code: ErrorCode::TooLarge,
+                        message,
+                    };
+                    line = serde_json::to_string(&error).expect("responses always serialize");
+                }
                 self.wbuf.extend_from_slice(line.as_bytes());
                 self.wbuf.push(b'\n');
+                fits
             }
-            Wire::Binary => self.wbuf.extend_from_slice(&binary::encode_response(resp)),
-        }
+            Wire::Binary => {
+                self.wbuf.extend_from_slice(&binary::encode_response(resp));
+                true
+            }
+        };
         if self.write_deadline.is_none() {
             self.write_deadline = self.limits.request_timeout.map(|t| now + t);
         }
+        fits
     }
 }
 

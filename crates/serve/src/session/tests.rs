@@ -524,6 +524,42 @@ fn dripped_split_and_coalesced_frames_are_all_answered() {
 }
 
 #[test]
+fn an_ndjson_reply_past_the_line_cap_is_too_large_and_the_session_survives() {
+    for wire in WIRES {
+        let mut h = Harness::new(wire);
+        h.feed(&request_bytes(wire, &score_pairs(1)));
+        let (_, start) = h.job.take().expect("a job in flight");
+        let huge = Response::Models {
+            default_model: "m".repeat(MAX_REPLY_LINE_BYTES),
+            models: Vec::new(),
+        };
+        h.session
+            .complete(&huge, start, &h.counters, || h.now.get());
+        h.pump();
+        h.feed(&request_bytes(wire, &Request::Health));
+        match (wire, &h.drain()[..]) {
+            (
+                Wire::Ndjson,
+                [Response::Error {
+                    code: ErrorCode::TooLarge,
+                    message,
+                }, Response::Models { .. }],
+            ) => assert!(message.contains("binary wire"), "{message}"),
+            (Wire::Binary, [Response::Models { default_model, .. }, Response::Models { .. }]) => {
+                assert_eq!(default_model.len(), MAX_REPLY_LINE_BYTES);
+            }
+            (_, other) => panic!(
+                "{wire:?}: {:?}",
+                other.iter().map(code_of).collect::<Vec<_>>()
+            ),
+        }
+        let errors = u64::from(wire == Wire::Ndjson);
+        assert_eq!(h.counts(), [2, errors, 0, 0], "{wire:?}");
+        assert!(!h.session.is_closed(), "{wire:?}");
+    }
+}
+
+#[test]
 fn stats_reports_the_world_before_itself() {
     for wire in WIRES {
         let mut h = Harness::new(wire);

@@ -27,7 +27,7 @@ use sm_attack::attack::{AttackConfig, TrainedAttack};
 use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
-use sm_serve::client::{ClientTimeouts, RetryPolicy, RetryingClient};
+use sm_serve::client::{Client, ClientError, ClientTimeouts, RetryPolicy};
 use sm_serve::protocol::{binary, ErrorCode, Request, Response, StatsSnapshot, Wire};
 use sm_serve::registry::publish;
 use sm_serve::server::{ModelSource, ServeOptions, ServerHandle};
@@ -84,12 +84,86 @@ fn chaos_options(request_timeout_ms: u64, idle_timeout_ms: u64) -> ServeOptions 
     }
 }
 
+/// The well-behaved side's connection: a retryable failure
+/// ([`ClientError::is_retryable`]: a transport failure or a `Busy` shed)
+/// reconnects and sends the request again, up to 25 attempts, backing
+/// off per [`RetryPolicy`] with the server's hint as a floor. It counts
+/// its retries, and the `Busy` ones apart, so a test can audit the
+/// server's `shed` counter exactly.
+struct GoodClient {
+    addr: String,
+    wire: Wire,
+    policy: RetryPolicy,
+    conn: Option<Client>,
+    retries: u64,
+    busy_retries: u64,
+}
+
+impl GoodClient {
+    fn new(addr: &str, wire: Wire, jitter_seed: u64) -> Self {
+        Self {
+            addr: addr.to_owned(),
+            wire,
+            policy: RetryPolicy {
+                max_attempts: 25,
+                base_backoff_ms: 20,
+                max_backoff_ms: 200,
+                jitter_seed,
+            },
+            conn: None,
+            retries: 0,
+            busy_retries: 0,
+        }
+    }
+
+    fn call(&mut self, request: &Request) -> Result<Response, ClientError> {
+        let timeouts = ClientTimeouts {
+            connect_ms: 2_000,
+            io_ms: 5_000,
+        };
+        for attempt in 1.. {
+            let mut conn = match self.conn.take() {
+                Some(conn) => conn,
+                None => match Client::connect_wire(self.addr.as_str(), timeouts, self.wire) {
+                    Ok(conn) => conn,
+                    Err(e) if attempt < self.policy.max_attempts => {
+                        self.backoff(attempt, &e);
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                },
+            };
+            match conn.call_ok(request) {
+                Ok(response) => {
+                    self.conn = Some(conn);
+                    return Ok(response);
+                }
+                Err(e) if e.is_retryable() && attempt < self.policy.max_attempts => {
+                    self.backoff(attempt, &e);
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        unreachable!("the attempts are bounded")
+    }
+
+    fn backoff(&mut self, attempt: u32, error: &ClientError) {
+        self.retries += 1;
+        let mut delay = self.policy.backoff_ms(attempt);
+        if let ClientError::Busy { retry_after_ms } = *error {
+            self.busy_retries += 1;
+            delay = delay.max(retry_after_ms);
+        }
+        std::thread::sleep(Duration::from_millis(delay));
+    }
+}
+
 /// The well-behaved side of every chaos test: a retrying client that
 /// scores `requests` batches of `rows` pairs and asserts each result is
 /// bit-identical to the in-process model. Panics if the whole run takes
 /// longer than `deadline` — "available" means answering, not eventually
 /// answering.
-fn run_good_client(addr: &str, requests: usize, rows: usize, deadline: Duration) -> RetryingClient {
+fn run_good_client(addr: &str, requests: usize, rows: usize, deadline: Duration) -> GoodClient {
     run_good_client_wire(addr, requests, rows, deadline, Wire::Ndjson)
 }
 
@@ -102,25 +176,12 @@ fn run_good_client_wire(
     rows: usize,
     deadline: Duration,
     wire: Wire,
-) -> RetryingClient {
+) -> GoodClient {
     let fx = fixture();
     let rows = rows.min(fx.features.len());
     let features = fx.features[..rows].to_vec();
     let expected = &fx.local_probs[..rows];
-    let mut client = RetryingClient::new_wire(
-        addr,
-        ClientTimeouts {
-            connect_ms: 2_000,
-            io_ms: 5_000,
-        },
-        RetryPolicy {
-            max_attempts: 25,
-            base_backoff_ms: 20,
-            max_backoff_ms: 200,
-            jitter_seed: 0xC4A05,
-        },
-        wire,
-    );
+    let mut client = GoodClient::new(addr, wire, 0xC4A05);
     let start = Instant::now();
     for round in 0..requests {
         match client
@@ -155,15 +216,12 @@ fn run_good_client_wire(
 /// closes that client (so the worker serving it sees a clean EOF), and
 /// returns the client's `(retries, busy_retries)` alongside the server's
 /// final counters.
-fn shutdown_and_join(
-    mut client: RetryingClient,
-    handle: ServerHandle,
-) -> (u64, u64, StatsSnapshot) {
+fn shutdown_and_join(mut client: GoodClient, handle: ServerHandle) -> (u64, u64, StatsSnapshot) {
     match client.call(&Request::Shutdown).expect("shutdown") {
         Response::ShuttingDown => {}
         other => panic!("unexpected shutdown reply: {other:?}"),
     }
-    let counters = (client.retries(), client.busy_retries());
+    let counters = (client.retries, client.busy_retries);
     drop(client);
     let stats = handle.join().expect("clean server exit");
     (counters.0, counters.1, stats)
@@ -466,20 +524,8 @@ fn hot_reload_under_load_drops_nothing_and_swaps_scores_atomically() {
 
     // One *pinned connection* routing to "swap" by id: the same TCP
     // stream must survive the reload and flip versions exactly once.
-    let mut swap_client = RetryingClient::new(
-        &addr.to_string(),
-        ClientTimeouts {
-            connect_ms: 2_000,
-            io_ms: 5_000,
-        },
-        RetryPolicy {
-            max_attempts: 25,
-            base_backoff_ms: 20,
-            max_backoff_ms: 200,
-            jitter_seed: 0x50A9,
-        },
-    );
-    let score_swap = |client: &mut RetryingClient| -> Vec<f64> {
+    let mut swap_client = GoodClient::new(&addr.to_string(), Wire::Ndjson, 0x50A9);
+    let score_swap = |client: &mut GoodClient| -> Vec<f64> {
         match client
             .call(&Request::ScorePairs {
                 features: features.clone(),
@@ -530,8 +576,7 @@ fn hot_reload_under_load_drops_nothing_and_swaps_scores_atomically() {
         );
     }
     assert_eq!(
-        swap_client.retries(),
-        0,
+        swap_client.retries, 0,
         "the pinned connection never needed a reconnect across the swap"
     );
 
@@ -551,7 +596,7 @@ fn hot_reload_under_load_drops_nothing_and_swaps_scores_atomically() {
 /// with Busy immediately instead of blocking the accept loop, and every
 /// shed must be accounted. The good client starts first and may itself be
 /// shed while the flood holds the queue; its retry policy absorbs that,
-/// and `busy_retries()` audits exactly how often. A shed `Busy` is an
+/// and its `busy_retries` audit exactly how often. A shed `Busy` is an
 /// NDJSON line on either wire (shedding happens before the first byte,
 /// so the server cannot know the wire yet) and a binary client must cope.
 fn connect_flood_is_shed_and_fully_accounted(wire: Wire) {

@@ -14,8 +14,8 @@ use sm_attack::attack::{AttackConfig, TrainedAttack};
 use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
-use sm_serve::client::{bench, BenchConfig, Client, ClientError};
-use sm_serve::protocol::{ErrorCode, Request, Response};
+use sm_serve::client::{Client, ClientError, ClientTimeouts};
+use sm_serve::protocol::{ErrorCode, Request, Response, Wire};
 use sm_serve::registry::{publish, Catalog};
 use sm_serve::server::{ModelSource, ServeOptions, ServerHandle, ShadowConfig};
 
@@ -581,9 +581,10 @@ fn in_flight_catalog_snapshots_are_immune_to_swaps() {
 }
 
 #[test]
-fn bench_targets_a_registry_entry_and_reports_it() {
-    let (model8, model6, _) = two_models();
-    let dir = fresh_registry("bench");
+fn binary_wire_routes_by_model_id_and_rejects_unknown_ids() {
+    let (model8, model6, features) = two_models();
+    let probs6: Vec<f64> = features.iter().map(|x| model6.model().proba(x)).collect();
+    let dir = fresh_registry("binary_routing");
     publish(
         &dir,
         "incumbent",
@@ -598,7 +599,6 @@ fn bench_targets_a_registry_entry_and_reports_it() {
         false,
     )
     .expect("publishes");
-
     let handle = ServerHandle::bind_source(
         ModelSource::Registry {
             dir: dir.clone(),
@@ -609,51 +609,32 @@ fn bench_targets_a_registry_entry_and_reports_it() {
         options(),
     )
     .expect("binds");
-    let addr = handle.addr().to_string();
 
-    let report = bench(
-        &addr,
-        &BenchConfig {
-            connections: 2,
-            requests_per_connection: 3,
-            batch_size: 8,
-            model_id: Some("retrained".into()),
-            ..BenchConfig::default()
-        },
-    )
-    .expect("bench run");
-    assert_eq!(report.served_model, "retrained");
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.total_requests, 6);
-
-    // An unknown target fails fast with the typed code, before any load
-    // is generated.
-    let err = bench(
-        &addr,
-        &BenchConfig {
-            connections: 1,
-            requests_per_connection: 1,
-            model_id: Some("ghost".into()),
-            ..BenchConfig::default()
-        },
-    )
-    .expect_err("unknown bench target");
-    assert!(
-        matches!(
-            err,
-            ClientError::Remote {
+    // Two binary connections side by side: a routed batch is answered by
+    // the `retrained` entry on each, and an unknown id is a typed
+    // not_found that leaves the connection usable.
+    for _ in 0..2 {
+        let mut client =
+            Client::connect_wire(handle.addr(), ClientTimeouts::default(), Wire::Binary)
+                .expect("connects");
+        let routed = score(&mut client, &features, Some("retrained")).expect("routed");
+        assert_eq!(bits(&routed), bits(&probs6), "retrained == model6");
+        match score(&mut client, &features, Some("ghost")) {
+            Err(ClientError::Remote {
                 code: ErrorCode::NotFound,
                 ..
-            }
-        ),
-        "{err}"
-    );
+            }) => {}
+            other => panic!("expected a typed not_found: {other:?}"),
+        }
+        let again = score(&mut client, &features, Some("retrained")).expect("survives");
+        assert_eq!(bits(&again), bits(&probs6));
+    }
 
     let mut client = Client::connect(handle.addr()).expect("connects");
     match client.call_ok(&Request::Shutdown).expect("shutdown") {
         Response::ShuttingDown => {}
         other => panic!("unexpected shutdown reply: {other:?}"),
     }
-    handle.join().expect("clean exit");
+    assert_eq!(handle.join().expect("clean exit").shed, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@ use sm_attack::Parallelism;
 use sm_layout::io::{write_challenge, write_truth};
 use sm_layout::{SplitLayer, SplitView, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
-use sm_serve::client::{bench, BenchConfig, Client, ClientError, ClientTimeouts};
+use sm_serve::client::{Client, ClientTimeouts};
 use sm_serve::protocol::{binary, ErrorCode, Request, Response, Wire};
 use sm_serve::server::{ServeOptions, ServerHandle};
 use sm_serve::ARTIFACT_VERSION;
@@ -23,10 +23,14 @@ fn trained_and_test_view() -> (TrainedAttack, SplitView) {
     (model, views.into_iter().next().expect("five views"))
 }
 
+fn bits(probs: &[f64]) -> Vec<u64> {
+    probs.iter().map(|p| p.to_bits()).collect()
+}
+
 /// A pool wide enough for every connection these tests hold open at once.
 /// (`Auto` sizes by CPU count; on a 1-core host that is a single worker,
-/// and a test keeping its own connection open while `bench` opens more
-/// would wait forever for a free worker.)
+/// and a test keeping its own connection open while it opens more would
+/// wait forever for a free worker.)
 fn test_options() -> ServeOptions {
     ServeOptions {
         workers: Parallelism::Threads(4),
@@ -177,26 +181,26 @@ fn full_train_store_serve_score_lifecycle() {
         other => panic!("unexpected stats reply: {other:?}"),
     }
 
-    // The bench client runs against the same server.
-    let report = bench(
-        &addr.to_string(),
-        &BenchConfig {
-            connections: 2,
-            requests_per_connection: 3,
-            batch_size: 8,
-            seed: 7,
-            ..BenchConfig::default()
-        },
-    )
-    .expect("bench run");
-    assert_eq!(report.total_requests, 6);
-    assert_eq!(report.total_pairs, 48);
-    assert_eq!(report.errors, 0);
-    assert_eq!(report.served_model, sm_serve::SINGLE_MODEL_ID);
-    assert_eq!(report.retries, 0, "happy path needs no retries");
-    assert!(report.p50_us <= report.p99_us);
-    let server_stats = report.server_stats.expect("post-run stats probe");
-    assert_eq!(server_stats.shed, 0, "{server_stats:?}");
+    // Two more connections, one per wire, each pipeline three batches
+    // while this one stays open, and get the same bit-identical scores.
+    let k = features.len().min(8);
+    let batch = Request::ScorePairs {
+        features: features[..k].to_vec(),
+        model_id: None,
+    };
+    for wire in [Wire::Ndjson, Wire::Binary] {
+        let mut other =
+            Client::connect_wire(addr, ClientTimeouts::default(), wire).expect("connects");
+        for _ in 0..3 {
+            other.send(&batch).expect("pipelined send");
+        }
+        for _ in 0..3 {
+            match other.recv().expect("pipelined reply") {
+                Response::Scores { probs } => assert_eq!(bits(&probs), bits(&local[..k])),
+                reply => panic!("unexpected scores reply: {reply:?}"),
+            }
+        }
+    }
 
     // Graceful shutdown: the request is acknowledged, the accept loop
     // stops, and join() hands back the final counters.
@@ -207,6 +211,7 @@ fn full_train_store_serve_score_lifecycle() {
     let final_stats = handle.join().expect("clean server exit");
     assert!(final_stats.requests >= 12, "{final_stats:?}");
     assert_eq!(final_stats.errors, 1, "{final_stats:?}");
+    assert_eq!(final_stats.shed, 0, "{final_stats:?}");
 }
 
 #[test]
@@ -502,18 +507,6 @@ fn auto_pool_survives_a_held_open_idle_connection() {
         other => panic!("unexpected shutdown reply: {other:?}"),
     }
     handle.join().expect("clean exit");
-}
-
-#[test]
-fn bench_against_a_dead_port_fails_fast_with_a_typed_error() {
-    // Bind-then-drop guarantees an unused port.
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
-        l.local_addr().expect("addr").port()
-    };
-    let err = bench(&format!("127.0.0.1:{port}"), &BenchConfig::default())
-        .expect_err("no server is listening");
-    assert!(matches!(err, ClientError::Io(_)), "{err}");
 }
 
 #[test]
