@@ -57,3 +57,40 @@ fn bad_threads_value_exits_one_with_typed_message() {
     assert!(stderr.contains("--threads"), "{stderr}");
     assert!(stderr.contains("banana"), "{stderr}");
 }
+
+#[test]
+fn challenge_beyond_the_coordinate_bound_is_a_typed_error_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("splitmfg_cli_huge_die_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let suite = dir.to_str().expect("utf8 temp path");
+    let out = run(&["gen", "--out", suite, "--scale", "0.02", "--split", "8"]);
+    assert_eq!(out.status.code(), Some(0), "gen failed");
+    // A die sized past any grid the attack could allocate.
+    let path = dir.join("sb1.challenge");
+    let text = std::fs::read_to_string(&path).expect("challenge written");
+    let die = text
+        .lines()
+        .find(|l| l.starts_with("die "))
+        .expect("die line")
+        .to_owned();
+    let huge = "die 0 0 4000000000000000000 4000000000000000000";
+    std::fs::write(&path, text.replace(&die, huge)).expect("rewrite challenge");
+
+    let out = run(&[
+        "attack",
+        "--dir",
+        suite,
+        "--target",
+        "sb1",
+        "--config",
+        "imp-11",
+        "--threads",
+        "sequential",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("line 4: die x1"), "{stderr}");
+    assert!(stderr.contains("outside"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -146,6 +146,17 @@ impl AttackConfig {
         v
     }
 
+    /// The neighborhood radius this configuration trains and scores with
+    /// on `training_views`: their match-distance quantile for the
+    /// scalable configurations, none otherwise.
+    pub(crate) fn training_radius(&self, training_views: &[&SplitView]) -> Option<i64> {
+        if self.scalable {
+            neighborhood_radius(training_views, self.neighborhood_quantile)
+        } else {
+            None
+        }
+    }
+
     /// The sampling options this configuration implies given a resolved
     /// neighborhood radius.
     pub(crate) fn sample_options(&self, radius: Option<i64>) -> SampleOptions {
@@ -234,11 +245,7 @@ impl TrainedAttack {
         if training_views.is_empty() {
             return Err(AttackError::NoTrainingData);
         }
-        let radius = if config.scalable {
-            neighborhood_radius(training_views, config.neighborhood_quantile)
-        } else {
-            None
-        };
+        let radius = config.training_radius(training_views);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let samples = generate_samples(
             training_views,

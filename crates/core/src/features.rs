@@ -151,8 +151,13 @@ impl FeatureSet {
     }
 
     /// Computes the selected features for pair `(a, b)` into `out`
-    /// (cleared first). Taking a buffer avoids an allocation in the scoring
-    /// hot loop.
+    /// (cleared first), one feature at a time.
+    ///
+    /// This is the scalar reference for [`PairKernel`], which fills every
+    /// row the product scores or trains on. It stays public for the
+    /// oracles (`sm_attack::oracle`), the parity tests, and the
+    /// benchmark's attack workload (`benchmark/src/attack.rs`), which
+    /// re-scores pairs with it to check the shipped scores.
     pub fn compute_into(&self, a: &VPin, b: &VPin, out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.features.iter().map(|f| f.compute(a, b)));

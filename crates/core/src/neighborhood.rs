@@ -101,6 +101,15 @@ pub fn neighborhood_radius(views: &[&SplitView], quantile: f64) -> Option<i64> {
     Some(cdf[k - 1] + cdf[k - 1] / 8 + safety_margin(views))
 }
 
+/// Most grid cells a [`VpinIndex`] allocates per v-pin, above a floor of
+/// [`MIN_CELL_CAP`] cells. A die from a decoded challenge can be far larger
+/// than its v-pins need; the cap keeps the grid's size a function of the
+/// pin count, whatever cell size the caller asks for.
+const MAX_CELLS_PER_VPIN: u128 = 4;
+
+/// Cell count every [`VpinIndex`] may use, however few its v-pins.
+const MIN_CELL_CAP: u128 = 4096;
+
 /// A spatial index over one view's v-pins supporting radius queries and
 /// exact same-y (same-track) queries.
 #[derive(Debug, Clone)]
@@ -118,12 +127,24 @@ pub struct VpinIndex {
 }
 
 impl VpinIndex {
-    /// Builds the index for `view`, with grid cells of side `cell` DBU.
+    /// Builds the index for `view`, with grid cells of side `cell` DBU,
+    /// doubled as often as it takes to keep the grid within
+    /// four cells per v-pin (4,096 at least). Every query returns the same
+    /// set at any cell size, so the cap changes how far a query walks,
+    /// never what it returns.
     ///
     /// # Panics
     ///
     /// Panics if `cell <= 0`.
     pub fn new(view: &SplitView, cell: i64) -> Self {
+        assert!(cell > 0, "grid cell must be positive");
+        let cap = (view.num_vpins() as u128 * MAX_CELLS_PER_VPIN).max(MIN_CELL_CAP);
+        let (w, h) = (view.die.width().max(1), view.die.height().max(1));
+        let cells = |c: i64| (w as u128).div_ceil(c as u128) * (h as u128).div_ceil(c as u128);
+        let mut cell = cell;
+        while cells(cell) > cap {
+            cell = cell.saturating_mul(2);
+        }
         let grid = Grid::new(view.die, cell);
         let mut buckets = vec![Vec::new(); grid.len()];
         let mut sink_buckets = vec![Vec::new(); grid.len()];
@@ -230,24 +251,32 @@ impl VpinIndex {
             .get(exclude as usize)
             .map(|vp| self.grid.flat_of(vp.loc));
         let ny = self.grid.ny();
+        // Edge cells also hold every v-pin on or beyond the die's edge
+        // (`locate` clamps), so their extent is open outward: the least
+        // distance to an edge cell ignores its outer side, and only
+        // interior cells are eligible for the bulk path.
+        let open = |lo: i64, hi: i64, first: bool, last: bool| {
+            let lo = if first { i64::MIN / 2 } else { lo };
+            let hi = if last { i64::MAX / 2 } else { hi };
+            (lo, hi)
+        };
         for iy in cy0..=cy1 {
             // Extremal point coordinates inside this cell row/column: cells
             // are low-inclusive and the die edge caps the last partial cell.
             let loy = b.lo.y + iy as i64 * cell;
             let hiy = (loy + cell - 1).min(b.hi.y - 1);
-            let dy_min = (loy - from.y).max(from.y - hiy).max(0);
+            let interior_y = iy > 0 && iy + 1 < ny;
+            let (reach_lo, reach_hi) = open(loy, hiy, iy == 0, iy + 1 == ny);
+            let dy_min = (reach_lo - from.y).max(from.y - reach_hi).max(0);
             if dy_min > radius {
                 continue;
             }
             let dy_max = (from.y - loy).abs().max((from.y - hiy).abs());
-            // Edge cells also hold any out-of-die v-pins (`locate` clamps),
-            // whose true location may lie outside the cell rect — only
-            // interior cells are eligible for the bulk path.
-            let interior_y = iy > 0 && iy + 1 < ny;
             for ix in cx0..=cx1 {
                 let lox = b.lo.x + ix as i64 * cell;
                 let hix = (lox + cell - 1).min(b.hi.x - 1);
-                let dx_min = (lox - from.x).max(from.x - hix).max(0);
+                let (reach_lo, reach_hi) = open(lox, hix, ix == 0, ix + 1 == nx);
+                let dx_min = (reach_lo - from.x).max(from.x - reach_hi).max(0);
                 if dx_min + dy_min > radius {
                     continue;
                 }
@@ -422,6 +451,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn grid_is_capped_by_the_pin_count() {
+        use sm_layout::geom::Rect;
+        use sm_layout::split::MAX_COORD;
+        let v = &views(8)[0];
+        let partner = (0..v.num_vpins()).map(|i| v.true_match(i) as u32).collect();
+        let bound = Point::new(MAX_COORD, MAX_COORD);
+        let wide = SplitView::from_parts(
+            v.name.clone(),
+            v.split,
+            Rect::new(Point::new(-MAX_COORD, -MAX_COORD), bound),
+            v.vpins().to_vec(),
+            partner,
+        )
+        .expect("within the bound");
+        let cap = (v.num_vpins() as u128 * MAX_CELLS_PER_VPIN).max(MIN_CELL_CAP);
+        for cell in [1, 1_000, 50_000] {
+            let idx = VpinIndex::new(&wide, cell);
+            assert!(
+                idx.grid.len() as u128 <= cap,
+                "cell {cell}: {} cells",
+                idx.grid.len()
+            );
+            // The cap coarsens the grid; the answers stay exact.
+            let mut out = Vec::new();
+            for i in 0..wide.num_vpins() {
+                idx.within_radius_unordered(&wide, wide.vpins()[i].loc, 40_000, i as u32, &mut out);
+                out.sort_unstable();
+                let brute: Vec<u32> = (0..wide.num_vpins() as u32)
+                    .filter(|&j| j != i as u32 && wide.distance(i, j as usize) <= 40_000)
+                    .collect();
+                assert_eq!(out, brute, "cell {cell} probe {i}");
+            }
+        }
+        // A cell the cap does not bind is kept as asked.
+        assert_eq!(VpinIndex::new(v, 50_000).grid.cell_size(), 50_000);
     }
 
     #[test]

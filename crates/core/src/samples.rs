@@ -14,7 +14,7 @@ use rand_chacha::ChaCha8Rng;
 use sm_layout::SplitView;
 use sm_ml::Dataset;
 
-use crate::features::FeatureSet;
+use crate::features::{FeatureSet, PairKernel};
 use crate::neighborhood::VpinIndex;
 
 /// Options controlling which pairs are eligible as samples.
@@ -90,17 +90,16 @@ pub fn generate_samples(
     rng: &mut ChaCha8Rng,
 ) -> Dataset {
     let base = sample_base_seed(rng);
-    let mut ds = Dataset::new(features.len());
+    let filter = |vi: usize| vpin_filter.map(|f| f[vi].as_slice());
+    let rows = views
+        .iter()
+        .enumerate()
+        .map(|(vi, view)| 2 * positive_pairs(view, opts, filter(vi)).count())
+        .sum();
+    let mut ds = Dataset::with_capacity(features.len(), rows);
     for (vi, view) in views.iter().enumerate() {
-        let filter = vpin_filter.map(|f| f[vi].as_slice());
-        let sub = generate_view_samples(
-            view,
-            features,
-            opts,
-            filter,
-            view_sample_seed(base, &view.name),
-        );
-        ds.extend_from(&sub).expect("feature arities match");
+        let seed = view_sample_seed(base, &view.name);
+        push_view_samples(&mut ds, view, features, opts, filter(vi), seed);
     }
     ds
 }
@@ -136,129 +135,243 @@ pub fn generate_view_samples(
     filter: Option<&[bool]>,
     seed: u64,
 ) -> Dataset {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut ds = Dataset::new(features.len());
-    let mut buf = Vec::with_capacity(features.len());
-    let mut cands = Vec::new();
-    let n = view.num_vpins();
-    if n < 2 {
-        return ds;
-    }
-    let included = |i: usize| filter.is_none_or(|m| m[i]);
-    let index = if opts.radius.is_some() || opts.limit_diff_vpin_y {
-        Some(match opts.radius {
-            Some(r) => VpinIndex::with_radius(view, r),
-            None => VpinIndex::new(view, 10_000),
-        })
-    } else {
-        None
-    };
-    for i in 0..n {
-        if !included(i) {
-            continue;
-        }
-        let m = view.true_match(i);
-        if !included(m) || !opts.eligible(view, i, m) {
-            continue;
-        }
-        // Positive sample.
-        features.compute_into(&view.vpins()[i], &view.vpins()[m], &mut buf);
-        ds.push(&buf, true).expect("buffer arity matches");
-
-        // One matching negative, drawn from the same candidate pool the
-        // testing stage will use. The draw takes the k-th smallest v-pin
-        // index of the candidate *set*, so it is a pure function of the
-        // seed and that set, not of the order in which the spatial index
-        // returns it.
-        let drew = draw_negative(
-            view,
-            i,
-            m,
-            &opts,
-            index.as_ref(),
-            filter,
-            &mut rng,
-            &mut cands,
-        );
-        if let Some(j) = drew {
-            features.compute_into(&view.vpins()[i], &view.vpins()[j], &mut buf);
-            ds.push(&buf, false).expect("buffer arity matches");
-        }
-    }
+    let rows = 2 * positive_pairs(view, opts, filter).count();
+    let mut ds = Dataset::with_capacity(features.len(), rows);
+    push_view_samples(&mut ds, view, features, opts, filter, seed);
     ds
 }
 
-#[allow(clippy::too_many_arguments)]
-fn draw_negative(
-    view: &SplitView,
-    i: usize,
-    m: usize,
-    opts: &SampleOptions,
-    index: Option<&VpinIndex>,
-    filter: Option<&[bool]>,
-    rng: &mut ChaCha8Rng,
-    cands: &mut Vec<u32>,
-) -> Option<usize> {
-    let n = view.num_vpins();
-    // Every check a negative needs; the radius pool below makes the
-    // legality check through its choice of buckets instead.
-    let negative = |j: usize| j != m && filter.is_none_or(|f| f[j]) && view.is_legal_pair(i, j);
-    let Some(index) = index else {
-        // Unrestricted: rejection-sample a uniform non-match.
-        for _ in 0..64 {
-            let j = rng.gen_range(0..n);
-            if negative(j) {
-                return Some(j);
-            }
-        }
-        return None;
-    };
-    // Enumerate the candidate pool once, then sample from it.
-    if opts.limit_diff_vpin_y {
-        index.same_y(view.vpins()[i].loc.y, i as u32, cands);
-        cands.retain(|&j| {
-            let j = j as usize;
-            opts.radius.is_none_or(|r| view.distance(i, j) <= r) && negative(j)
-        });
-        if cands.is_empty() {
-            // A v-pin alone on its track has no same-track negative; fall
-            // back to its spatial neighborhood so the classes stay
-            // balanced. (At testing time these pairs are never evaluated,
-            // so the model only becomes *more* conservative.)
-            match opts.radius {
-                Some(r) => radius_pool(index, view, i, m, r, filter, cands),
-                None => cands.extend((0..n as u32).filter(|&j| negative(j as usize))),
-            }
-        }
-    } else if let Some(r) = opts.radius {
-        radius_pool(index, view, i, m, r, filter, cands);
-    }
-    if cands.is_empty() {
-        return None;
-    }
-    let k = rng.gen_range(0..cands.len());
-    Some(*cands.select_nth_unstable(k).1 as usize)
+/// The v-pins of `view` that give a positive sample, each with its true
+/// match, in index order.
+fn positive_pairs<'a>(
+    view: &'a SplitView,
+    opts: SampleOptions,
+    filter: Option<&'a [bool]>,
+) -> impl Iterator<Item = (usize, usize)> + 'a {
+    let included = move |j: usize| filter.is_none_or(|f| f[j]);
+    (0..view.num_vpins()).filter_map(move |i| {
+        let m = view.true_match(i);
+        (included(i) && included(m) && opts.eligible(view, i, m)).then_some((i, m))
+    })
 }
 
-/// The legal partners of `i` within radius `r`, less its true match `m`
-/// and any v-pin `filter` masks out, written to `cands` in no set order.
-fn radius_pool(
-    index: &VpinIndex,
+/// Appends one design's samples to `ds`: for each positive pair, its row
+/// and then the row of one negative drawn from the design's stream.
+fn push_view_samples(
+    ds: &mut Dataset,
     view: &SplitView,
-    i: usize,
-    m: usize,
-    r: i64,
+    features: &FeatureSet,
+    opts: SampleOptions,
     filter: Option<&[bool]>,
-    cands: &mut Vec<u32>,
+    seed: u64,
 ) {
-    index.partners_within_radius(view, i, r, cands);
-    match filter {
-        None => {
-            if let Some(p) = cands.iter().position(|&j| j as usize == m) {
-                cands.swap_remove(p);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let kernel = PairKernel::new(view.vpins(), features);
+    let nf = kernel.num_features();
+    let mut rows = Vec::with_capacity(2 * nf);
+    let mut draw = Draw::new(view, opts, filter);
+    for (i, m) in positive_pairs(view, opts, filter) {
+        // One matching negative, drawn from the same candidate pool the
+        // testing stage will use. The draw takes the k-th smallest v-pin
+        // index of the candidate *set*, so it is a pure function of the
+        // seed and that set.
+        match draw.negative(view, i, m, &mut rng) {
+            Some(j) => kernel.fill_batch(i as u32, &[m as u32, j as u32], &mut rows),
+            None => kernel.fill_batch(i as u32, &[m as u32], &mut rows),
+        }
+        ds.push(&rows[..nf], true).expect("kernel rows match");
+        if rows.len() > nf {
+            ds.push(&rows[nf..], false).expect("kernel rows match");
+        }
+    }
+}
+
+/// One design's negative draw: its options, v-pin filter and the
+/// structures the restricted pools are read from.
+struct Draw<'a> {
+    opts: SampleOptions,
+    filter: Option<&'a [bool]>,
+    /// The same-track lists, for `DiffVpinY = 0` pools.
+    tracks: Option<VpinIndex>,
+    /// The radius pools, and the same-track fallback.
+    table: Option<DrawTable>,
+    cands: Vec<u32>,
+}
+
+impl<'a> Draw<'a> {
+    fn new(view: &SplitView, opts: SampleOptions, filter: Option<&'a [bool]>) -> Self {
+        let restricted = opts.radius.is_some() || opts.limit_diff_vpin_y;
+        Self {
+            opts,
+            filter,
+            tracks: opts.limit_diff_vpin_y.then(|| VpinIndex::new(view, 10_000)),
+            table: restricted.then(|| DrawTable::new(view, filter)),
+            cands: Vec::new(),
+        }
+    }
+
+    /// A non-match partner for `i` (true match `m`), or `None` when its
+    /// pool is empty.
+    fn negative(
+        &mut self,
+        view: &SplitView,
+        i: usize,
+        m: usize,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<usize> {
+        let filter = self.filter;
+        let negative = |j: usize| j != m && filter.is_none_or(|f| f[j]) && view.is_legal_pair(i, j);
+        let Some(table) = &mut self.table else {
+            // Unrestricted: rejection-sample a uniform non-match.
+            let n = view.num_vpins();
+            return (0..64).map(|_| rng.gen_range(0..n)).find(|&j| negative(j));
+        };
+        if let Some(tracks) = &self.tracks {
+            // `same_y` lists its track in ascending index order, so the
+            // pool's k-th smallest index is `cands[k]`.
+            let radius = self.opts.radius;
+            tracks.same_y(view.vpins()[i].loc.y, i as u32, &mut self.cands);
+            self.cands.retain(|&j| {
+                let j = j as usize;
+                radius.is_none_or(|r| view.distance(i, j) <= r) && negative(j)
+            });
+            if !self.cands.is_empty() {
+                return Some(self.cands[rng.gen_range(0..self.cands.len())] as usize);
+            }
+            // A v-pin alone on its track has no same-track negative; fall
+            // back to its spatial neighborhood (the whole view without a
+            // radius) so the classes stay balanced. At testing time these
+            // pairs are never evaluated, so the model only becomes *more*
+            // conservative.
+        }
+        table.draw(view, i, m, self.opts.radius, rng)
+    }
+}
+
+/// Width of the chunks [`DrawTable`] counts members in.
+const CHUNK: usize = 64;
+
+/// One view's v-pins in rotated coordinates, for drawing from a target's
+/// Manhattan ball without building it.
+///
+/// With `u = x + y` and `v = x − y`, the ball of radius `r` around a
+/// v-pin is the square `|Δu| <= r, |Δv| <= r`, so membership is four
+/// compares. [`sm_layout::split::MAX_COORD`] keeps every `u` and `v` in
+/// `i32`. A draw counts the members of each [`CHUNK`] of v-pins in one
+/// branch-free pass, takes `k` from the counts exactly as the pool's
+/// length would give it, and scans one chunk for the `k`-th member in index
+/// order: the `k`-th smallest index of the pool, with neither the pool nor
+/// a sort.
+struct DrawTable {
+    u: Vec<i32>,
+    v: Vec<i32>,
+    /// 1 where a v-pin may partner a non-driver: it passes the filter.
+    any: Vec<i32>,
+    /// 1 where a v-pin may partner a driver: it passes the filter and
+    /// does not drive (see [`SplitView::is_legal_pair`]).
+    sink: Vec<i32>,
+    /// Members per chunk in the current draw.
+    counts: Vec<usize>,
+}
+
+impl DrawTable {
+    fn new(view: &SplitView, filter: Option<&[bool]>) -> Self {
+        let vpins = view.vpins();
+        let rotated = |f: fn(i64, i64) -> i64| -> Vec<i32> {
+            vpins
+                .iter()
+                .map(|p| i32::try_from(f(p.loc.x, p.loc.y)).expect("coordinates within MAX_COORD"))
+                .collect()
+        };
+        let passes = |j: usize| filter.is_none_or(|f| f[j]);
+        Self {
+            u: rotated(|x, y| x + y),
+            v: rotated(|x, y| x - y),
+            any: (0..vpins.len()).map(|j| i32::from(passes(j))).collect(),
+            sink: (0..vpins.len())
+                .map(|j| i32::from(passes(j) && !vpins[j].drives()))
+                .collect(),
+            counts: Vec::with_capacity(vpins.len().div_ceil(CHUNK)),
+        }
+    }
+
+    /// The `k`-th smallest index, `k = rng.gen_range(0..len)`, of the pool
+    /// of `i`'s legal partners that pass the filter and lie within
+    /// `radius` of it (anywhere in the view for `None`), less `i` and its
+    /// true match `m`; `None`, drawing nothing, for an empty pool.
+    fn draw(
+        &mut self,
+        view: &SplitView,
+        i: usize,
+        m: usize,
+        radius: Option<i64>,
+        rng: &mut ChaCha8Rng,
+    ) -> Option<usize> {
+        let (u, v) = (&self.u, &self.v);
+        let eligible = if view.vpins()[i].drives() {
+            &self.sink
+        } else {
+            &self.any
+        };
+        let window = |c: i32| match radius {
+            None => (i32::MIN, i32::MAX),
+            Some(r) => {
+                let clamp = |x: i64| x.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+                (
+                    clamp(i64::from(c).saturating_sub(r)),
+                    clamp(i64::from(c).saturating_add(r)),
+                )
+            }
+        };
+        let (ulo, uhi) = window(u[i]);
+        let (vlo, vhi) = window(v[i]);
+        let member = |u: i32, v: i32, e: i32| {
+            i32::from((ulo <= u) & (u <= uhi) & (vlo <= v) & (v <= vhi)) & e
+        };
+        self.counts.clear();
+        let mut total = 0;
+        for ((cu, cv), ce) in u
+            .chunks(CHUNK)
+            .zip(v.chunks(CHUNK))
+            .zip(eligible.chunks(CHUNK))
+        {
+            let c: i32 = cu
+                .iter()
+                .zip(cv)
+                .zip(ce)
+                .map(|((&u, &v), &e)| member(u, v, e))
+                .sum();
+            self.counts.push(c as usize);
+            total += c as usize;
+        }
+        // 1 where v-pin `j` lies in `chunk` and is a member, else 0: what
+        // `i` or `m` adds to that chunk's count but not to the pool.
+        let excluded = |chunk: usize, j: usize| {
+            usize::from(j / CHUNK == chunk) * member(u[j], v[j], eligible[j]) as usize
+        };
+        total -= excluded(i / CHUNK, i) + excluded(m / CHUNK, m);
+        if total == 0 {
+            return None;
+        }
+        let mut k = rng.gen_range(0..total);
+        for (chunk, &count) in self.counts.iter().enumerate() {
+            let count = count - excluded(chunk, i) - excluded(chunk, m);
+            if k >= count {
+                k -= count;
+                continue;
+            }
+            let start = chunk * CHUNK;
+            let end = (start + CHUNK).min(u.len());
+            for j in start..end {
+                if j != i && j != m && member(u[j], v[j], eligible[j]) != 0 {
+                    if k == 0 {
+                        return Some(j);
+                    }
+                    k -= 1;
+                }
             }
         }
-        Some(f) => cands.retain(|&j| j as usize != m && f[j as usize]),
+        unreachable!("k is below the pool's size")
     }
 }
 

@@ -20,6 +20,7 @@ use crate::attack::{
     TrainedAttack,
 };
 use crate::error::AttackError;
+use crate::features::PairKernel;
 use crate::samples::SampleOptions;
 
 /// Level-1 probability threshold defining the LoC that Level 2 refines.
@@ -74,33 +75,34 @@ pub fn two_level_attack(
         radius: level1.radius(),
         limit_diff_vpin_y: config.limit_diff_vpin_y,
     };
-    let mut l2_data = Dataset::new(config.features.len());
-    let mut buf = Vec::with_capacity(config.features.len());
+    let rows = 2 * training_views.iter().map(|v| v.num_vpins()).sum::<usize>();
+    let mut l2_data = Dataset::with_capacity(config.features.len(), rows);
+    let mut batch = Vec::new();
     for view in training_views {
         let scored = level1.score(view, score_options);
+        let kernel = PairKernel::new(view.vpins(), &config.features);
+        let nf = kernel.num_features();
         for slot in &scored.slots {
             let i = slot.vpin as usize;
             let m = view.true_match(i);
             if !sample_opts.eligible(view, i, m) {
                 continue;
             }
-            // All positives, as in Level 1.
-            config
-                .features
-                .compute_into(&view.vpins()[i], &view.vpins()[m], &mut buf);
-            l2_data.push(&buf, true).expect("arity matches");
-            // One hard negative from the Level-1 LoC.
+            // All positives, as in Level 1, and one hard negative from the
+            // Level-1 LoC.
             let loc: Vec<u32> = slot
                 .top
                 .iter()
                 .filter(|c| c.p >= LEVEL1_THRESHOLD && c.index as usize != m)
                 .map(|c| c.index)
                 .collect();
-            if let Some(&j) = pick(&loc, &mut rng) {
-                config
-                    .features
-                    .compute_into(&view.vpins()[i], &view.vpins()[j as usize], &mut buf);
-                l2_data.push(&buf, false).expect("arity matches");
+            match pick(&loc, &mut rng) {
+                Some(&j) => kernel.fill_batch(slot.vpin, &[m as u32, j], &mut batch),
+                None => kernel.fill_batch(slot.vpin, &[m as u32], &mut batch),
+            }
+            l2_data.push(&batch[..nf], true).expect("arity matches");
+            if batch.len() > nf {
+                l2_data.push(&batch[nf..], false).expect("arity matches");
             }
         }
     }

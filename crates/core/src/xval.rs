@@ -29,7 +29,6 @@ use sm_ml::Dataset;
 
 use crate::attack::{AttackConfig, ScoreOptions, ScoredView, TrainOptions, TrainedAttack};
 use crate::error::AttackError;
-use crate::neighborhood::neighborhood_radius;
 use crate::samples::{generate_view_samples, sample_base_seed, view_sample_seed};
 
 /// One fold's outcome: the held-out design, its scoring, and timings.
@@ -84,17 +83,13 @@ pub fn leave_one_out(
     // samples depend on it (it bounds the negative-candidate pool).
     let radii: Vec<Option<i64>> = (0..views.len())
         .map(|t| {
-            if config.scalable {
-                let train: Vec<&SplitView> = views
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| *i != t)
-                    .map(|(_, v)| v)
-                    .collect();
-                neighborhood_radius(&train, config.neighborhood_quantile)
-            } else {
-                None
-            }
+            let train: Vec<&SplitView> = views
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != t)
+                .map(|(_, v)| v)
+                .collect();
+            config.training_radius(&train)
         })
         .collect();
 

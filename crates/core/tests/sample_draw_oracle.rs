@@ -1,18 +1,22 @@
 //! Bit-identity of the training-sample draw against the sorted draw it
-//! replaced. The oracle below rebuilds that draw from public APIs only: it
-//! enumerates each negative's candidate pool, sorts it into ascending v-pin
-//! order, drops illegal and excluded candidates one by one, and takes
-//! `cands[k]` for `k = gen_range(0..len)` from the design's seeded stream.
-//! `generate_view_samples` must give the identical `Dataset` for every
-//! option set, including the same-track fallback and a v-pin filter.
+//! replaced, `sm_attack::oracle::generate_view_samples`: that oracle
+//! enumerates each negative's candidate pool, sorts it into ascending
+//! v-pin order, drops illegal and excluded candidates one by one, and
+//! takes `cands[k]` for `k = gen_range(0..len)` from the design's seeded
+//! stream. `generate_view_samples` must give the identical `Dataset` for
+//! every option set, including the same-track fallback and a v-pin filter,
+//! on the suite's designs and on random views.
 
+use proptest::prelude::*;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use sm_attack::features::FeatureSet;
-use sm_attack::neighborhood::{neighborhood_radius, VpinIndex};
+use sm_attack::neighborhood::neighborhood_radius;
+use sm_attack::oracle;
 use sm_attack::samples::{generate_view_samples, view_sample_seed, SampleOptions};
-use sm_layout::{SplitLayer, SplitView, Suite};
-use sm_ml::Dataset;
+use sm_layout::geom::{Point, Rect};
+use sm_layout::split::MAX_COORD;
+use sm_layout::{SplitLayer, SplitView, Suite, VPin};
 
 fn views(layer: u8) -> Vec<SplitView> {
     Suite::ispd2011_like(0.02)
@@ -25,76 +29,27 @@ fn imp_radius(vs: &[SplitView]) -> i64 {
     neighborhood_radius(&refs, 0.9).expect("suite has matches")
 }
 
-/// The sorted draw, and how many negatives took the same-track fallback.
-fn sorted_draw_samples(
-    view: &SplitView,
-    features: &FeatureSet,
-    opts: SampleOptions,
-    filter: Option<&[bool]>,
-    seed: u64,
-) -> (Dataset, usize) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut ds = Dataset::new(features.len());
-    let mut buf = Vec::new();
-    let mut fallbacks = 0;
+/// How many of `view`'s negatives take the same-track fallback: the
+/// positives with no eligible, unfiltered non-match on their track.
+fn same_track_fallbacks(view: &SplitView, opts: SampleOptions, filter: Option<&[bool]>) -> usize {
+    if !opts.limit_diff_vpin_y {
+        return 0;
+    }
     let n = view.num_vpins();
-    if n < 2 {
-        return (ds, fallbacks);
-    }
     let included = |j: usize| filter.is_none_or(|f| f[j]);
-    let index = match (opts.radius, opts.limit_diff_vpin_y) {
-        (Some(r), _) => Some(VpinIndex::with_radius(view, r)),
-        (None, true) => Some(VpinIndex::new(view, 10_000)),
-        (None, false) => None,
-    };
-    let sorted_ball = |index: &VpinIndex, i: usize, r: i64, out: &mut Vec<u32>| {
-        index.within_radius_unordered(view, view.vpins()[i].loc, r, i as u32, out);
-        out.sort_unstable();
-    };
-    let mut cands = Vec::new();
-    for i in 0..n {
-        let m = view.true_match(i);
-        if !included(i) || !included(m) || !opts.eligible(view, i, m) {
-            continue;
-        }
-        features.compute_into(&view.vpins()[i], &view.vpins()[m], &mut buf);
-        ds.push(&buf, true).expect("arity");
-        let keep = |j: usize| j != m && included(j) && view.is_legal_pair(i, j);
-        let drew = match &index {
-            None => (0..64)
-                .map(|_| rng.gen_range(0..n))
-                .find(|&j| j != i && keep(j)),
-            Some(index) => {
-                if opts.limit_diff_vpin_y {
-                    index.same_y(view.vpins()[i].loc.y, i as u32, &mut cands);
-                    if let Some(r) = opts.radius {
-                        cands.retain(|&j| view.distance(i, j as usize) <= r);
-                    }
-                } else if let Some(r) = opts.radius {
-                    sorted_ball(index, i, r, &mut cands);
-                }
-                cands.retain(|&j| keep(j as usize));
-                if cands.is_empty() && opts.limit_diff_vpin_y {
-                    fallbacks += 1;
-                    match opts.radius {
-                        Some(r) => sorted_ball(index, i, r, &mut cands),
-                        None => cands.extend((0..n as u32).filter(|&j| j != i as u32)),
-                    }
-                    cands.retain(|&j| keep(j as usize));
-                }
-                (!cands.is_empty()).then(|| cands[rng.gen_range(0..cands.len())] as usize)
-            }
-        };
-        if let Some(j) = drew {
-            features.compute_into(&view.vpins()[i], &view.vpins()[j], &mut buf);
-            ds.push(&buf, false).expect("arity");
-        }
-    }
-    (ds, fallbacks)
+    (0..n)
+        .filter(|&i| {
+            let m = view.true_match(i);
+            included(i)
+                && included(m)
+                && opts.eligible(view, i, m)
+                && !(0..n).any(|j| j != m && included(j) && opts.eligible(view, i, j))
+        })
+        .count()
 }
 
 /// Compares both draws on every view of `vs` for each base seed; returns
-/// the number of same-track fallbacks the oracle took.
+/// the number of same-track fallbacks the draws took.
 fn assert_draws_agree(
     vs: &[SplitView],
     opts: SampleOptions,
@@ -108,10 +63,10 @@ fn assert_draws_agree(
             let filter = masks.map(|m| m[vi].as_slice());
             let seed = view_sample_seed(base, &view.name);
             let got = generate_view_samples(view, &features, opts, filter, seed);
-            let (want, fell_back) = sorted_draw_samples(view, &features, opts, filter, seed);
+            let want = oracle::generate_view_samples(view, &features, opts, filter, seed);
             assert!(!want.is_empty(), "{} {opts:?}: no samples", view.name);
             assert_eq!(got, want, "{} {opts:?} base {base}", view.name);
-            fallbacks += fell_back;
+            fallbacks += same_track_fallbacks(view, opts, filter);
         }
     }
     fallbacks
@@ -166,5 +121,134 @@ fn every_option_set_matches_the_sorted_draw() {
             .collect();
         assert_draws_agree(&vs, only_radius, Some(&masks), &bases);
         assert_draws_agree(&vs, y_and_radius, Some(&masks), &bases);
+    }
+}
+
+/// The coordinate shapes of [`random_view`]: each shape's die, and a
+/// coordinate drawn for it.
+#[derive(Clone, Copy)]
+enum Shape {
+    /// A coarse lattice: many v-pins share a location or a track.
+    Lattice,
+    /// Negative and out-of-die coordinates around a small die.
+    OffDie,
+    /// The bound's extremes and their neighbours.
+    Extremes,
+    /// Anywhere within the bound.
+    Anywhere,
+}
+
+impl Shape {
+    fn die(self) -> Rect {
+        match self {
+            Shape::Lattice => Rect::with_size(8_000, 8_000),
+            Shape::OffDie => Rect::with_size(10_000, 10_000),
+            Shape::Extremes => Rect::new(
+                Point::new(-MAX_COORD, -MAX_COORD),
+                Point::new(MAX_COORD, MAX_COORD),
+            ),
+            Shape::Anywhere => Rect::with_size(MAX_COORD, MAX_COORD),
+        }
+    }
+
+    fn coord(self, rng: &mut ChaCha8Rng) -> i64 {
+        match self {
+            Shape::Lattice => rng.gen_range(0..8i64) * 1_000,
+            Shape::OffDie => rng.gen_range(-30_000..40_000i64),
+            Shape::Extremes => {
+                let c = [-MAX_COORD, MAX_COORD, 0][rng.gen_range(0..3usize)];
+                c - c.signum() * rng.gen_range(0..3i64)
+            }
+            Shape::Anywhere => rng.gen_range(-MAX_COORD..=MAX_COORD),
+        }
+    }
+}
+
+/// A random view for the draw property: up to 100 random pairs (four
+/// draw chunks) over coordinates of one [`Shape`], each pair with at most
+/// one driver.
+fn random_view(rng: &mut ChaCha8Rng) -> SplitView {
+    let pairs = rng.gen_range(1..=100usize);
+    let n = 2 * pairs;
+    let shape = [
+        Shape::Lattice,
+        Shape::OffDie,
+        Shape::Extremes,
+        Shape::Anywhere,
+    ][rng.gen_range(0..4usize)];
+    let coord = |rng: &mut ChaCha8Rng| shape.coord(rng);
+    let die = shape.die();
+    // Y from a few tracks, so same-track pools are seldom all empty.
+    let tracks: Vec<i64> = (0..rng.gen_range(1..=4usize)).map(|_| coord(rng)).collect();
+    // Share of pairs with a driver: none, some, or every pair (the most a
+    // legal matching allows, since no pair may join two drivers).
+    let driver_share = [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
+    let mut order: Vec<usize> = (0..n).collect();
+    for k in (1..n).rev() {
+        order.swap(k, rng.gen_range(0..=k));
+    }
+    let mut vpins = vec![None; n];
+    let mut partner = vec![0u32; n];
+    for pair in order.chunks_exact(2) {
+        let (a, b) = (pair[0], pair[1]);
+        partner[a] = b as u32;
+        partner[b] = a as u32;
+        let driver = rng
+            .gen_bool(driver_share)
+            .then(|| pair[rng.gen_range(0..2usize)]);
+        for j in [a, b] {
+            let drives = driver == Some(j);
+            let loc = Point::new(coord(rng), tracks[rng.gen_range(0..tracks.len())]);
+            vpins[j] = Some(VPin {
+                loc,
+                pin_loc: Point::new(coord(rng), coord(rng)),
+                wirelength: rng.gen_range(0..5_000),
+                in_area: if drives { 0 } else { rng.gen_range(1..4_000) },
+                out_area: if drives { rng.gen_range(1..4_000) } else { 0 },
+                pc: rng.gen_range(0.0..3.0),
+                rc: rng.gen_range(0.0..3.0),
+            });
+        }
+    }
+    let vpins = vpins
+        .into_iter()
+        .map(|v| v.expect("every v-pin set"))
+        .collect();
+    SplitView::from_parts(
+        "random".into(),
+        SplitLayer::new(6).expect("valid layer"),
+        die,
+        vpins,
+        partner,
+    )
+    .expect("a legal matching within the bound")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    fn draw_equals_the_sorted_pool_on_random_views(seed in any::<u64>()) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let view = random_view(&mut rng);
+        let span = 4 * MAX_COORD;
+        let radius = match rng.gen_range(0..5u8) {
+            0 => None,
+            1 => Some(0),
+            2 => Some(rng.gen_range(0..20_000)),
+            3 => Some(rng.gen_range(0..=span)),
+            _ => Some(span + rng.gen_range(0..1_000i64)),
+        };
+        let opts = SampleOptions {
+            radius,
+            limit_diff_vpin_y: rng.gen_bool(0.5),
+        };
+        let mask: Option<Vec<bool>> = rng
+            .gen_bool(0.5)
+            .then(|| (0..view.num_vpins()).map(|_| rng.gen_bool(0.8)).collect());
+        let features = FeatureSet::eleven();
+        let stream = rng.next_u64();
+        let got = generate_view_samples(&view, &features, opts, mask.as_deref(), stream);
+        let want = oracle::generate_view_samples(&view, &features, opts, mask.as_deref(), stream);
+        prop_assert_eq!(got, want, "{:?}", opts);
     }
 }

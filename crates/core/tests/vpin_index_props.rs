@@ -176,9 +176,10 @@ proptest! {
     }
 }
 
-/// Out-of-die v-pins (possible through `io::read_feol` or hand-built
+/// Out-of-die v-pins (possible through `io::read_challenge` or hand-built
 /// views) clamp into edge cells of the grid; the bulk fast path must not
-/// mistake them for in-cell pins, in either bucket table.
+/// mistake them for in-cell pins, in either bucket table, and an edge cell
+/// must not be skipped for its rectangle's distance alone.
 #[test]
 fn out_of_die_vpins_are_still_found_exactly() {
     let w = 100_000;
@@ -190,6 +191,11 @@ fn out_of_die_vpins_are_still_found_exactly() {
         vpin_at(3, 95_000, 95_000),
         vpin_at(4, 40_000, 40_000),
         vpin_at(5, 40_001, 40_000),
+        // Near neighbours of the two outliers, both also off the die: a
+        // query from one must find the other although their edge cell's
+        // rectangle lies far from both.
+        vpin_at(6, 500_010, 499_990),
+        vpin_at(7, -90_005, 20_000),
     ];
     let view = view_of(vpins, w, h);
     for cell in [1_000i64, 7_000, 50_000, 200_000] {

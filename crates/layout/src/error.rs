@@ -10,6 +10,9 @@ pub enum LayoutError {
     InvalidSpec(String),
     /// A net references a cell or pin that does not exist.
     DanglingReference(String),
+    /// A coordinate lies outside the bound every [`crate::SplitView`]
+    /// keeps ([`crate::split::MAX_COORD`]).
+    CoordinateOutOfRange(String),
 }
 
 impl std::fmt::Display for LayoutError {
@@ -20,6 +23,9 @@ impl std::fmt::Display for LayoutError {
             }
             LayoutError::InvalidSpec(msg) => write!(f, "invalid design spec: {msg}"),
             LayoutError::DanglingReference(msg) => write!(f, "dangling reference: {msg}"),
+            LayoutError::CoordinateOutOfRange(msg) => {
+                write!(f, "coordinate out of range: {msg}")
+            }
         }
     }
 }

@@ -22,6 +22,7 @@ use crate::cells::{CellLibrary, PinDir, ROW_HEIGHT};
 use crate::error::LayoutError;
 use crate::geom::{Grid, Point, Rect};
 use crate::netlist::{CellId, Netlist, PinRef};
+use crate::split::MAX_COORD;
 
 /// A placement-density hotspot: cells are packed more tightly around it.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -149,7 +150,9 @@ pub struct PlacedDesign {
 ///
 /// # Errors
 ///
-/// Returns [`LayoutError::InvalidSpec`] if the spec fails validation.
+/// Returns [`LayoutError::InvalidSpec`] if the spec fails validation or
+/// sizes a die side longer than a quarter of
+/// [`crate::split::MAX_COORD`].
 ///
 /// # Examples
 ///
@@ -168,7 +171,7 @@ pub fn generate(spec: &DesignSpec) -> Result<PlacedDesign, LayoutError> {
     let library = CellLibrary::standard();
     let mut netlist = Netlist::new(library);
 
-    let die = size_die(spec, netlist.library());
+    let die = size_die(spec, netlist.library())?;
     let macro_rects = place_macros(spec, &mut netlist, die, &mut rng);
     place_cells(spec, &mut netlist, die, &macro_rects, &mut rng);
     generate_nets(spec, &mut netlist, die, &mut rng)?;
@@ -180,8 +183,14 @@ pub fn generate(spec: &DesignSpec) -> Result<PlacedDesign, LayoutError> {
     })
 }
 
+/// Longest die side `generate` accepts, in DBU: a quarter of
+/// [`MAX_COORD`], so every via and pin of the placed and routed design,
+/// which lie in or beside the die, keeps within the bound of a
+/// [`crate::SplitView`].
+const MAX_DIE_SIDE: i64 = MAX_COORD / 4;
+
 /// Picks die dimensions so that total cell area / die area ≈ `spec.density`.
-fn size_die(spec: &DesignSpec, library: &CellLibrary) -> Rect {
+fn size_die(spec: &DesignSpec, library: &CellLibrary) -> Result<Rect, LayoutError> {
     let std_ids = library.standard_kind_ids();
     let mean_area: f64 = std_ids
         .iter()
@@ -198,9 +207,14 @@ fn size_die(spec: &DesignSpec, library: &CellLibrary) -> Rect {
     let die_area = total / spec.density;
     let h = (die_area / spec.aspect).sqrt();
     let w = h * spec.aspect;
+    if !(w.ceil() <= MAX_DIE_SIDE as f64 && h.ceil() <= MAX_DIE_SIDE as f64) {
+        return Err(LayoutError::InvalidSpec(format!(
+            "die of {w:.0} x {h:.0} DBU exceeds {MAX_DIE_SIDE} DBU a side"
+        )));
+    }
     // Round height to a whole number of rows.
     let rows = ((h / ROW_HEIGHT as f64).ceil() as i64).max(4);
-    Rect::with_size(w.ceil() as i64, rows * ROW_HEIGHT)
+    Ok(Rect::with_size(w.ceil() as i64, rows * ROW_HEIGHT))
 }
 
 fn place_macros(
@@ -520,6 +534,10 @@ mod tests {
         let mut s = small_spec();
         s.num_cells = 1;
         assert!(s.validate().is_err());
+        // A die past the coordinate bound is refused before placement.
+        let mut s = small_spec();
+        s.density = 1e-12;
+        assert!(matches!(generate(&s), Err(LayoutError::InvalidSpec(m)) if m.contains("exceeds")));
     }
 
     #[test]

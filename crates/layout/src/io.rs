@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 
 use crate::geom::{Point, Rect};
-use crate::split::{SplitView, VPin};
+use crate::split::{SplitView, VPin, MAX_COORD};
 use crate::tech::SplitLayer;
 
 /// Errors produced while parsing challenge/truth files.
@@ -159,10 +159,10 @@ pub fn read_challenge(challenge: &str, truth: &str) -> Result<SplitView, ParseCh
                 );
             }
             "die" => {
-                let x0: i64 = parse_tok(&mut tok, ln, "die x0")?;
-                let y0: i64 = parse_tok(&mut tok, ln, "die y0")?;
-                let x1: i64 = parse_tok(&mut tok, ln, "die x1")?;
-                let y1: i64 = parse_tok(&mut tok, ln, "die y1")?;
+                let x0 = parse_coord(&mut tok, ln, "die x0")?;
+                let y0 = parse_coord(&mut tok, ln, "die y0")?;
+                let x1 = parse_coord(&mut tok, ln, "die x1")?;
+                let y1 = parse_coord(&mut tok, ln, "die y1")?;
                 if x1 <= x0 || y1 <= y0 {
                     return Err(ParseChallengeError::BadField {
                         line: ln + 1,
@@ -180,10 +180,10 @@ pub fn read_challenge(challenge: &str, truth: &str) -> Result<SplitView, ParseCh
                     line: ln + 1,
                     message: format!("unknown directive '{first}'"),
                 })?;
-                let vx: i64 = parse_tok(&mut tok, ln, "vx")?;
-                let vy: i64 = parse_tok(&mut tok, ln, "vy")?;
-                let px: i64 = parse_tok(&mut tok, ln, "px")?;
-                let py: i64 = parse_tok(&mut tok, ln, "py")?;
+                let vx = parse_coord(&mut tok, ln, "vx")?;
+                let vy = parse_coord(&mut tok, ln, "vy")?;
+                let px = parse_coord(&mut tok, ln, "px")?;
+                let py = parse_coord(&mut tok, ln, "py")?;
                 let w: i64 = parse_tok(&mut tok, ln, "wirelength")?;
                 let in_area: i64 = parse_tok(&mut tok, ln, "in_area")?;
                 let out_area: i64 = parse_tok(&mut tok, ln, "out_area")?;
@@ -239,6 +239,23 @@ pub fn read_challenge(challenge: &str, truth: &str) -> Result<SplitView, ParseCh
 
     SplitView::from_parts(name, split, die, vpins, partner)
         .map_err(|e| ParseChallengeError::BadTruth(e.to_string()))
+}
+
+/// [`parse_tok`] for a coordinate, which must lie within
+/// [`MAX_COORD`] of the origin (see [`SplitView`]).
+fn parse_coord(
+    tok: &mut std::str::SplitWhitespace<'_>,
+    line: usize,
+    what: &str,
+) -> Result<i64, ParseChallengeError> {
+    let c: i64 = parse_tok(tok, line, what)?;
+    if !(-MAX_COORD..=MAX_COORD).contains(&c) {
+        return Err(ParseChallengeError::BadField {
+            line: line + 1,
+            message: format!("{what} {c} outside ±{MAX_COORD} DBU"),
+        });
+    }
+    Ok(c)
 }
 
 fn parse_tok<T: std::str::FromStr>(
@@ -332,6 +349,49 @@ mod tests {
             Err(ParseChallengeError::BadField { line, message }) => {
                 assert_eq!(line, 2);
                 assert!(message.contains("split layer"));
+            }
+            other => panic!("expected BadField, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_coordinates_beyond_the_bound() {
+        let v = view();
+        let die = format!(
+            "die {} {} {} {}",
+            v.die.lo.x, v.die.lo.y, v.die.hi.x, v.die.hi.y
+        );
+        let huge =
+            write_challenge(&v).replace(&die, "die 0 0 4000000000000000000 4000000000000000000");
+        match read_challenge(&huge, &write_truth(&v)) {
+            Err(ParseChallengeError::BadField { line, message }) => {
+                assert_eq!(line, 4);
+                assert!(message.contains("die x1"), "{message}");
+            }
+            other => panic!("expected BadField, got {other:?}"),
+        }
+        let min = write_challenge(&v).replace(&die, &format!("die {} 0 1 1", i64::MIN));
+        assert!(matches!(
+            read_challenge(&min, &write_truth(&v)),
+            Err(ParseChallengeError::BadField { line: 4, .. })
+        ));
+        // The bound itself is accepted; one past it on a v-pin is not.
+        let at = write_challenge(&v).replace(
+            &die,
+            &format!("die -{MAX_COORD} -{MAX_COORD} {MAX_COORD} {MAX_COORD}"),
+        );
+        assert!(read_challenge(&at, &write_truth(&v)).is_ok());
+        let first = write_challenge(&v)
+            .lines()
+            .find(|l| l.starts_with("0 "))
+            .expect("v-pin 0 record")
+            .to_owned();
+        let mut fields: Vec<String> = first.split(' ').map(str::to_owned).collect();
+        fields[2] = (MAX_COORD + 1).to_string();
+        let past = write_challenge(&v).replace(&first, &fields.join(" "));
+        match read_challenge(&past, &write_truth(&v)) {
+            Err(ParseChallengeError::BadField { message, .. }) => {
+                assert!(message.contains("vy"), "{message}");
             }
             other => panic!("expected BadField, got {other:?}"),
         }

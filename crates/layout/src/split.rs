@@ -20,6 +20,21 @@ use crate::tech::SplitLayer;
 /// Window radius (in g-cells) for the `PC`/`RC` density features.
 pub const CONGESTION_WINDOW: usize = 1;
 
+/// Largest magnitude, in DBU, of any coordinate a [`SplitView`] holds: its
+/// die corners and every v-pin's via and pin locations lie in
+/// `[-MAX_COORD, MAX_COORD]` on both axes. Within it the rotated
+/// coordinates `x + y` and `x - y` of a point, and the difference of two
+/// coordinates, fit an `i32`, which the training-sample draw relies on.
+/// Generated designs stay far inside it: a scale-10 die is under
+/// 3·10⁶ DBU across.
+pub const MAX_COORD: i64 = 1 << 29;
+
+/// Whether both coordinates of `p` lie within [`MAX_COORD`].
+fn in_bound(p: Point) -> bool {
+    let ok = |c: i64| (-MAX_COORD..=MAX_COORD).contains(&c);
+    ok(p.x) && ok(p.y)
+}
+
 /// One v-pin: a via at the split layer, with every attacker-observable
 /// quantity the paper's Section III-A extracts.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,6 +67,9 @@ impl VPin {
 
 /// The attacker-visible view of a design cut at a split layer, plus the
 /// (separately stored) ground-truth matching used for evaluation.
+///
+/// Every coordinate of a view built by [`SplitView::cut`] or
+/// [`SplitView::from_parts`] lies within [`MAX_COORD`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SplitView {
     /// Benchmark name this view was cut from.
@@ -161,6 +179,10 @@ impl SplitView {
             })
             .collect();
         let net_of = raws.iter().map(|r| r.net).collect();
+        // `generate` bounds the die well inside `MAX_COORD`, and every via
+        // and pin lies in or next to it.
+        debug_assert!(in_bound(design.die.lo) && in_bound(design.die.hi));
+        debug_assert!(vpins.iter().all(|v| in_bound(v.loc) && in_bound(v.pin_loc)));
 
         Self {
             name: design.name.clone(),
@@ -181,7 +203,9 @@ impl SplitView {
     ///
     /// Returns [`crate::error::LayoutError::DanglingReference`] if
     /// `partner` is not a valid matching of `vpins` or any matched pair is
-    /// illegal (two drivers).
+    /// illegal (two drivers), and
+    /// [`crate::error::LayoutError::CoordinateOutOfRange`] if a die corner
+    /// or a v-pin's via or pin location lies outside [`MAX_COORD`].
     pub fn from_parts(
         name: String,
         split: SplitLayer,
@@ -190,6 +214,21 @@ impl SplitView {
         partner: Vec<u32>,
     ) -> Result<Self, crate::error::LayoutError> {
         use crate::error::LayoutError;
+        if !(in_bound(die.lo) && in_bound(die.hi)) {
+            return Err(LayoutError::CoordinateOutOfRange(format!(
+                "die {} .. {} exceeds ±{MAX_COORD} DBU",
+                die.lo, die.hi
+            )));
+        }
+        if let Some(i) = vpins
+            .iter()
+            .position(|v| !(in_bound(v.loc) && in_bound(v.pin_loc)))
+        {
+            return Err(LayoutError::CoordinateOutOfRange(format!(
+                "v-pin {i} at {} (pins {}) exceeds ±{MAX_COORD} DBU",
+                vpins[i].loc, vpins[i].pin_loc
+            )));
+        }
         if partner.len() != vpins.len() {
             return Err(LayoutError::DanglingReference(
                 "one partner entry per v-pin required".into(),
@@ -370,6 +409,35 @@ mod tests {
             assert!(p.pc >= 0.0 && p.rc > 0.0);
             assert!(v.die.contains(p.loc) || v.die.clamp(p.loc) == p.loc);
         }
+    }
+
+    #[test]
+    fn from_parts_enforces_the_coordinate_bound() {
+        use crate::error::LayoutError;
+        let v = view(8);
+        let parts = |die: Rect, shift: i64| {
+            let mut vpins = v.vpins().to_vec();
+            vpins[0].loc.x += shift;
+            let partner = (0..v.num_vpins()).map(|i| v.true_match(i) as u32).collect();
+            SplitView::from_parts(v.name.clone(), v.split, die, vpins, partner)
+        };
+        assert!(parts(v.die, 0).is_ok());
+        let edge = Rect::new(
+            Point::new(-MAX_COORD, -MAX_COORD),
+            Point::new(MAX_COORD, MAX_COORD),
+        );
+        assert!(parts(edge, 0).is_ok());
+        let past = Rect::new(Point::new(0, 0), Point::new(MAX_COORD + 1, 10));
+        assert!(matches!(
+            parts(past, 0),
+            Err(LayoutError::CoordinateOutOfRange(_))
+        ));
+        let far = MAX_COORD + 1 - v.vpins()[0].loc.x;
+        assert!(matches!(
+            parts(v.die, far),
+            Err(LayoutError::CoordinateOutOfRange(_))
+        ));
+        assert!(parts(v.die, far - 1).is_ok());
     }
 
     #[test]
