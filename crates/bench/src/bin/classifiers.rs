@@ -1,4 +1,4 @@
-//! Classifier bake-off: the survey behind [18]'s remark that the tree
+//! Classifier bake-off: the survey behind \[18\]'s remark that the tree
 //! ensemble had "the best performance among all classifiers we
 //! experimented".
 //!

@@ -1,6 +1,6 @@
 //! Fig. 9: trade-off between LoC fraction and accuracy (averaged over the
 //! five benchmarks), one curve per configuration per split layer, with the
-//! prior work [5] swept across window margins for comparison.
+//! prior work \[5\] swept across window margins for comparison.
 //!
 //! Expected shape: ML curves sit far above the prior work everywhere;
 //! layer-8 curves hug 100 % accuracy at tiny fractions; `Imp` curves

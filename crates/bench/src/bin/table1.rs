@@ -1,4 +1,4 @@
-//! Table I: comparison with the prior work [5] at split layers 8, 6, 4.
+//! Table I: comparison with the prior work \[5\] at split layers 8, 6, 4.
 //!
 //! For each design the prior-work baseline reports a (|LoC|, accuracy)
 //! operating point; each of our configurations is then read off its own

@@ -1,4 +1,4 @@
-//! Table II: RandomTree ([18], as in Weka's RandomForest with 100 trees)
+//! Table II: RandomTree (\[18\], as in Weka's RandomForest with 100 trees)
 //! versus REPTree (this paper, Bagging with 10 trees) as the base
 //! classifier, with the `Imp-7` configuration at split layers 8 and 6.
 //!

@@ -1,10 +1,10 @@
 //! Table V: proximity-attack success rates per design, configuration and
 //! split layer, with the PA-LoC fraction chosen by cross-validation, plus
-//! the prior work's [5] nearest-in-window PA and the fixed-threshold PA of
-//! the conference version [18].
+//! the prior work's \[5\] nearest-in-window PA and the fixed-threshold PA of
+//! the conference version \[18\].
 //!
 //! Expected shape: validated PA beats the fixed `t = 0.5` PA (especially
-//! at layers 6 and 4), both beat [5] by an order of magnitude, layer 8 is
+//! at layers 6 and 4), both beat \[5\] by an order of magnitude, layer 8 is
 //! far easier than the lower layers, and the `Y` variants help at layer 8.
 
 use std::time::Instant;

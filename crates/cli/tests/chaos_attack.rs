@@ -100,33 +100,29 @@ fn fixture() -> &'static Fixture {
     })
 }
 
+/// The flags that score with the fixture's trained artifact.
+const WITH_MODEL: &[&str] = &["--model", "model.bin"];
+
+/// Flags that train the fixture's model in-process instead, under one and
+/// under two threads.
+const RETRAIN_1_THREAD: &[&str] = &["--config", "imp-11", "--threads", "1"];
+const RETRAIN_2_THREADS: &[&str] = &["--config", "imp-11", "--threads", "2"];
+
 /// One killed-then-resumed cycle in its own checkpoint dir; returns the
-/// output of the killed run so callers can assert how it died.
-fn kill_and_resume(tag: &str, failpoints: &str) -> (Output, PathBuf) {
+/// output of the killed run so callers can assert how it died. `extra`
+/// picks the model (and any other flags) of the killed run.
+fn kill_and_resume(tag: &str, failpoints: &str, extra: &[&str]) -> (Output, PathBuf) {
     let fx = fixture();
     let ck = format!("ck_{tag}");
     let _ = std::fs::remove_dir_all(fx.dir.join(&ck));
-    let killed = run_in(
-        &fx.dir,
-        &[
-            "attack",
-            "--dir",
-            "suite",
-            "--target",
-            "sb1",
-            "--model",
-            "model.bin",
-            "--checkpoint-dir",
-            &ck,
-            "--checkpoint-every",
-            "2",
-        ],
-        Some(failpoints),
-    );
+    let mut args = vec!["attack", "--dir", "suite", "--target", "sb1"];
+    args.extend(extra);
+    args.extend(["--checkpoint-dir", &ck, "--checkpoint-every", "2"]);
+    let killed = run_in(&fx.dir, &args, Some(failpoints));
     (killed, fx.dir.join(ck))
 }
 
-fn resume_and_compare(tag: &str, ck: &Path) {
+fn resume_and_compare(tag: &str, ck: &Path, extra: &[&str]) {
     let fx = fixture();
     let json = format!("resumed_{tag}.json");
     // No --checkpoint-every here: the resume runs with the (much larger)
@@ -134,25 +130,17 @@ fn resume_and_compare(tag: &str, ck: &Path) {
     // realign path must score the tail, not skip it.
     let ckpt = ck.join("attack-sb1.ckpt");
     assert!(ckpt.exists(), "{tag}: the killed run left no checkpoint");
-    let out = run_in(
-        &fx.dir,
-        &[
-            "attack",
-            "--dir",
-            "suite",
-            "--target",
-            "sb1",
-            "--model",
-            "model.bin",
-            "--checkpoint-dir",
-            ck.to_str().expect("utf8 path"),
-            "--resume",
-            "true",
-            "--json",
-            &json,
-        ],
-        None,
-    );
+    let mut args = vec!["attack", "--dir", "suite", "--target", "sb1"];
+    args.extend(extra);
+    args.extend([
+        "--checkpoint-dir",
+        ck.to_str().expect("utf8 path"),
+        "--resume",
+        "true",
+        "--json",
+        &json,
+    ]);
+    let out = run_in(&fx.dir, &args, None);
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -175,23 +163,33 @@ fn resume_and_compare(tag: &str, ck: &Path) {
 /// exists, after the tmp is written but before the rename, and after the
 /// rename but before the directory fsync. Every site must leave either no
 /// checkpoint or a valid one, and resuming must reproduce the golden
-/// bytes exactly.
+/// bytes exactly. The `retrained` case runs without `--model`: each leg
+/// trains the fixture's model itself, the killed one under `--threads 1`
+/// and the resumed one under `--threads 2`, and the thread count is not
+/// part of the run's identity.
 #[test]
 fn sigkill_at_every_checkpoint_write_site_resumes_byte_identical() {
-    for (tag, failpoints) in [
-        ("before_tmp", "checkpoint.before_tmp=kill@2"),
-        ("after_tmp", "checkpoint.after_tmp=kill@2"),
-        ("after_rename", "checkpoint.after_rename=kill@2"),
-        ("after_dir_sync", "checkpoint.after_dir_sync=kill@1"),
+    let m = WITH_MODEL;
+    for (tag, failpoints, killed_with, resumed_with) in [
+        ("before_tmp", "checkpoint.before_tmp=kill@2", m, m),
+        ("after_tmp", "checkpoint.after_tmp=kill@2", m, m),
+        ("after_rename", "checkpoint.after_rename=kill@2", m, m),
+        ("after_dir_sync", "checkpoint.after_dir_sync=kill@1", m, m),
+        (
+            "retrained",
+            "checkpoint.after_rename=kill@2",
+            RETRAIN_1_THREAD,
+            RETRAIN_2_THREADS,
+        ),
     ] {
-        let (killed, ck) = kill_and_resume(tag, failpoints);
+        let (killed, ck) = kill_and_resume(tag, failpoints, killed_with);
         assert_eq!(
             killed.status.signal(),
             Some(SIGKILL),
             "{tag}: expected death by SIGKILL, got {:?}",
             killed.status
         );
-        resume_and_compare(tag, &ck);
+        resume_and_compare(tag, &ck, resumed_with);
     }
 }
 
@@ -200,7 +198,7 @@ fn sigkill_at_every_checkpoint_write_site_resumes_byte_identical() {
 /// the golden bytes.
 #[test]
 fn sigterm_drains_to_a_resumable_checkpoint_and_exits_three() {
-    let (out, ck) = kill_and_resume("term", "checkpoint.after_rename=term@1");
+    let (out, ck) = kill_and_resume("term", "checkpoint.after_rename=term@1", WITH_MODEL);
     assert_eq!(out.status.code(), Some(3), "stderr: {}", stderr_of(&out));
     let stderr = stderr_of(&out);
     assert!(stderr.contains("--resume true"), "{stderr}");
@@ -208,12 +206,12 @@ fn sigterm_drains_to_a_resumable_checkpoint_and_exits_three() {
         ck.join("attack-sb1.ckpt").exists(),
         "a drained run must leave its checkpoint"
     );
-    resume_and_compare("term", &ck);
+    resume_and_compare("term", &ck, WITH_MODEL);
 }
 
 #[test]
 fn corrupt_checkpoint_refuses_to_resume_with_exit_one() {
-    let (killed, ck) = kill_and_resume("corrupt", "checkpoint.after_rename=kill@2");
+    let (killed, ck) = kill_and_resume("corrupt", "checkpoint.after_rename=kill@2", WITH_MODEL);
     assert_eq!(killed.status.signal(), Some(SIGKILL));
     let path = ck.join("attack-sb1.ckpt");
     let mut bytes = std::fs::read(&path).expect("checkpoint exists");
@@ -283,50 +281,49 @@ fn resume_with_no_checkpoint_is_a_fresh_start() {
 }
 
 /// The same SIGKILL-and-resume cycle for `pa`: its scoring checkpoint
-/// resumes to stdout byte-identical to an uninterrupted run.
+/// resumes to stdout byte-identical to an uninterrupted run, also when
+/// each leg trains its own model under a different `--threads`.
 #[test]
 fn pa_sigkilled_mid_scoring_resumes_byte_identical() {
     let fx = fixture();
-    let pa = [
-        "pa",
-        "--dir",
-        "suite",
-        "--target",
-        "sb1",
-        "--model",
-        "model.bin",
-    ];
-    let golden = run_in(&fx.dir, &pa, None);
+    let pa = ["pa", "--dir", "suite", "--target", "sb1"];
+    let golden = run_in(&fx.dir, &[&pa[..], WITH_MODEL].concat(), None);
     assert_eq!(golden.status.code(), Some(0), "{}", stderr_of(&golden));
-    let ck = fx.dir.join("ck_pa");
-    let _ = std::fs::remove_dir_all(&ck);
-    let ck_flag = ck.to_str().expect("utf8 path");
-    let with = |extra: &[&'static str]| {
-        let mut args = pa.to_vec();
-        args.extend(["--checkpoint-dir", ck_flag]);
-        args.extend(extra);
-        args
-    };
-    let killed = run_in(
-        &fx.dir,
-        &with(&["--checkpoint-every", "2"]),
-        Some("checkpoint.after_tmp=kill@2"),
-    );
-    assert_eq!(
-        killed.status.signal(),
-        Some(SIGKILL),
-        "expected death by SIGKILL, got {:?}",
-        killed.status
-    );
-    let resumed = run_in(&fx.dir, &with(&["--resume", "true"]), None);
-    assert_eq!(resumed.status.code(), Some(0), "{}", stderr_of(&resumed));
-    assert_resumed(&resumed, &ck.join("pa-sb1.ckpt"));
-    assert_eq!(
-        resumed.stdout, golden.stdout,
-        "resumed pa output differs from the uninterrupted run"
-    );
-    assert!(
-        !ck.join("pa-sb1.ckpt").exists(),
-        "checkpoint must be removed after a completed resume"
-    );
+    for (tag, killed_with, resumed_with) in [
+        ("pa", WITH_MODEL, WITH_MODEL),
+        ("pa_retrained", RETRAIN_1_THREAD, RETRAIN_2_THREADS),
+    ] {
+        let ck = fx.dir.join(format!("ck_{tag}"));
+        let _ = std::fs::remove_dir_all(&ck);
+        let ck_flag = ck.to_str().expect("utf8 path");
+        let with = |model: &[&'static str], extra: &[&'static str]| {
+            let mut args = pa.to_vec();
+            args.extend(model);
+            args.extend(["--checkpoint-dir", ck_flag]);
+            args.extend(extra);
+            args
+        };
+        let killed = run_in(
+            &fx.dir,
+            &with(killed_with, &["--checkpoint-every", "2"]),
+            Some("checkpoint.after_tmp=kill@2"),
+        );
+        assert_eq!(
+            killed.status.signal(),
+            Some(SIGKILL),
+            "{tag}: expected death by SIGKILL, got {:?}",
+            killed.status
+        );
+        let resumed = run_in(&fx.dir, &with(resumed_with, &["--resume", "true"]), None);
+        assert_eq!(resumed.status.code(), Some(0), "{}", stderr_of(&resumed));
+        assert_resumed(&resumed, &ck.join("pa-sb1.ckpt"));
+        assert_eq!(
+            resumed.stdout, golden.stdout,
+            "{tag}: resumed pa output differs from the uninterrupted run"
+        );
+        assert!(
+            !ck.join("pa-sb1.ckpt").exists(),
+            "{tag}: checkpoint must be removed after a completed resume"
+        );
+    }
 }

@@ -46,7 +46,7 @@ pub enum BaseClassifier {
         n_trees: usize,
     },
     /// Bagging of unpruned random trees — equivalent to Weka's
-    /// `RandomForest`, the configuration of the conference version [18].
+    /// `RandomForest`, the configuration of the conference version \[18\].
     RandomTreeBagging {
         /// Number of member trees.
         n_trees: usize,

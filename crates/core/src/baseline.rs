@@ -1,4 +1,4 @@
-//! The prior-work comparator [5] (Magaña et al., TVLSI 2017): a
+//! The prior-work comparator \[5\] (Magaña et al., TVLSI 2017): a
 //! linear-regression search-neighborhood proximity attack.
 //!
 //! Reimplemented from its description in the paper (Sections II-B, III-D):
@@ -6,7 +6,7 @@
 //! congestion/wirelength features, *all* v-pins inside the window form the
 //! LoC, and the proximity attack picks the nearest. Two deliberate
 //! infidelities to good methodology are preserved because the paper calls
-//! them out as weaknesses of [5]: the regression is fit across **all**
+//! them out as weaknesses of \[5\]: the regression is fit across **all**
 //! designs (no train/test separation) and the model is linear.
 
 use serde::{Deserialize, Serialize};
@@ -37,7 +37,7 @@ pub struct BaselineResult {
 }
 
 impl PriorWorkModel {
-    /// Fits the radius regression on every view — including, as in [5],
+    /// Fits the radius regression on every view — including, as in \[5\],
     /// the design that will later be attacked.
     ///
     /// # Panics
@@ -136,11 +136,6 @@ impl PriorWorkModel {
             margins.iter().map(|&m| self.evaluate(view, m)).collect();
         out.sort_by(|a, b| a.mean_loc.total_cmp(&b.mean_loc));
         out
-    }
-
-    /// The fitted coefficients `[intercept, PC, RC, W]`.
-    pub fn coefficients(&self) -> [f64; BASE_DIM] {
-        self.beta
     }
 }
 

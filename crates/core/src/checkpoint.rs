@@ -35,17 +35,20 @@
 //! may legally change `--threads` and `--checkpoint-every` — both proven
 //! bit-identical knobs — while a
 //! different config, model, view or top-K shape is a typed
-//! [`CheckpointError::Mismatch`] refusal.
+//! [`CheckpointError::Mismatch`] refusal. A run without `--model` trains
+//! under its own `--threads`; the `retrained` case of the `chaos_attack`
+//! suite's `sigkill_at_every_checkpoint_write_site_resumes_byte_identical`
+//! kills one under `--threads 1` and resumes it under `--threads 2`.
 //!
 //! ## Version-bump policy
 //!
 //! Any change to the serialized shape of [`Fingerprint`], [`RunState`],
-//! [`VpinScore`]/[`Cand`], or the histogram convention requires bumping
-//! [`CHECKPOINT_VERSION`]; readers reject other versions with a typed
-//! error. Checkpoints are short-lived (they are deleted when a run
-//! completes), so no cross-version migration is provided — an old
-//! checkpoint after an upgrade is a refusal, and the run restarts from
-//! scratch.
+//! [`VpinScore`]/[`Cand`](crate::attack::Cand), or the histogram
+//! convention requires bumping [`CHECKPOINT_VERSION`]; readers reject
+//! other versions with a typed error. Checkpoints are short-lived (they
+//! are deleted when a run completes), so no cross-version migration is
+//! provided — an old checkpoint after an upgrade is a refusal, and the
+//! run restarts from scratch.
 //!
 //! Version 1 once also carried a cross-validation state. Dropping it
 //! needed no bump: the scoring payload kept its bytes, and no binary ever
@@ -60,6 +63,7 @@ use sm_ml::parallel::shard_ranges;
 
 use crate::attack::{ScoreOptions, ScoredView, TrainedAttack, VpinScore, HIST_BINS};
 use crate::durable::{self, atomic_write, fnv1a64, EnvelopeError, Format};
+use crate::Parallelism;
 
 /// Current checkpoint format version (bump policy: see the module docs).
 pub const CHECKPOINT_VERSION: u32 = 1;
@@ -166,9 +170,11 @@ pub struct Fingerprint {
     /// Run kind: `"attack"` or `"pa"` — resuming an attack checkpoint
     /// into a pa run is a refusal even with equal configs.
     pub kind: String,
-    /// FNV-1a-64 of the serialized [`crate::attack::AttackConfig`].
+    /// FNV-1a-64 of the serialized [`crate::attack::AttackConfig`], its
+    /// `parallelism` reset to the default.
     pub config_hash: String,
-    /// FNV-1a-64 of the serialized [`crate::attack::TrainedParts`].
+    /// FNV-1a-64 of the serialized [`crate::attack::TrainedParts`], the
+    /// config's `parallelism` reset to the default.
     pub model_hash: String,
     /// The view the run scores, as a one-element list.
     pub views: Vec<ViewId>,
@@ -187,10 +193,14 @@ impl Fingerprint {
         view: &SplitView,
         options: &ScoreOptions,
     ) -> Self {
+        // A model trained in-process carries the run's `--threads` in its
+        // config; hash it as if trained with the default, so the thread
+        // count stays free to change across a resume.
+        let mut parts = model.to_parts();
+        parts.config.parallelism = Parallelism::default();
         let config =
-            serde_json::to_string(model.config()).expect("config serialization is infallible");
-        let parts =
-            serde_json::to_string(&model.to_parts()).expect("model serialization is infallible");
+            serde_json::to_string(&parts.config).expect("config serialization is infallible");
+        let parts = serde_json::to_string(&parts).expect("model serialization is infallible");
         Self {
             kind: kind.to_owned(),
             config_hash: fnv1a64(config.as_bytes()),

@@ -2,8 +2,8 @@
 //!
 //! Section III-I demonstrates one obfuscation (Gaussian y-noise,
 //! [`crate::obfuscate`]); the related work it cites spans a wider design
-//! space — routing perturbation [14], wire lifting [8], obfuscated cells
-//! [7] and dummy structures [16]. This module implements representative
+//! space — routing perturbation \[14\], wire lifting \[8\], obfuscated cells
+//! \[7\] and dummy structures \[16\]. This module implements representative
 //! members of each family as `SplitView -> SplitView` transforms so they
 //! can be evaluated against the identical attack pipeline:
 //!
@@ -26,7 +26,7 @@ use sm_layout::geom::Point;
 use sm_layout::{SplitView, VPin};
 
 /// Applies Gaussian noise with `sd_fraction` of the die size to **both**
-/// coordinates of every v-pin (routing perturbation, cf. [14]).
+/// coordinates of every v-pin (routing perturbation, cf. \[14\]).
 ///
 /// # Panics
 ///
@@ -115,7 +115,7 @@ pub fn wirelength_scramble(view: &SplitView, strength: f64, seed: u64) -> SplitV
 }
 
 /// Replaces every connected-cell area with the median size class
-/// (camouflaged drive strengths, cf. [7]): `InArea`/`OutArea` keep their
+/// (camouflaged drive strengths, cf. \[7\]): `InArea`/`OutArea` keep their
 /// direction information but lose their magnitudes.
 pub fn area_camouflage(view: &SplitView) -> SplitView {
     let mut in_areas: Vec<i64> = view

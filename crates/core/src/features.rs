@@ -393,12 +393,6 @@ impl PairKernel {
             }
         }
     }
-
-    /// Single-pair convenience over [`Self::fill_batch`] (parity tests and
-    /// one-off queries).
-    pub fn fill_pair(&self, a: u32, b: u32, out: &mut Vec<f64>) {
-        self.fill_batch(a, &[b], out);
-    }
 }
 
 #[cfg(test)]
@@ -515,16 +509,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn fill_pair_is_one_row_of_fill_batch() {
-        let vpins = vec![vpin(1, 2, 3, 4, 5, 6, 7), vpin(8, 9, 10, 11, 12, 13, 14)];
-        let fs = FeatureSet::eleven();
-        let kernel = PairKernel::new(&vpins, &fs);
-        let mut row = Vec::new();
-        kernel.fill_pair(0, 1, &mut row);
-        assert_eq!(row, fs.compute(&vpins[0], &vpins[1]));
     }
 
     #[test]

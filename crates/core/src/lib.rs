@@ -13,7 +13,7 @@
 //! the held-out design ([`attack`]), and derive lists of candidates at any
 //! threshold ([`loc`]), two-level pruned refinements ([`two_level`]), and
 //! validation-based proximity attacks ([`proximity`]). The prior-work
-//! comparator [5] lives in [`baseline`]; the obfuscation defence in
+//! comparator \[5\] lives in [`baseline`]; the obfuscation defence in
 //! [`obfuscate`]; the brute-force scans the fast scoring and training
 //! paths are checked against in [`oracle`].
 //!
@@ -55,7 +55,6 @@ pub mod neighborhood;
 pub mod obfuscate;
 pub mod oracle;
 pub mod proximity;
-pub mod refine;
 pub mod samples;
 pub mod two_level;
 pub mod xval;

@@ -11,7 +11,7 @@
 //! - [`greedy_matching`] — sort all retained candidate pairs by
 //!   probability and commit them greedily, never reusing a v-pin (a 1/2-
 //!   approximation of maximum-weight matching, scalable to every design
-//!   size the paper uses — unlike the network-flow formulation of [13]
+//!   size the paper uses — unlike the network-flow formulation of \[13\]
 //!   which the paper rules out at scale).
 //! - [`mutual_best`] — commit only pairs that are each other's top
 //!   candidate; lower recall, much higher precision.

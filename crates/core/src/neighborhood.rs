@@ -334,11 +334,6 @@ impl VpinIndex {
             out.extend(list.iter().copied().filter(|&j| j != i as u32));
         }
     }
-
-    /// Number of distinct y-tracks occupied by v-pins.
-    pub fn num_tracks(&self) -> usize {
-        self.by_y.len()
-    }
 }
 
 #[cfg(test)]

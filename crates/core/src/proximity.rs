@@ -115,7 +115,7 @@ pub fn proximity_attack(
 }
 
 /// Proximity attack with the PA-LoC defined by a fixed probability
-/// threshold instead of a per-target size — the conference version's [18]
+/// threshold instead of a per-target size — the conference version's \[18\]
 /// protocol (`t = 0.5`), which the validated-fraction PA improves on.
 ///
 /// The PA-LoC is capped by the candidates retained during scoring

@@ -2,7 +2,7 @@
 //!
 //! With N benchmarks, each is attacked by a model trained on the other
 //! N−1, keeping training and testing strictly separated — the key
-//! methodological fix over the prior work [5].
+//! methodological fix over the prior work \[5\].
 //!
 //! [`leave_one_out`] returns every fold's [`FoldResult`] at once: the
 //! table, figure and ablation harnesses read each fold's scored view, so

@@ -88,14 +88,6 @@ impl DensityMap {
         }
         f64::from(self.window_count(p, r)) / cells as f64
     }
-
-    /// Mean density over the whole map (objects per g-cell).
-    pub fn mean_density(&self) -> f64 {
-        if self.counts.is_empty() {
-            return 0.0;
-        }
-        self.total as f64 / self.counts.len() as f64
-    }
 }
 
 /// Per-layer routing demand accumulated by the router, used to model
@@ -184,15 +176,6 @@ mod tests {
         m.add(Point::new(-50, 4_000));
         assert_eq!(m.total(), 1);
         assert_eq!(m.window_count(Point::new(0, 99), 0), 1);
-    }
-
-    #[test]
-    fn mean_density_is_total_over_cells() {
-        let mut m = DensityMap::new(Rect::with_size(100, 100), 10);
-        for x in 0..100 {
-            m.add(Point::new(x, 0));
-        }
-        assert!((m.mean_density() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -135,14 +135,6 @@ impl Rect {
             p.y.clamp(self.lo.y, self.hi.y - 1),
         )
     }
-
-    /// The smallest rectangle containing both `self` and `p`.
-    pub fn expand_to(&self, p: Point) -> Rect {
-        Rect {
-            lo: self.lo.min(p),
-            hi: self.hi.max(Point::new(p.x + 1, p.y + 1)),
-        }
-    }
 }
 
 /// Half-perimeter wirelength of a set of points: the classic lower bound on
@@ -297,13 +289,6 @@ mod tests {
     #[should_panic(expected = "malformed rect")]
     fn rect_rejects_inverted_corners() {
         let _ = Rect::new(Point::new(5, 5), Point::new(0, 0));
-    }
-
-    #[test]
-    fn rect_expand_to_grows_minimally() {
-        let r = Rect::with_size(10, 10).expand_to(Point::new(20, 3));
-        assert_eq!(r.hi, Point::new(21, 10));
-        assert_eq!(r.lo, Point::new(0, 0));
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod io;
 pub mod netlist;
 pub mod route;
 pub mod split;
-pub mod steiner;
 pub mod suite;
 pub mod tech;
 

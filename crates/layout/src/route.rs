@@ -101,11 +101,6 @@ pub struct RoutedNet {
 }
 
 impl RoutedNet {
-    /// Highest metal layer the net uses.
-    pub fn top_metal(&self) -> u8 {
-        self.trunk_low + 1
-    }
-
     /// Whether cutting at `split` breaks this net.
     pub fn is_cut_by(&self, split: SplitLayer) -> bool {
         self.trunk_low >= split.via_index()

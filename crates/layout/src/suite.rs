@@ -15,10 +15,6 @@ use crate::route::{route, RoutedDesign};
 use crate::split::SplitView;
 use crate::tech::SplitLayer;
 
-/// Relative size versus the paper's layouts that [`Suite::ispd2011_like`]
-/// uses by default: v-pin counts are 1/20 of Table I.
-pub const DEFAULT_SCALE: f64 = 1.0;
-
 /// A named, generated benchmark.
 #[derive(Debug, Clone)]
 pub struct Benchmark {

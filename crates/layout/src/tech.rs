@@ -83,11 +83,6 @@ impl SplitLayer {
         self.0
     }
 
-    /// Highest metal layer visible to the untrusted foundry (FEOL).
-    pub fn highest_feol_metal(self) -> u8 {
-        self.0
-    }
-
     /// Lowest metal layer hidden from the untrusted foundry (BEOL).
     pub fn lowest_beol_metal(self) -> u8 {
         self.0 + 1
@@ -158,11 +153,6 @@ impl Technology {
         self.layers.len() as u8
     }
 
-    /// Number of via layers (metal layers − 1).
-    pub fn num_via_layers(&self) -> u8 {
-        self.num_metal_layers() - 1
-    }
-
     /// Metal layer `m` (1-based).
     ///
     /// # Panics
@@ -192,11 +182,6 @@ impl Technology {
     /// layers of realistic designs.
     pub fn gcell_capacity(&self, m: u8) -> u32 {
         (self.gcell / self.metal(m).pitch).max(1) as u32
-    }
-
-    /// Valid split layers for this stack.
-    pub fn split_layers(&self) -> impl Iterator<Item = SplitLayer> + '_ {
-        (1..=self.num_via_layers()).map(|v| SplitLayer::new(v).expect("stack-derived index"))
     }
 }
 
@@ -246,18 +231,8 @@ mod tests {
         assert!(SplitLayer::new(0).is_err());
         assert!(SplitLayer::new(9).is_err());
         let s = SplitLayer::new(8).expect("valid");
-        assert_eq!(s.highest_feol_metal(), 8);
         assert_eq!(s.lowest_beol_metal(), 9);
         assert_eq!(s.to_string(), "V8");
-    }
-
-    #[test]
-    fn split_layers_iterator_covers_stack() {
-        let t = Technology::ispd9();
-        let all: Vec<_> = t.split_layers().collect();
-        assert_eq!(all.len(), 8);
-        assert_eq!(all[0].via_index(), 1);
-        assert_eq!(all[7].via_index(), 8);
     }
 
     #[test]

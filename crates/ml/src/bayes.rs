@@ -1,5 +1,5 @@
 //! Gaussian naive Bayes — one of the simple classifiers the conference
-//! version [18] reports trying before settling on tree ensembles.
+//! version \[18\] reports trying before settling on tree ensembles.
 //!
 //! Models each feature as class-conditionally Gaussian. Fast, calibrated
 //! on unimodal data, but blind to the feature interactions (e.g. "small

@@ -1,5 +1,5 @@
 //! k-nearest-neighbours — the remaining classical classifier of the
-//! "classifiers we experimented" comparison in [18].
+//! "classifiers we experimented" comparison in \[18\].
 //!
 //! Standardised Euclidean distance, distance-weighted voting, brute-force
 //! search (the comparison uses training sets small enough that an index is

@@ -5,8 +5,9 @@
 //! [`learners::RepTreeLearner`] (reduced-error pruning, Weka `REPTree`),
 //! [`learners::RandomTreeLearner`] (Weka `RandomTree`),
 //! [`bagging::Bagging`] (bootstrap aggregation with soft voting, Eq. (1)–(3)
-//! of the paper), [`forest::RandomForest`], and the feature-importance
-//! metrics of Section IV-A ([`metrics`]). The slow per-node scan that the
+//! of the paper; Bagging of RandomTrees is the RandomForest configuration
+//! of the conference version), and the feature-importance metrics of
+//! Section IV-A ([`metrics`]). The slow per-node scan that the
 //! histogram tree fit is checked against lives in [`oracle`].
 //!
 //! ## Quick start
@@ -33,7 +34,6 @@ mod binned;
 pub mod compiled;
 pub mod data;
 pub mod error;
-pub mod forest;
 pub mod knn;
 pub mod learners;
 pub mod linear;
@@ -47,7 +47,6 @@ pub use bayes::GaussianNaiveBayes;
 pub use compiled::CompiledEnsemble;
 pub use data::Dataset;
 pub use error::TrainError;
-pub use forest::RandomForest;
 pub use knn::KNearest;
 pub use learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
 pub use linear::{LogisticParams, LogisticRegression};

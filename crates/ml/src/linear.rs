@@ -1,8 +1,8 @@
 //! Logistic regression: the simple linear classifier the tree ensembles
 //! are measured against.
 //!
-//! The prior work [5] modelled match likelihood with plain linear
-//! regression; the conference version [18] reports RandomForest as the
+//! The prior work \[5\] modelled match likelihood with plain linear
+//! regression; the conference version \[18\] reports RandomForest as the
 //! best of "all classifiers we experimented". This module provides the
 //! linear end of that spectrum — useful as a baseline and for showing why
 //! the non-linearly-separable pair features (paper Section III-C) need

@@ -26,7 +26,7 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 use sm_attack::attack::HIST_BINS;
 use sm_attack::durable::{self, EnvelopeError, Format};
-use sm_attack::{TrainedAttack, TrainedParts};
+use sm_attack::{Parallelism, TrainedAttack, TrainedParts};
 
 /// Current artifact format version. Bump policy: see `DESIGN.md` — any
 /// change to [`TrainedParts`]' serialized shape, the feature semantics, or
@@ -122,8 +122,13 @@ pub struct ModelArtifact {
 
 impl ModelArtifact {
     /// Wraps a trained model and its provenance into an artifact.
+    ///
+    /// The thread count the model was trained with is not recorded: it
+    /// does not change the model, so the artifact's bytes and checksum do
+    /// not depend on it. Every artifact records `Parallelism::default()`.
     pub fn from_trained(model: &TrainedAttack, meta: TrainMeta) -> Self {
-        let parts = model.to_parts();
+        let mut parts = model.to_parts();
+        parts.config.parallelism = Parallelism::default();
         let schema = FeatureSchema {
             feature_names: parts
                 .config

@@ -1,8 +1,8 @@
 //! Versioned on-disk model registry and the in-memory catalog it loads
 //! into.
 //!
-//! A registry is a directory of [`ModelArtifact`](crate::ModelArtifact)
-//! files plus one checksummed `index` file naming them:
+//! A registry is a directory of [`ModelArtifact`] files plus one
+//! checksummed `index` file naming them:
 //!
 //! ```text
 //! registry/
@@ -24,8 +24,8 @@
 //! [`Catalog::load`] turns a registry into the in-memory serving set: it
 //! checks every artifact file against its index entry (the same check
 //! [`verify`] reports per model) and lowers each ensemble into a
-//! [`CompiledEnsemble`](sm_ml::CompiledEnsemble) once at load time
-//! (compilation is load-time lowering — the wire format is untouched).
+//! [`CompiledEnsemble`] once at load time (compilation is load-time
+//! lowering — the wire format is untouched).
 //! The server holds the whole catalog behind one atomically-swapped
 //! `Arc`, so a `Reload` replaces every model in one pointer store while
 //! in-flight requests keep the `Arc` they started with.
@@ -434,7 +434,7 @@ fn load_entry(dir: &Path, entry: &IndexEntry) -> Result<ModelArtifact, RegistryE
 }
 
 /// One model's verdict from [`verify`]: `Ok(checksum)` when the artifact
-/// passes [`load_entry`]'s checks, `Err(reason)` naming the failed check
+/// passes `load_entry`'s checks, `Err(reason)` naming the failed check
 /// otherwise.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifiedModel {

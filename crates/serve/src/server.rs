@@ -19,13 +19,13 @@
 //!   only on `WouldBlock`). Connections with cached readiness or
 //!   buffered work sit on a ready list; each gets **one bounded service
 //!   turn per loop iteration** (read to `WouldBlock` or the buffer cap,
-//!   process at most [`FRAME_BUDGET`] frames, flush to `WouldBlock`), so
+//!   process at most `FRAME_BUDGET` frames, flush to `WouldBlock`), so
 //!   one connection pipelining thousands of frames cannot starve its
 //!   siblings. Everything else about a connection — wire detection,
 //!   framing, decode, deadlines, reply encoding and its counters — is
-//!   the sans-io [`Session`] it owns: the loop feeds it bytes, EOF,
+//!   the sans-io `Session` it owns: the loop feeds it bytes, EOF,
 //!   write progress, clock ticks and job completions, and carries out
-//!   what it decides. Each decoded request goes through [`route`], which
+//!   what it decides. Each decoded request goes through `route`, which
 //!   answers control requests (`Health`, `Stats`, `ListModels`,
 //!   `Reload`, `Shutdown`) inline, resolves the catalog, validates row
 //!   widths, and turns scoring requests into executor jobs, one in

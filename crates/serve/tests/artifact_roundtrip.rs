@@ -6,7 +6,7 @@
 
 use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
 use sm_attack::durable::EnvelopeError;
-use sm_attack::{oracle, Parallelism};
+use sm_attack::{oracle, Fingerprint, Parallelism};
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ArtifactError, ModelArtifact, TrainMeta};
 
@@ -79,10 +79,12 @@ fn loaded_model_reproduces_the_loc_histogram_bit_for_bit() {
     }
 }
 
-/// The training kernel is a how, not a what: a model from the binned tree
-/// fit must serialize to the byte-identical artifact of one the oracle's
-/// per-node scan fits (same payload, same checksum), and reloading it must
-/// reproduce the LoC histogram of both the in-process model and the
+/// The training kernel and thread count are a how, not a what: a model
+/// from the binned tree fit must serialize to the byte-identical artifact
+/// of one the oracle's per-node scan fits (same payload, same checksum),
+/// and so must models trained under `Sequential` and `Threads(2)`, whose
+/// checkpoint fingerprints must also agree. Reloading the binned model
+/// must reproduce the LoC histogram of both the in-process model and the
 /// oracle-trained model, bit for bit.
 #[test]
 fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
@@ -100,6 +102,24 @@ fn binned_trained_artifact_is_backend_invariant_on_disk_and_in_scoring() {
     assert_eq!(
         encoded_ref, encoded_bin,
         "artifact bytes (payload + checksum) must not depend on the tree-fitting kernel"
+    );
+    let [sequential, threaded] = [Parallelism::Sequential, Parallelism::Threads(2)].map(|p| {
+        let config = config.clone().with_parallelism(p);
+        TrainedAttack::train(&config, &train, None).expect("train")
+    });
+    for model in [&sequential, &threaded] {
+        assert_eq!(
+            ModelArtifact::from_trained(model, TrainMeta::default()).encode(),
+            encoded_bin,
+            "artifact bytes must not depend on the training thread count"
+        );
+    }
+    let fingerprint =
+        |model| Fingerprint::for_scoring("attack", model, &views[0], &ScoreOptions::default());
+    assert_eq!(
+        fingerprint(&sequential),
+        fingerprint(&threaded),
+        "a resume may change --threads, so the run identity must not include it"
     );
 
     let dir = std::env::temp_dir().join("smserve_roundtrip_binned");

@@ -1,9 +1,8 @@
-//! Integration tests of the interchange format and the LoC refinement /
-//! global-matching extensions, spanning all three library crates.
+//! Integration tests of the interchange format and the global-matching
+//! extension, spanning all three library crates.
 
 use splitmfg::attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
 use splitmfg::attack::matching::{greedy_matching, mutual_best};
-use splitmfg::attack::refine::{timing_prune, WirelengthBudget};
 use splitmfg::layout::io::{read_challenge, write_challenge, write_truth};
 use splitmfg::layout::{SplitLayer, SplitView, Suite};
 
@@ -39,36 +38,6 @@ fn attack_results_survive_an_io_roundtrip() {
     for (a, b) in scored_a.slots.iter().zip(&scored_b.slots) {
         assert_eq!(a.true_prob, b.true_prob);
     }
-}
-
-#[test]
-fn timing_refinement_composes_with_the_attack() {
-    let vs = views(6);
-    let train: Vec<&SplitView> = vs[1..].iter().collect();
-    let model = TrainedAttack::train(&AttackConfig::imp11(), &train, None).expect("train");
-    let scored = model.score(&vs[0], &ScoreOptions::default());
-    let budget = WirelengthBudget::learn(&train, 0.98);
-    let refined = timing_prune(&scored, &vs[0], budget);
-
-    // Refinement can only remove candidates.
-    assert!(refined.pairs_scored <= scored.pairs_scored);
-    assert!(refined.mean_loc_at(0.0) <= scored.mean_loc_at(0.0));
-    // With a 98% budget + safety margin, nearly all reachable truths
-    // survive refinement.
-    let truths_before = scored
-        .slots
-        .iter()
-        .filter(|s| s.true_prob.is_some())
-        .count();
-    let truths_after = refined
-        .slots
-        .iter()
-        .filter(|s| s.true_prob.is_some())
-        .count();
-    assert!(
-        truths_after as f64 >= 0.9 * truths_before as f64,
-        "{truths_after}/{truths_before} truths survived"
-    );
 }
 
 #[test]
