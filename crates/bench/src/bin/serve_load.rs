@@ -82,9 +82,6 @@ struct Row {
     p95_us: u64,
     p99_us: u64,
     max_us: u64,
-    /// Rows per coalesced kernel call during this run, from the server's
-    /// `Stats` before and after it; 0 when either probe failed.
-    mean_batch_fill: f64,
     /// The server's counters right after the run.
     server_stats: Option<StatsSnapshot>,
 }
@@ -186,7 +183,6 @@ fn run(load: &Load) -> Result<Row, ClientError> {
             other => return Err(unexpected(other)),
         },
     };
-    let before = stats(&mut probe);
     drop(probe);
     let start = Instant::now();
     let outcomes: Vec<Outcome> = std::thread::scope(|s| {
@@ -213,13 +209,6 @@ fn run(load: &Load) -> Result<Row, ClientError> {
     };
     let total_requests = latencies.len() as u64;
     let total_pairs = outcomes.iter().map(|o| o.pairs).sum::<u64>();
-    let mean_batch_fill = match (&before, &after) {
-        (Some(b), Some(a)) if a.score_batches > b.score_batches => {
-            a.batched_rows.saturating_sub(b.batched_rows) as f64
-                / (a.score_batches - b.score_batches) as f64
-        }
-        _ => 0.0,
-    };
     Ok(Row {
         wire: load.wire.as_str(),
         connections: load.connections,
@@ -241,7 +230,6 @@ fn run(load: &Load) -> Result<Row, ClientError> {
         p95_us: pct(95.0),
         p99_us: pct(99.0),
         max_us: latencies.last().copied().unwrap_or(0),
-        mean_batch_fill,
         server_stats: after,
     })
 }
@@ -450,7 +438,7 @@ mod tests {
         };
         let handle = ServerHandle::bind(model, "127.0.0.1:0", options).expect("binds");
         let keys = committed_keys();
-        assert!(keys.contains(&"mean_batch_fill") && keys.contains(&"shed"));
+        assert!(keys.contains(&"requests_per_s") && keys.contains(&"shed"));
         for (wire, pipeline) in [(Wire::Ndjson, 1), (Wire::Binary, 4)] {
             let row = run(&load(handle.addr().to_string(), wire, pipeline)).expect("runs");
             let text = serde_json::to_string_pretty(&row).expect("serializes");
@@ -460,10 +448,7 @@ mod tests {
             assert_eq!((row.total_requests, row.total_pairs), (6, 48), "{text}");
             assert_eq!((row.errors, row.retries), (0, 0), "{text}");
             assert_eq!(row.served_model, sm_serve::SINGLE_MODEL_ID);
-            assert!(
-                row.p50_us <= row.p99_us && row.mean_batch_fill >= 8.0,
-                "{text}"
-            );
+            assert!(row.p50_us <= row.p99_us, "{text}");
             assert_eq!(row.server_stats.expect("stats").shed, 0);
         }
         let mut client = Client::connect(handle.addr()).expect("connects");

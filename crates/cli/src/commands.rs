@@ -254,9 +254,8 @@ pub fn print_help() {
          the server speaks two wires on one port, detected per connection\n\
          from the first byte: NDJSON (v1) and length-prefixed binary\n\
          frames (v2). --event-loops 0 sizes the reactor from the CPU\n\
-         count; scoring workers batch concurrent same-model requests that\n\
-         are already queued, never waiting for more (scores are\n\
-         bit-identical either way).\n\
+         count; an event loop scores each ScorePairs itself, in one kernel\n\
+         call, and --threads sizes the pool that runs Attack requests.\n\
          a registry is a directory of checksummed artifacts plus an index;\n\
          'train --registry' publishes into it atomically, 'serve --registry'\n\
          hosts every entry (requests route with \"model_id\", absent = the\n\
@@ -824,8 +823,9 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let (source, label) = serve_source_flags(args)?;
     let listener = TcpListener::bind(&addr)?;
     // Scripts parse this line for the resolved (possibly ephemeral) port.
-    // "scoring workers" is the executor pool (`pool_size`); the event
-    // loops are the reactor threads doing connection i/o.
+    // "scoring workers" is the executor pool that runs `Attack` requests
+    // (`pool_size`); the event loops are the reactor threads doing
+    // connection i/o and `ScorePairs` scoring.
     println!(
         "serving {} on {} ({} scoring workers, {} event loops)",
         label,
@@ -867,12 +867,10 @@ fn cmd_serve(args: &Args) -> Result<(), CliError> {
     );
     if stats.score_batches > 0 {
         println!(
-            "batching: {} kernel calls over {} rows ({:.1} rows/call), \
-             {} requests shared a call",
+            "score_pairs: {} kernel calls over {} rows ({:.1} rows/call)",
             stats.score_batches,
             stats.batched_rows,
-            stats.batched_rows as f64 / stats.score_batches as f64,
-            stats.batched_requests
+            stats.batched_rows as f64 / stats.score_batches as f64
         );
     }
     if let Some(shadow) = &stats.shadow {

@@ -23,6 +23,7 @@
 //! sibling's histogram is derived by parent-minus-smaller-child subtraction
 //! (exact on `u32` counts) instead of a second pass over the samples.
 
+use crate::error::TrainError;
 use crate::tree::FitData;
 
 /// A dataset's feature values quantized to per-feature `u16` bin codes.
@@ -46,14 +47,13 @@ pub(crate) struct BinnedDataset {
 impl BinnedDataset {
     /// Bins the rows of `idx` (repeats allowed) for one tree: each feature's
     /// thresholds are [`quantile_midpoints`] of the values those rows hold,
-    /// and only those rows are encoded. Returns the thresholds as the error
-    /// value if any feature has more than a `u16` code can address, so the
-    /// caller can fall back to the oracle's scan.
-    pub(crate) fn build(
-        fit: &FitData<'_>,
-        idx: &[u32],
-        bins: usize,
-    ) -> Result<Self, Vec<Vec<f64>>> {
+    /// and only those rows are encoded.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainError::TooManyThresholds`] if a feature has more thresholds
+    /// than a `u16` code can address.
+    pub(crate) fn build(fit: &FitData<'_>, idx: &[u32], bins: usize) -> Result<Self, TrainError> {
         let data = fit.data();
         let (n, m) = (data.len(), data.num_features());
         let mut copies = vec![0u32; n];
@@ -63,7 +63,6 @@ impl BinnedDataset {
         let held: Vec<u32> = (0..n as u32).filter(|&i| copies[i as usize] > 0).collect();
         let mut thresholds = Vec::with_capacity(m);
         let mut codes = vec![0u16; m * n];
-        let mut fits = true;
         // Per feature: the tree's values sorted by `total_cmp` and then
         // `dedup`ed, exactly as a sort of its own values would give, and
         // each held row's index into them.
@@ -112,8 +111,13 @@ impl BinnedDataset {
                 vals.truncate(len);
             }
             let ts = quantile_midpoints(&vals, bins);
-            fits &= ts.len() <= usize::from(u16::MAX);
-            if fits && !ts.is_empty() {
+            if ts.len() > usize::from(u16::MAX) {
+                return Err(TrainError::TooManyThresholds {
+                    feature: j,
+                    thresholds: ts.len(),
+                });
+            }
+            if !ts.is_empty() {
                 // Without NaN the thresholds never decrease, so along the
                 // sorted values `partition_point` is a cursor that only
                 // moves forward. A NaN value's code is 0: no threshold is
@@ -137,9 +141,6 @@ impl BinnedDataset {
                 }
             }
             thresholds.push(ts);
-        }
-        if !fits {
-            return Err(thresholds);
         }
         let mut offsets = Vec::with_capacity(m + 1);
         let mut total = 0usize;
@@ -329,6 +330,9 @@ impl HistPool {
 mod tests {
     use super::*;
     use crate::data::Dataset;
+    use crate::tree::{Tree, TreeParams};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
 
     fn tiny_dataset() -> Dataset {
         let mut ds = Dataset::new(2);
@@ -391,16 +395,35 @@ mod tests {
     #[test]
     fn encode_rejects_thresholds_beyond_u16() {
         // 65,537 distinct values give 65,536 midpoints, one more than a
-        // `u16` code can address past its last bin.
-        let mut ds = Dataset::new(2);
-        for k in 0..=usize::from(u16::MAX) + 1 {
-            ds.push(&[k as f64, 5.0], k % 2 == 0).expect("2 features");
-        }
-        let too_many: Vec<f64> = (0..=usize::from(u16::MAX))
-            .map(|k| k as f64 + 0.5)
-            .collect();
-        let err = BinnedDataset::build(&FitData::new(&ds), &ds.all_indices(), usize::MAX)
+        // `u16` code can address past its last bin; 65,536 values fit.
+        let column = |values: usize| {
+            let mut ds = Dataset::new(2);
+            for k in 0..values {
+                ds.push(&[5.0, k as f64], k < values / 2)
+                    .expect("2 features");
+            }
+            ds
+        };
+        let at_cap = column(usize::from(u16::MAX) + 1);
+        let binned =
+            BinnedDataset::build(&FitData::new(&at_cap), &at_cap.all_indices(), usize::MAX)
+                .expect("65,535 thresholds fit");
+        assert_eq!(binned.thresholds(1).len(), usize::from(u16::MAX));
+        let past = column(usize::from(u16::MAX) + 2);
+        let err = BinnedDataset::build(&FitData::new(&past), &past.all_indices(), usize::MAX)
             .expect_err("must reject");
-        assert_eq!(err, vec![too_many, vec![]]);
+        let expected = TrainError::TooManyThresholds {
+            feature: 1,
+            thresholds: usize::from(u16::MAX) + 1,
+        };
+        assert_eq!(err, expected);
+        // `Tree::fit` returns the same error.
+        let params = TreeParams {
+            bins: usize::MAX,
+            ..TreeParams::default()
+        };
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let fit = Tree::fit(&past, &past.all_indices(), params, &mut rng);
+        assert_eq!(fit, Err(expected));
     }
 }

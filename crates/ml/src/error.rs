@@ -16,6 +16,14 @@ pub enum TrainError {
         /// Features the offending sample carried.
         got: usize,
     },
+    /// A feature has more candidate split thresholds than a `u16` bin
+    /// code addresses; only `TreeParams::bins` past 65,536 can cause it.
+    TooManyThresholds {
+        /// The feature's column.
+        feature: usize,
+        /// Candidate thresholds it would need.
+        thresholds: usize,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -31,6 +39,15 @@ impl std::fmt::Display for TrainError {
             TrainError::FeatureMismatch { expected, got } => {
                 write!(f, "sample has {got} features, dataset expects {expected}")
             }
+            TrainError::TooManyThresholds {
+                feature,
+                thresholds,
+            } => write!(
+                f,
+                "feature {feature} needs {thresholds} split thresholds, past the {} a u16 \
+                 bin code addresses; use fewer bins",
+                u16::MAX
+            ),
         }
     }
 }

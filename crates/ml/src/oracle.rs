@@ -5,9 +5,7 @@
 //!
 //! Nothing in the product trains with these. The parity suites, the
 //! property tests and the training benchmark fit the same data both ways
-//! and require bit-identical trees. [`Tree::fit`] itself calls the scan
-//! only as its fallback when a feature has more thresholds than a `u16`
-//! bin code can address.
+//! and require bit-identical trees.
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
@@ -165,7 +163,7 @@ pub fn quantile_thresholds(data: &Dataset, idx: &[u32], bins: usize) -> Vec<Vec<
 /// Grows the subtree of `idx` at `depth` into `tree` by scanning every
 /// candidate threshold of every candidate feature; returns its node id.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build<R: Rng>(
+fn build<R: Rng>(
     tree: &mut Tree,
     data: &Dataset,
     idx: &mut [u32],

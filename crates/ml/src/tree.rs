@@ -17,7 +17,6 @@ use serde::{DeError, Deserialize, Serialize, Value};
 use crate::binned::{BinnedDataset, HistPool};
 use crate::data::Dataset;
 use crate::error::TrainError;
-use crate::oracle;
 
 /// Sentinel feature id marking a leaf node.
 const LEAF: i32 = -1;
@@ -274,15 +273,16 @@ impl Tree {
     /// values are encoded once into `u16` bin codes against the tree's
     /// quantile thresholds, and each larger sibling's histogram comes from
     /// parent-minus-smaller-child subtraction. The grown tree is
-    /// bit-identical to the per-node scan of [`crate::oracle::fit_tree`],
-    /// which this also falls back to when a feature has more thresholds
-    /// than a `u16` code can address.
+    /// bit-identical to the per-node scan of [`crate::oracle::fit_tree`].
     ///
     /// # Errors
     ///
-    /// Returns [`TrainError::EmptyDataset`] if `idx` is empty. A
-    /// single-class index set yields a single-leaf tree rather than an
-    /// error (bootstrap resamples can legitimately be one-class).
+    /// Returns [`TrainError::EmptyDataset`] if `idx` is empty, and
+    /// [`TrainError::TooManyThresholds`] if a feature has more thresholds
+    /// than a `u16` code can address (only `params.bins` past 65,536 can
+    /// cause it). A single-class index set yields a single-leaf tree
+    /// rather than an error (bootstrap resamples can legitimately be
+    /// one-class).
     pub fn fit<R: Rng>(
         data: &Dataset,
         idx: &[u32],
@@ -303,48 +303,30 @@ impl Tree {
             return Err(TrainError::EmptyDataset);
         }
         let data = fit.data();
+        let binned = BinnedDataset::build(fit, idx, params.bins)?;
         let mut scratch = idx.to_vec();
-        let mut order = FeatureOrder::new(data.num_features());
-        match BinnedDataset::build(fit, idx, params.bins) {
-            Ok(binned) => {
-                let mut grower = Grower {
-                    tree: Tree::empty(data.num_features()),
-                    data,
-                    binned: &binned,
-                    params: &params,
-                    entropy: &fit.entropy,
-                    rng,
-                    order,
-                    pool: HistPool::new(binned.hist_len()),
-                    occupied: vec![0; binned.bitmap_words()],
-                };
-                // REPTree-style all-feature nodes thread a full histogram
-                // down the recursion so each larger sibling comes from a
-                // subtraction; the RandomTree subset path accumulates only
-                // the node's candidate features instead.
-                let root_hist = params.feature_subset.is_none().then(|| {
-                    let mut h = grower.pool.acquire();
-                    binned.accumulate(data.labels(), &scratch, &mut h);
-                    h
-                });
-                grower.grow(&mut scratch, 0, root_hist);
-                Ok(grower.tree)
-            }
-            Err(thresholds) => {
-                let mut tree = Tree::empty(data.num_features());
-                oracle::build(
-                    &mut tree,
-                    data,
-                    &mut scratch,
-                    &thresholds,
-                    &params,
-                    0,
-                    rng,
-                    &mut order,
-                );
-                Ok(tree)
-            }
-        }
+        let mut grower = Grower {
+            tree: Tree::empty(data.num_features()),
+            data,
+            binned: &binned,
+            params: &params,
+            entropy: &fit.entropy,
+            rng,
+            order: FeatureOrder::new(data.num_features()),
+            pool: HistPool::new(binned.hist_len()),
+            occupied: vec![0; binned.bitmap_words()],
+        };
+        // REPTree-style all-feature nodes thread a full histogram down the
+        // recursion so each larger sibling comes from a subtraction; the
+        // RandomTree subset path accumulates only the node's candidate
+        // features instead.
+        let root_hist = params.feature_subset.is_none().then(|| {
+            let mut h = grower.pool.acquire();
+            binned.accumulate(data.labels(), &scratch, &mut h);
+            h
+        });
+        grower.grow(&mut scratch, 0, root_hist);
+        Ok(grower.tree)
     }
 
     /// An empty tree over `num_features` features, for a builder to grow.
@@ -917,6 +899,7 @@ pub(crate) fn subtract_hist(parent: &mut [u32], child: &[u32]) {
 mod tests {
     use super::*;
     use crate::learners::{RandomTreeLearner, RepTreeLearner, TreeLearner};
+    use crate::oracle;
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

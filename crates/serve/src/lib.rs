@@ -23,11 +23,10 @@
 //! - [`server`] — an event-driven TCP server: an epoll reactor (the
 //!   vendored `mio` shim) does the socket I/O for every connection,
 //!   whose protocol logic is a sans-io `Session` (no socket, no clock of
-//!   its own, so every fault shape is testable without either), a
-//!   bounded scoring executor (sized by
-//!   [`sm_ml::Parallelism`]) runs the kernels, and concurrent small
-//!   `ScorePairs` requests for the same model are coalesced into full
-//!   kernel batches (bit-identical by row independence). Hardened for
+//!   its own, so every fault shape is testable without either). The
+//!   loop scores each `ScorePairs` itself in one kernel call, and a
+//!   bounded executor (sized by [`sm_ml::Parallelism`]) runs `Attack`
+//!   requests. Hardened for
 //!   hostile traffic: idle and mid-request deadlines, a hard cap on
 //!   request bytes (checked from the binary header before buffering),
 //!   `Busy` load shedding past the admission capacity, graceful

@@ -165,7 +165,8 @@ impl std::fmt::Display for ErrorCode {
 pub struct ShadowReport {
     /// Catalog id of the shadow model.
     pub shadow_model: String,
-    /// Decision threshold the disagreement count is computed at.
+    /// Decision threshold the disagreement count is computed at
+    /// ([`crate::server::ShadowConfig::THRESHOLD`]).
     pub threshold: f64,
     /// `ScorePairs` requests selected for shadow scoring so far.
     pub sampled_requests: u64,
@@ -216,18 +217,15 @@ pub struct StatsSnapshot {
     pub timeouts: u64,
     /// Total candidate pairs scored across `ScorePairs` and `Attack`.
     pub pairs_scored: u64,
-    /// Reactor event-loop threads driving connections (the scoring
-    /// executor's size is a separate knob; see `pool_size`).
+    /// Reactor event-loop threads driving connections and scoring
+    /// `ScorePairs` (the attack executor's size is a separate knob; see
+    /// `pool_size`).
     pub event_loops: u64,
-    /// Scoring invocations on the executor's coalescing path — one
-    /// `proba_batch` call each, possibly covering several requests.
+    /// `ScorePairs` requests scored: one `proba_batch` kernel call each.
     pub score_batches: u64,
-    /// Feature rows scored through those coalescing invocations
-    /// (`batched_rows / score_batches` is the mean batch fill).
+    /// Feature rows those kernel calls scored (`batched_rows /
+    /// score_batches` is the mean rows per `ScorePairs`).
     pub batched_rows: u64,
-    /// Requests that shared a scoring invocation with at least one
-    /// other request — cross-connection micro-batching actually fired.
-    pub batched_requests: u64,
     /// Median request latency in microseconds (0 until data exists).
     pub p50_us: u64,
     /// 95th-percentile request latency in microseconds.
@@ -1071,7 +1069,6 @@ mod tests {
                     event_loops: 2,
                     score_batches: 10,
                     batched_rows: 2048,
-                    batched_requests: 6,
                     p50_us: 40,
                     p95_us: 90,
                     p99_us: 99,

@@ -1,4 +1,5 @@
-//! The TCP inference server: an epoll reactor feeding a scoring executor.
+//! The TCP inference server: an epoll reactor that scores `ScorePairs`
+//! inline and hands `Attack` runs to an executor.
 //!
 //! Architecture (three kinds of threads, all scoped):
 //!
@@ -12,34 +13,29 @@
 //!   the event loops over a channel plus a reactor wake.
 //! - **Event loops** (`event_loops` threads, auto-sized from the CPU
 //!   count): each runs a nonblocking **edge-triggered** epoll loop (the
-//!   vendored `mio` shim) over its share of connections and does only
-//!   I/O. A connection is registered exactly once, at admission, for
-//!   both interests — no `epoll_ctl` churn on the hot path — and the
-//!   loop caches readiness itself (`read_ready`/`write_ready`, cleared
-//!   only on `WouldBlock`). Connections with cached readiness or
-//!   buffered work sit on a ready list; each gets **one bounded service
-//!   turn per loop iteration** (read to `WouldBlock` or the buffer cap,
-//!   process at most `FRAME_BUDGET` frames, flush to `WouldBlock`), so
-//!   one connection pipelining thousands of frames cannot starve its
-//!   siblings. Everything else about a connection — wire detection,
-//!   framing, decode, deadlines, reply encoding and its counters — is
-//!   the sans-io `Session` it owns: the loop feeds it bytes, EOF,
-//!   write progress, clock ticks and job completions, and carries out
-//!   what it decides. Each decoded request goes through `route`, which
-//!   answers control requests (`Health`, `Stats`, `ListModels`,
-//!   `Reload`, `Shutdown`) inline, resolves the catalog, validates row
-//!   widths, and turns scoring requests into executor jobs, one in
-//!   flight per connection.
-//! - **Scoring executor** (`pool_size(workers)` threads): pulls
-//!   [`ScorePairs`]/[`Attack`] jobs from a shared queue and scores each
-//!   sequentially. Concurrent small `ScorePairs` jobs that target the
-//!   same model are **coalesced** into one `proba_batch` call of up to
-//!   [`SCORE_BATCH`] rows and the probabilities demultiplexed back per
-//!   request — `proba_batch` is row-independent, so coalesced
-//!   answers are bit-identical to solo ones. A worker only drains jobs
-//!   already queued and never waits for stragglers, so a lone client
-//!   pays no added latency and batches fill exactly when there is a
-//!   backlog to amortize.
+//!   vendored `mio` shim) over its share of connections. A connection is
+//!   registered exactly once, at admission, for both interests — no
+//!   `epoll_ctl` churn on the hot path — and the loop caches readiness
+//!   itself (`read_ready`/`write_ready`, cleared only on `WouldBlock`).
+//!   Connections with cached readiness or buffered work sit on a ready
+//!   list; each gets **one bounded service turn per loop iteration**
+//!   (read to `WouldBlock` or the buffer cap, process at most
+//!   `FRAME_BUDGET` frames, flush to `WouldBlock`), so one connection
+//!   pipelining thousands of frames cannot starve its siblings.
+//!   Everything else about a connection — wire detection, framing,
+//!   decode, deadlines, reply encoding and its counters — is the sans-io
+//!   `Session` it owns: the loop feeds it bytes, EOF, write progress,
+//!   clock ticks and job completions, and carries out what it decides.
+//!   Each decoded request goes through `route`, which answers control
+//!   requests (`Health`, `Stats`, `ListModels`, `Reload`, `Shutdown`)
+//!   inline, resolves the catalog, and validates row widths. A
+//!   [`ScorePairs`] is scored right there, one `proba_batch` call over
+//!   its rows; an [`Attack`] becomes an executor job, one in flight per
+//!   connection.
+//! - **Attack executor** (`pool_size(workers)` threads): pulls `Attack`
+//!   jobs from a shared queue, runs each sequentially, and posts the
+//!   reply back to the owning event loop. An attack can take seconds, so
+//!   it never runs on a loop.
 //!
 //! [`ScorePairs`]: Request::ScorePairs
 //! [`Attack`]: Request::Attack
@@ -66,7 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sm_attack::attack::{ScoreOptions, SCORE_BATCH};
+use sm_attack::attack::ScoreOptions;
 use sm_attack::TrainedAttack;
 use sm_layout::io::read_challenge;
 use sm_ml::Parallelism;
@@ -102,8 +98,8 @@ const READ_CHUNK: usize = 16 * 1024;
 /// tokens are slab indices, which can never reach this value.
 const WAKE_TOKEN: mio::Token = mio::Token(usize::MAX);
 
-/// Upper bound on auto-sized event loops: scoring, not connection
-/// shuffling, is where the CPUs belong.
+/// Upper bound on auto-sized event loops: the attack executor needs
+/// CPUs too.
 const MAX_AUTO_EVENT_LOOPS: usize = 4;
 
 /// Fairness budget: the most frames one connection may consume in a
@@ -115,11 +111,12 @@ const FRAME_BUDGET: usize = 32;
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeOptions {
-    /// Size of the scoring executor pool (via
+    /// Size of the executor pool that runs `Attack` requests (via
     /// [`Parallelism::worker_count`]). `Auto` is guarded to a minimum of
     /// two workers so one long-running `Attack` cannot monopolize the
-    /// whole executor on 1-CPU hosts. Connection I/O is handled by the
-    /// event loops, not this pool — see `event_loops`.
+    /// whole executor on 1-CPU hosts. Connection I/O and `ScorePairs`
+    /// scoring run on the event loops, not this pool — see
+    /// `event_loops`.
     pub workers: Parallelism,
     /// Mid-request deadline in milliseconds: once the first byte of a
     /// request has arrived, the full request must arrive (and the
@@ -198,25 +195,25 @@ pub struct ShadowConfig {
     /// `floor((k+1)·f) > floor(k·f)`), so `1.0` is every request, `0.5`
     /// is exactly every other one.
     pub fraction: f64,
-    /// Decision threshold for the disagreement count.
-    pub threshold: f64,
 }
 
 impl ShadowConfig {
-    /// Shadow `model_id` on `fraction` of requests, disagreements
-    /// counted at the conventional 0.5 decision threshold.
+    /// Decision threshold of the disagreement count: a pair disagrees
+    /// when exactly one of the two probabilities reaches it.
+    pub const THRESHOLD: f64 = 0.5;
+
+    /// Shadow `model_id` on `fraction` of requests.
     #[must_use]
     pub fn new(model_id: &str, fraction: f64) -> Self {
         Self {
             model_id: model_id.to_owned(),
             fraction,
-            threshold: 0.5,
         }
     }
 }
 
-/// Resolves the scoring executor pool size, applying the `Auto` >= 2
-/// guard: one long-running request must never monopolize the whole
+/// Resolves the attack executor pool size, applying the `Auto` >= 2
+/// guard: one long-running `Attack` must never monopolize the whole
 /// executor, so `Auto` keeps at least two workers even on 1-CPU hosts.
 /// Explicit worker counts are honored as given.
 pub fn pool_size(workers: Parallelism) -> usize {
@@ -409,7 +406,6 @@ struct ServerState {
     pairs_scored: AtomicU64,
     score_batches: AtomicU64,
     batched_rows: AtomicU64,
-    batched_requests: AtomicU64,
 }
 
 impl ServerState {
@@ -432,7 +428,7 @@ impl ServerState {
             let a = self.shadow_accum.lock().expect("shadow lock");
             ShadowReport {
                 shadow_model: cfg.model_id.clone(),
-                threshold: cfg.threshold,
+                threshold: ShadowConfig::THRESHOLD,
                 sampled_requests: a.sampled_requests,
                 compared_pairs: a.compared_pairs,
                 max_abs_dp: a.max_abs_dp,
@@ -460,7 +456,6 @@ impl ServerState {
             event_loops: self.event_loops as u64,
             score_batches: self.score_batches.load(Ordering::Relaxed),
             batched_rows: self.batched_rows.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
             p50_us,
             p95_us,
             p99_us,
@@ -619,7 +614,7 @@ impl Prepared {
     }
 }
 
-/// A scoring job dispatched from an event loop to the executor.
+/// An `Attack` run dispatched from an event loop to the executor.
 struct Job {
     /// Which event loop owns the connection.
     loop_id: usize,
@@ -630,29 +625,19 @@ struct Job {
     conn_seq: u64,
     /// When the request's last byte arrived (latency clock).
     start: Instant,
-    kind: JobKind,
+    attack: Attack,
 }
 
-enum JobKind {
-    /// A `ScorePairs` batch, rows already validated and flattened
-    /// (row-major, `width` columns each).
-    Pairs {
-        catalog: Arc<Catalog>,
-        entry: Arc<ModelEntry>,
-        rows: Vec<f64>,
-        nrows: usize,
-    },
-    /// A full `Attack` run.
-    Attack {
-        entry: Arc<ModelEntry>,
-        challenge: String,
-        truth: String,
-        threshold: f64,
-        detail: bool,
-    },
+/// A routed `Attack` request, resolved against the catalog.
+struct Attack {
+    entry: Arc<ModelEntry>,
+    challenge: String,
+    truth: String,
+    threshold: f64,
+    detail: bool,
 }
 
-/// A scored response travelling back from the executor to the owning
+/// An attack's reply travelling back from the executor to the owning
 /// event loop.
 struct Completion {
     token: usize,
@@ -696,7 +681,6 @@ fn serve_prepared(
         pairs_scored: AtomicU64::new(0),
         score_batches: AtomicU64::new(0),
         batched_rows: AtomicU64::new(0),
-        batched_requests: AtomicU64::new(0),
     };
 
     // Per-loop reactor plumbing, built up front so waker/sender clones
@@ -1163,13 +1147,13 @@ impl<'a> EventLoop<'a> {
         if turn.shutdown {
             initiate_shutdown(state);
         }
-        if let Some((kind, start)) = turn.job {
+        if let Some((attack, start)) = turn.job {
             let job = Job {
                 loop_id: self.loop_id,
                 token: idx,
                 conn_seq: conn.seq,
                 start,
-                kind,
+                attack,
             };
             if self.jobs.send(job).is_err() {
                 // Executor gone: only reachable during teardown.
@@ -1232,10 +1216,10 @@ impl<'a> EventLoop<'a> {
     }
 }
 
-/// The router: answers control requests, resolves the catalog, and
-/// turns scoring requests into executor jobs. Row widths are validated
-/// here, once, for both wires.
-fn route(state: &ServerState, decoded: Decoded<'_>) -> Routed<JobKind> {
+/// The router: answers control requests, resolves the catalog, scores
+/// `ScorePairs` inline and turns an `Attack` into an executor job. Row
+/// widths are validated here, once, for both wires.
+fn route(state: &ServerState, decoded: Decoded<'_>) -> Routed<Attack> {
     let request = match decoded {
         Decoded::ScorePairs(view) => return route_rows(state, view.model_id, Rows::Dense(view)),
         Decoded::Request(request) => request,
@@ -1253,7 +1237,7 @@ fn route(state: &ServerState, decoded: Decoded<'_>) -> Routed<JobKind> {
         } => match state.catalog().resolve(model_id.as_deref()) {
             Err(e) => not_found(&e),
             Ok(entry) => {
-                return Routed::Job(JobKind::Attack {
+                return Routed::Job(Attack {
                     entry: entry.clone(),
                     challenge,
                     truth,
@@ -1316,11 +1300,13 @@ enum Rows<'a> {
 }
 
 /// Resolves the model, validates every row's width against it, and
-/// flattens the rows into one row-major job batch.
-fn route_rows(state: &ServerState, model_id: Option<&str>, rows: Rows<'_>) -> Routed<JobKind> {
+/// scores the rows in one `proba_batch` call on the calling event loop.
+/// The call is row-independent, so the probabilities are bit-identical
+/// to `Bagging::proba` on each row.
+fn route_rows(state: &ServerState, model_id: Option<&str>, rows: Rows<'_>) -> Routed<Attack> {
     let catalog = state.catalog();
     let entry = match catalog.resolve(model_id) {
-        Ok(entry) => entry.clone(),
+        Ok(entry) => entry,
         Err(e) => return Routed::Reply(Box::new(not_found(&e))),
     };
     let width = entry.model.config().features.len();
@@ -1347,149 +1333,43 @@ fn route_rows(state: &ServerState, model_id: Option<&str>, rows: Rows<'_>) -> Ro
         Rows::Dense(view) => view.extend_rows_into(&mut flat),
         Rows::Nested(rows) => rows.iter().for_each(|r| flat.extend_from_slice(r)),
     }
-    Routed::Job(JobKind::Pairs {
-        catalog,
-        entry,
-        rows: flat,
-        nrows,
-    })
+    let mut probs = vec![0.0; nrows];
+    entry.compiled.proba_batch(&flat, width, &mut probs);
+    state.score_batches.fetch_add(1, Ordering::Relaxed);
+    state
+        .batched_rows
+        .fetch_add(nrows as u64, Ordering::Relaxed);
+    state
+        .pairs_scored
+        .fetch_add(nrows as u64, Ordering::Relaxed);
+    shadow_compare(state, &catalog, entry, &flat, width, &probs);
+    Routed::Reply(Box::new(Response::Scores { probs }))
 }
 
-/// One scoring executor thread: drains the shared job queue, coalescing
-/// compatible `ScorePairs` jobs into full [`SCORE_BATCH`]-row kernel
-/// calls, and posts completions back to the owning event loops.
+/// One executor thread: runs queued `Attack` jobs one at a time and
+/// posts each reply back to the owning event loop.
 fn executor_run(
     state: &ServerState,
     jobs: &Mutex<mpsc::Receiver<Job>>,
     completion_txs: &[mpsc::Sender<Completion>],
     wakers: &[mio::Waker],
 ) {
-    let mut stash: Option<Job> = None;
     loop {
-        let first = match stash.take() {
-            Some(job) => job,
-            None => match jobs.lock().expect("job queue lock").recv() {
-                Ok(job) => job,
-                Err(_) => return, // all event loops exited
-            },
+        // The guard is a temporary of the `let`, so the queue unlocks
+        // before the attack runs.
+        let Ok(job) = jobs.lock().expect("job queue lock").recv() else {
+            return; // all event loops exited
         };
-        match first.kind {
-            JobKind::Attack {
-                ref entry,
-                ref challenge,
-                ref truth,
-                threshold,
-                detail,
-            } => {
-                let response = run_attack(state, entry, challenge, truth, threshold, detail);
-                post(completion_txs, wakers, &first, response);
-            }
-            JobKind::Pairs { .. } => {
-                stash = score_coalesced(state, jobs, completion_txs, wakers, first);
-            }
-        }
-    }
-}
-
-/// Scores a `Pairs` job, coalescing it with queued jobs that target the
-/// same model. Returns a popped job that did not fit the batch (to be
-/// processed next).
-fn score_coalesced(
-    state: &ServerState,
-    jobs: &Mutex<mpsc::Receiver<Job>>,
-    completion_txs: &[mpsc::Sender<Completion>],
-    wakers: &[mio::Waker],
-    first: Job,
-) -> Option<Job> {
-    let (first_entry, first_nrows) = match &first.kind {
-        JobKind::Pairs { entry, nrows, .. } => (entry.clone(), *nrows),
-        JobKind::Attack { .. } => unreachable!("caller matched Pairs"),
-    };
-    let mut batch = vec![first];
-    let mut total_rows = first_nrows;
-    let mut stash = None;
-    while total_rows < SCORE_BATCH {
-        // `try_lock`, never `lock`: an idle sibling worker parks *inside*
-        // `recv()` while holding the queue mutex, so blocking here would
-        // deadlock the batch against a worker that is waiting for work.
-        // A contended lock just means another worker owns the queue —
-        // there is nothing to coalesce that belongs to this batch.
-        let Some(job) = jobs.try_lock().ok().and_then(|rx| rx.try_recv().ok()) else {
-            break;
+        let response = run_attack(state, &job.attack);
+        let completion = Completion {
+            token: job.token,
+            conn_seq: job.conn_seq,
+            start: job.start,
+            response,
         };
-        match &job.kind {
-            JobKind::Pairs { entry, nrows, .. } if Arc::ptr_eq(entry, &first_entry) => {
-                total_rows += *nrows;
-                batch.push(job);
-            }
-            _ => {
-                stash = Some(job);
-                break;
-            }
+        if completion_txs[job.loop_id].send(completion).is_ok() {
+            let _ = wakers[job.loop_id].wake();
         }
-    }
-
-    // One kernel call over the concatenated rows; `proba_batch` is
-    // row-independent, so each request's slice is bit-identical to a
-    // solo call.
-    let width = first_entry.model.config().features.len();
-    let mut all_rows = Vec::with_capacity(total_rows * width);
-    for job in &batch {
-        if let JobKind::Pairs { rows, .. } = &job.kind {
-            all_rows.extend_from_slice(rows);
-        }
-    }
-    let mut all_probs = vec![0.0; total_rows];
-    first_entry
-        .compiled
-        .proba_batch(&all_rows, width, &mut all_probs);
-    state.score_batches.fetch_add(1, Ordering::Relaxed);
-    state
-        .batched_rows
-        .fetch_add(total_rows as u64, Ordering::Relaxed);
-    if batch.len() > 1 {
-        state
-            .batched_requests
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    }
-
-    let mut offset = 0usize;
-    for job in batch {
-        let JobKind::Pairs {
-            ref catalog,
-            ref entry,
-            ref rows,
-            nrows,
-        } = job.kind
-        else {
-            continue;
-        };
-        let probs = all_probs[offset..offset + nrows].to_vec();
-        offset += nrows;
-        state
-            .pairs_scored
-            .fetch_add(nrows as u64, Ordering::Relaxed);
-        shadow_compare(state, catalog, entry, rows, width, &probs);
-        post(completion_txs, wakers, &job, Response::Scores { probs });
-    }
-    stash
-}
-
-/// Posts a completion back to the job's event loop and wakes it.
-fn post(
-    completion_txs: &[mpsc::Sender<Completion>],
-    wakers: &[mio::Waker],
-    job: &Job,
-    response: Response,
-) {
-    let completion = Completion {
-        token: job.token,
-        conn_seq: job.conn_seq,
-        start: job.start,
-        response,
-    };
-    if completion_txs[job.loop_id].send(completion).is_ok() {
-        let _ = wakers[job.loop_id].wake();
     }
 }
 
@@ -1590,22 +1470,15 @@ fn shadow_compare(
         if dp > accum.max_abs_dp {
             accum.max_abs_dp = dp;
         }
-        if (p >= cfg.threshold) != (q >= cfg.threshold) {
+        if (p >= ShadowConfig::THRESHOLD) != (q >= ShadowConfig::THRESHOLD) {
             accum.disagreements += 1;
         }
     }
     accum.compared_pairs += probs.len() as u64;
 }
 
-fn run_attack(
-    state: &ServerState,
-    entry: &ModelEntry,
-    challenge: &str,
-    truth: &str,
-    threshold: f64,
-    detail: bool,
-) -> Response {
-    let view = match read_challenge(challenge, truth) {
+fn run_attack(state: &ServerState, attack: &Attack) -> Response {
+    let view = match read_challenge(&attack.challenge, &attack.truth) {
         Ok(v) => v,
         Err(e) => {
             return Response::Error {
@@ -1614,7 +1487,7 @@ fn run_attack(
             }
         }
     };
-    let scored = entry.model.score(
+    let scored = attack.entry.model.score(
         &view,
         &ScoreOptions {
             parallelism: Parallelism::Sequential,
@@ -1628,14 +1501,14 @@ fn run_attack(
         design: view.name.clone(),
         num_vpins: view.num_vpins(),
         pairs_scored: scored.pairs_scored,
-        threshold,
-        accuracy: scored.accuracy_at(threshold),
-        mean_loc: scored.mean_loc_at(threshold),
+        threshold: attack.threshold,
+        accuracy: scored.accuracy_at(attack.threshold),
+        mean_loc: scored.mean_loc_at(attack.threshold),
         max_accuracy: scored.max_accuracy(),
     };
     Response::AttackResult {
         summary,
-        scored: detail.then_some(scored),
+        scored: attack.detail.then_some(scored),
     }
 }
 

@@ -7,8 +7,8 @@
 //! a read returned, the peer's EOF, the bytes a write took, a clock tick
 //! and a job completion. Its outputs are reply bytes in its write buffer,
 //! at most one decoded request per frame (handed to a router), at most
-//! one scoring job in flight, a close decision, and increments on the
-//! shared [`Counters`].
+//! one job in flight, a close decision, and increments on the shared
+//! [`Counters`].
 //!
 //! Each connection is a small state machine — read buffer → framed
 //! request → router → write buffer — with the wire format detected from
@@ -16,8 +16,9 @@
 //! sticky for the connection's life. Framing is zero-copy
 //! ([`ReadBuf`]): frames are borrowed slices of the read buffer, and a
 //! dense `SCORE_PAIRS` frame reaches the router as a borrowed row view.
-//! Control requests are answered inline; a scoring request becomes a job
-//! and pauses request intake until its completion returns, so
+//! The router answers most requests inline (the server's router scores
+//! `ScorePairs` there too); a request it turns into a job (the server's
+//! `Attack`) pauses request intake until its completion returns, so
 //! pipelined bytes wait in the read buffer and replies keep request
 //! order.
 //!
@@ -124,7 +125,7 @@ enum Phase {
     /// incomplete; the mid-request deadline applies.
     Receiving(Instant),
     /// A job is in flight; reads pause for backpressure and no deadline
-    /// but the write stall applies (scoring time is unbounded).
+    /// but the write stall applies (a job's run time is unbounded).
     Processing,
     /// A final reply is queued (`Shutdown`, `TooLarge`, `Timeout`, lost
     /// framing); close once it drains.

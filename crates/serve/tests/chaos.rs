@@ -909,10 +909,9 @@ fn pipelined_flood_on_one_connection_cannot_starve_the_reactor() {
 
 /// One connection pipelines `BACKLOG_FRAMES` `ScorePairs` requests in
 /// odd-sized writes to a server with a single event loop, and reads the
-/// replies concurrently. Every request goes in flight on the executor,
-/// so the server takes one frame per service turn while the rest of the
-/// backlog waits in its read buffer: the path whose copy cost the read
-/// cursor bounds. Request `k` scores its own window of rows, so a
+/// replies concurrently. The server takes at most one frame budget per
+/// service turn while the rest of the backlog waits in its read buffer:
+/// the path whose copy cost the read cursor bounds. Request `k` scores its own window of rows, so a
 /// reordered, dropped or torn frame shows as a wrong reply.
 fn backlog_of_in_flight_requests_drains_in_order(wire: Wire) {
     const BACKLOG_FRAMES: usize = 2_000;

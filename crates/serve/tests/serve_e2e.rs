@@ -5,8 +5,10 @@
 
 use sm_attack::attack::{AttackConfig, ScoreOptions, TrainedAttack};
 use sm_attack::Parallelism;
+use sm_layout::generator::generate;
 use sm_layout::io::{write_challenge, write_truth};
-use sm_layout::{SplitLayer, SplitView, Suite};
+use sm_layout::route::route;
+use sm_layout::{Benchmark, SplitLayer, SplitView, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
 use sm_serve::client::{Client, ClientTimeouts};
 use sm_serve::protocol::{binary, ErrorCode, Request, Response, Wire};
@@ -559,4 +561,118 @@ fn shutdown_handle_drains_the_server_like_sigterm_would() {
         },
         "the drained server must not accept new work"
     );
+}
+
+/// A design big enough that one `Attack` on it keeps a worker busy for
+/// a while: sb1 cut at layer 4 (about 7,500 v-pins and 490,000 scored
+/// pairs).
+fn slow_attack_view() -> SplitView {
+    let design = route(generate(&Suite::spec_sb1_scaled(1.0)).expect("valid spec"));
+    Benchmark { design }.split(SplitLayer::new(4).expect("valid layer"))
+}
+
+#[test]
+fn score_pairs_is_answered_while_an_attack_holds_the_only_worker() {
+    use std::io::{BufRead, BufReader, Write};
+
+    // One event loop and one attack worker. Connection A's `Attack` takes
+    // the worker; connection B's `ScorePairs` is scored on the loop and
+    // answered while A's attack still runs, bit-identical to the model.
+    let (model, _) = trained_and_test_view();
+    let view = slow_attack_view();
+    let features: Vec<Vec<f64>> = vec![vec![0.0; 9], vec![1.5; 9], vec![4000.0; 9]];
+    let local: Vec<f64> = features.iter().map(|x| model.model().proba(x)).collect();
+    let options = ServeOptions {
+        workers: Parallelism::Threads(1),
+        event_loops: 1,
+        ..ServeOptions::default()
+    };
+    let handle = ServerHandle::bind(model, "127.0.0.1:0", options).expect("binds");
+    let addr = handle.addr();
+    let mut b = Client::connect(addr).expect("B connects");
+
+    let mut a = std::net::TcpStream::connect(addr).expect("A connects");
+    let attack = Request::Attack {
+        challenge: write_challenge(&view),
+        truth: write_truth(&view),
+        threshold: 0.5,
+        detail: false,
+        model_id: None,
+    };
+    let mut line = serde_json::to_string(&attack).expect("encodes");
+    line.push('\n');
+    a.write_all(line.as_bytes()).expect("A sends its attack");
+    // B is scored on the loop whichever request the loop takes first.
+    // The pause only matters to a server that would queue B for the
+    // worker: it puts B behind A there, so such a server fails below.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+
+    let probs = match b
+        .call_ok(&Request::ScorePairs {
+            features,
+            model_id: None,
+        })
+        .expect("B is scored")
+    {
+        Response::Scores { probs } => probs,
+        other => panic!("unexpected scores reply: {other:?}"),
+    };
+    assert_eq!(bits(&probs), bits(&local), "B's scores are the model's");
+    a.set_nonblocking(true).expect("nonblocking");
+    match a.peek(&mut [0u8; 1]) {
+        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+        other => panic!("A's attack answered before B's scores: {other:?}"),
+    }
+
+    a.set_nonblocking(false).expect("blocking");
+    a.set_read_timeout(Some(std::time::Duration::from_secs(120)))
+        .expect("read timeout");
+    let mut reply = String::new();
+    BufReader::new(&a)
+        .read_line(&mut reply)
+        .expect("A's attack reply");
+    match serde_json::from_str(&reply).expect("reply decodes") {
+        Response::AttackResult { summary, .. } => {
+            assert_eq!(summary.design, view.name);
+            assert_eq!(summary.num_vpins, view.num_vpins());
+        }
+        other => panic!("unexpected attack reply: {other:?}"),
+    }
+    drop(a);
+    b.call_ok(&Request::Shutdown).expect("shutdown");
+    let stats = handle.join().expect("clean exit");
+    assert_eq!((stats.errors, stats.io_errors), (0, 0), "{stats:?}");
+}
+
+#[test]
+fn pipelined_score_pairs_take_one_kernel_call_each() {
+    const N: usize = 12;
+    const R: usize = 5;
+    let (model, _) = trained_and_test_view();
+    let handle = ServerHandle::bind(model, "127.0.0.1:0", test_options()).expect("binds");
+    let mut client = Client::connect_wire(handle.addr(), ClientTimeouts::default(), Wire::Binary)
+        .expect("connects");
+    let batch = Request::ScorePairs {
+        features: (0..R).map(|k| vec![k as f64; 9]).collect(),
+        model_id: None,
+    };
+    for _ in 0..N {
+        client.send(&batch).expect("pipelined send");
+    }
+    for _ in 0..N {
+        match client.recv().expect("pipelined reply") {
+            Response::Scores { probs } => assert_eq!(probs.len(), R),
+            other => panic!("unexpected scores reply: {other:?}"),
+        }
+    }
+    match client.call_ok(&Request::Stats).expect("stats") {
+        Response::Stats { stats } => {
+            assert_eq!(stats.score_batches, N as u64, "{stats:?}");
+            assert_eq!(stats.batched_rows, (N * R) as u64, "{stats:?}");
+            assert_eq!(stats.pairs_scored, (N * R) as u64, "{stats:?}");
+        }
+        other => panic!("unexpected stats reply: {other:?}"),
+    }
+    client.call_ok(&Request::Shutdown).expect("shutdown");
+    handle.join().expect("clean exit");
 }
