@@ -23,7 +23,7 @@ pub const DEFAULT_PA_FRACTIONS: [f64; 6] = [0.001, 0.002, 0.005, 0.01, 0.02, 0.0
 
 /// Fraction of training v-pins used for model fitting during validation
 /// (the rest validate), per the paper's 80/20 protocol.
-pub const PA_VALIDATION_TRAIN_FRACTION: f64 = 0.8;
+const PA_VALIDATION_TRAIN_FRACTION: f64 = 0.8;
 
 /// Outcome of a proximity attack over a set of target v-pins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -158,7 +158,7 @@ impl Suite {
     }
 
     /// `superblue5`-like: larger, slightly more congested.
-    pub fn spec_sb5_scaled(scale: f64) -> DesignSpec {
+    fn spec_sb5_scaled(scale: f64) -> DesignSpec {
         Self::scaled(
             scale,
             DesignSpec {
@@ -200,7 +200,7 @@ impl Suite {
     /// sparse v-pin distribution — matches sit unusually close to their
     /// partners, which is why the paper's proximity attack does much better
     /// here than anywhere else.
-    pub fn spec_sb10_scaled(scale: f64) -> DesignSpec {
+    fn spec_sb10_scaled(scale: f64) -> DesignSpec {
         Self::scaled(
             scale,
             DesignSpec {

@@ -41,6 +41,9 @@ pub(crate) struct BinnedDataset {
     codes: Vec<u16>,
     /// Per-feature bin offsets (in bins, not slots); `offsets[m]` = total.
     offsets: Vec<usize>,
+    /// Per feature: whether `code <= k` decides `v <= thresholds[k]` for
+    /// every held row (see [`BinnedDataset::code_column`]).
+    code_decides: Vec<bool>,
     n_rows: usize,
 }
 
@@ -62,6 +65,7 @@ impl BinnedDataset {
         }
         let held: Vec<u32> = (0..n as u32).filter(|&i| copies[i as usize] > 0).collect();
         let mut thresholds = Vec::with_capacity(m);
+        let mut code_decides = Vec::with_capacity(m);
         let mut codes = vec![0u16; m * n];
         // Per feature: the tree's values sorted by `total_cmp` and then
         // `dedup`ed, exactly as a sort of its own values would give, and
@@ -75,6 +79,7 @@ impl BinnedDataset {
             // nothing, so every copy of a NaN row stays.
             vals.clear();
             let (rows, values) = fit.sorted_column(j);
+            let mut held_nan = false;
             // `total_cmp` sorts NaNs to the ends of a column.
             if values.first().is_some_and(|v| v.is_nan())
                 || values.last().is_some_and(|v| v.is_nan())
@@ -85,6 +90,7 @@ impl BinnedDataset {
                         continue;
                     }
                     if v.is_nan() {
+                        held_nan = true;
                         vals.extend(std::iter::repeat_n(v, c as usize));
                     } else if vals.last() != Some(&v) {
                         vals.push(v);
@@ -117,12 +123,13 @@ impl BinnedDataset {
                     thresholds: ts.len(),
                 });
             }
+            // Without NaN the thresholds never decrease (midpoints of
+            // sorted values, each rounding monotone), so along the sorted
+            // values `partition_point` is a cursor that only moves forward.
+            let monotone = !ts.iter().any(|t| t.is_nan());
+            code_decides.push(monotone && !held_nan);
             if !ts.is_empty() {
-                // Without NaN the thresholds never decrease, so along the
-                // sorted values `partition_point` is a cursor that only
-                // moves forward. A NaN value's code is 0: no threshold is
-                // `<` it.
-                let monotone = !ts.iter().any(|t| t.is_nan());
+                // A NaN value's code is 0: no threshold is `<` it.
                 let mut k = 0usize;
                 code_of_rank.clear();
                 code_of_rank.extend(vals.iter().map(|&v| {
@@ -153,8 +160,23 @@ impl BinnedDataset {
             thresholds,
             codes,
             offsets,
+            code_decides,
             n_rows: n,
         })
+    }
+
+    /// Feature `j`'s codes when they decide its splits: for every row the
+    /// tree holds, `code <= k` exactly when `v <= thresholds(j)[k]`.
+    ///
+    /// That holds when neither the held values nor the thresholds hold a
+    /// NaN. The thresholds then never decrease, so the ones `< v` are a
+    /// prefix of length `code`, and `thresholds[k] < v` exactly when
+    /// `k < code`. A NaN value has code 0 but goes right of every
+    /// threshold, and a NaN threshold (the midpoint of `-∞` and `+∞`)
+    /// breaks the prefix; such a feature gets `None`, and the grower
+    /// partitions by the raw values.
+    pub(crate) fn code_column(&self, j: usize) -> Option<&[u16]> {
+        self.code_decides[j].then(|| &self.codes[j * self.n_rows..(j + 1) * self.n_rows])
     }
 
     /// Candidate thresholds for feature `j`.

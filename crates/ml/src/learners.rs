@@ -81,11 +81,16 @@ impl Default for RepTreeLearner {
 pub(crate) type GrowFn =
     fn(&FitData<'_>, &[u32], TreeParams, &mut ChaCha8Rng) -> Result<Tree, TrainError>;
 
+/// The reduced-error pruning a REPTree runs on its held-out samples:
+/// [`Tree::prune_with`], or [`crate::oracle::prune`] in the oracle learner.
+pub(crate) type PruneFn = fn(&mut Tree, &Dataset, &[u32]);
+
 impl RepTreeLearner {
-    /// Grows with `grow` and prunes.
+    /// Grows with `grow` and prunes with `prune`.
     pub(crate) fn fit_tree_with(
         &self,
         grow: GrowFn,
+        prune: PruneFn,
         fit: &FitData<'_>,
         idx: &[u32],
         rng: &mut ChaCha8Rng,
@@ -99,7 +104,7 @@ impl RepTreeLearner {
         }
         let (grow_idx, held) = split_indices(idx, self.grow_fraction, rng);
         let mut tree = grow(fit, &grow_idx, self.params, rng)?;
-        tree.prune_with(fit.data(), &held);
+        prune(&mut tree, fit.data(), &held);
         Ok(tree)
     }
 }
@@ -111,7 +116,7 @@ impl TreeLearner for RepTreeLearner {
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        self.fit_tree_with(Tree::fit_on, fit, idx, rng)
+        self.fit_tree_with(Tree::fit_on, Tree::prune_with, fit, idx, rng)
     }
 }
 

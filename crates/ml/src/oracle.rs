@@ -1,7 +1,8 @@
 //! Test oracles for tree training: the per-node scan that [`Tree::fit`]'s
 //! histogram kernel is checked against, the per-tree sort of
-//! [`quantile_thresholds`], the sample walk of [`backfit`], and REPTree and
-//! RandomTree learners built on them.
+//! [`quantile_thresholds`], the recursive reduced-error [`prune`], the
+//! sample walk of [`backfit`], and REPTree and RandomTree learners built on
+//! them.
 //!
 //! Nothing in the product trains with these. The parity suites, the
 //! property tests and the training benchmark fit the same data both ways
@@ -14,7 +15,7 @@ use crate::binned::quantile_midpoints;
 use crate::data::Dataset;
 use crate::error::TrainError;
 use crate::learners::TreeLearner;
-use crate::tree::{entropy, split_samples, FeatureOrder, FitData, Tree, TreeParams};
+use crate::tree::{entropy, split_samples, FeatureOrder, FitData, Node, Tree, TreeParams, LEAF};
 
 /// Fits a tree by scanning every candidate threshold of every node: a
 /// binary search per sample per candidate feature. Grows the same tree as
@@ -62,8 +63,8 @@ fn grow(
 }
 
 /// [`crate::learners::RepTreeLearner`] growing its trees with
-/// [`fit_tree`]; pruning is the product learner's own, and the Eq. (1)
-/// counts it leaves are re-derived by [`backfit`].
+/// [`fit_tree`] and pruning them with [`prune`]; the Eq. (1) counts of the
+/// whole index set come from [`backfit`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RepTreeLearner(pub crate::learners::RepTreeLearner);
 
@@ -74,10 +75,91 @@ impl TreeLearner for RepTreeLearner {
         idx: &[u32],
         rng: &mut ChaCha8Rng,
     ) -> Result<Tree, TrainError> {
-        let mut tree = self.0.fit_tree_with(grow, fit, idx, rng)?;
+        let mut tree = self.0.fit_tree_with(grow, prune, fit, idx, rng)?;
         backfit(&mut tree, fit.data(), idx);
         Ok(tree)
     }
+}
+
+/// Reduced-error pruning as Weka's REPTree describes it, on the held-out
+/// samples `held` of a tree grown on the rest.
+///
+/// Each held-out sample walks from the root, and every node on its path
+/// counts an error when the sample's label differs from the node's
+/// prediction: the majority of the samples the node was grown on, positive
+/// on a tie (Eq. (1)'s `P / (P + N) >= 0.5`). Then, bottom-up, a split whose
+/// subtree makes at least as many held-out errors as the split node would
+/// as a leaf becomes that leaf, and the tree is written out again in
+/// preorder without the dropped subtrees. A collapsed split keeps its
+/// threshold in the node table, as the product's does. Node counts stay
+/// those of the grow set; [`backfit`] gives the whole index set's.
+///
+/// # Panics
+///
+/// Panics if an index of `held` is not a row of `data`, or `data` has fewer
+/// features than the tree splits on.
+pub fn prune(tree: &mut Tree, data: &Dataset, held: &[u32]) {
+    let nodes = tree.raw_nodes();
+    let mut errors = vec![0usize; nodes.len()];
+    for &i in held {
+        let x = data.row(i as usize);
+        let label = data.label(i as usize);
+        let mut at = 0usize;
+        loop {
+            let n = &nodes[at];
+            if (n.pos >= n.neg) != label {
+                errors[at] += 1;
+            }
+            if n.is_leaf() {
+                break;
+            }
+            at = if x[n.feature as usize] <= n.threshold {
+                n.left as usize
+            } else {
+                n.right as usize
+            };
+        }
+    }
+    let mut kept = vec![false; nodes.len()];
+    pruned_errors(nodes, &errors, 0, &mut kept);
+    let mut out = Vec::new();
+    emit(nodes, &kept, 0, &mut out);
+    *tree = Tree::from_nodes(tree.num_features(), out);
+}
+
+/// Held-out errors of the subtree at `at` once pruned, marking in `kept`
+/// each split that survives.
+fn pruned_errors(nodes: &[Node], errors: &[usize], at: usize, kept: &mut [bool]) -> usize {
+    let n = &nodes[at];
+    if n.is_leaf() {
+        return errors[at];
+    }
+    let subtree = pruned_errors(nodes, errors, n.left as usize, kept)
+        + pruned_errors(nodes, errors, n.right as usize, kept);
+    if subtree >= errors[at] {
+        errors[at]
+    } else {
+        kept[at] = true;
+        subtree
+    }
+}
+
+/// Appends the pruned subtree at `at` to `out` in preorder and returns its
+/// root's new index.
+fn emit(nodes: &[Node], kept: &[bool], at: usize, out: &mut Vec<Node>) -> u32 {
+    let me = out.len();
+    let mut node = nodes[at];
+    if !kept[at] {
+        node.feature = LEAF;
+        node.left = 0;
+        node.right = 0;
+    }
+    out.push(node);
+    if kept[at] {
+        out[me].left = emit(nodes, kept, node.left as usize, out);
+        out[me].right = emit(nodes, kept, node.right as usize, out);
+    }
+    me as u32
 }
 
 /// [`crate::learners::RandomTreeLearner`] growing its trees with

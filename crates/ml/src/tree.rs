@@ -19,7 +19,7 @@ use crate::data::Dataset;
 use crate::error::TrainError;
 
 /// Sentinel feature id marking a leaf node.
-const LEAF: i32 = -1;
+pub(crate) const LEAF: i32 = -1;
 
 /// Growth parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -187,9 +187,9 @@ impl Deserialize for Tree {
 
 /// A dataset prepared once for the tree fits of one ensemble: every
 /// feature column's rows in sorted order, from which each tree derives its
-/// quantile thresholds and bin codes in linear time, and a table of the
-/// entropies of small class counts. [`crate::Bagging`] builds one per fit
-/// and drops it when the fit returns.
+/// quantile thresholds and bin codes in linear time, and the `k·ln k`
+/// table the split search screens its bins with. [`crate::Bagging`] builds
+/// one per fit and drops it when the fit returns.
 ///
 /// # Examples
 ///
@@ -220,11 +220,12 @@ pub struct FitData<'a> {
     /// per-tree walks read both in sequence.
     rows: Vec<u32>,
     values: Vec<f64>,
-    entropy: EntropyTable,
+    /// `xlx[k] = k·ln k` for every count a node of a bootstrap can hold.
+    xlx: Vec<f64>,
 }
 
 impl<'a> FitData<'a> {
-    /// Sorts every feature column of `data` and fills the entropy table.
+    /// Sorts every feature column of `data` and fills the `k·ln k` table.
     pub fn new(data: &'a Dataset) -> Self {
         let (n, m) = (data.len(), data.num_features());
         let mut rows = Vec::with_capacity(n * m);
@@ -241,7 +242,7 @@ impl<'a> FitData<'a> {
             data,
             rows,
             values,
-            entropy: EntropyTable::new(n),
+            xlx: xlx_table(n),
         }
     }
 
@@ -257,6 +258,20 @@ impl<'a> FitData<'a> {
         let at = j * n..(j + 1) * n;
         (&self.rows[at.clone()], &self.values[at])
     }
+}
+
+/// `k·ln k`, with `0·ln 0 = 0`.
+fn xlx(k: usize) -> f64 {
+    if k == 0 {
+        0.0
+    } else {
+        k as f64 * (k as f64).ln()
+    }
+}
+
+/// [`xlx`] of every `k` in `0..=max_count`.
+fn xlx_table(max_count: usize) -> Vec<f64> {
+    (0..=max_count).map(xlx).collect()
 }
 
 /// The signed integer whose order is [`f64::total_cmp`]'s: the standard
@@ -304,13 +319,22 @@ impl Tree {
         }
         let data = fit.data();
         let binned = BinnedDataset::build(fit, idx, params.bins)?;
+        // A node holds at most `idx.len()` samples; only an index set with
+        // more repeats than the dataset has rows outgrows the shared table.
+        let own_xlx;
+        let xlx = if idx.len() < fit.xlx.len() {
+            &fit.xlx
+        } else {
+            own_xlx = xlx_table(idx.len());
+            &own_xlx
+        };
         let mut scratch = idx.to_vec();
         let mut grower = Grower {
             tree: Tree::empty(data.num_features()),
             data,
             binned: &binned,
             params: &params,
-            entropy: &fit.entropy,
+            xlx,
             rng,
             order: FeatureOrder::new(data.num_features()),
             pool: HistPool::new(binned.hist_len()),
@@ -331,8 +355,13 @@ impl Tree {
 
     /// An empty tree over `num_features` features, for a builder to grow.
     pub(crate) fn empty(num_features: usize) -> Self {
+        Self::from_nodes(num_features, Vec::new())
+    }
+
+    /// A tree of the node table `nodes`, root first.
+    pub(crate) fn from_nodes(num_features: usize, nodes: Vec<Node>) -> Self {
         Tree {
-            nodes: Vec::new(),
+            nodes,
             num_features,
         }
     }
@@ -595,11 +624,21 @@ pub(crate) fn split_samples(
     best: Option<(usize, f64, f64)>,
 ) -> Option<(usize, f64, usize)> {
     let (feature, threshold, gain) = best?;
+    let cut = split_cut(idx, gain, |i| {
+        data.feature(i as usize, feature) <= threshold
+    })?;
+    Some((feature, threshold, cut))
+}
+
+/// Moves the samples of `idx` that `goes_left` to the front and returns
+/// their count, or `None` when `gain` is nothing or the split sends every
+/// sample one way.
+fn split_cut(idx: &mut [u32], gain: f64, goes_left: impl Fn(u32) -> bool) -> Option<usize> {
     if gain <= 1e-12 {
         return None;
     }
-    let cut = partition(idx, |&i| data.feature(i as usize, feature) <= threshold);
-    (cut != 0 && cut != idx.len()).then_some((feature, threshold, cut))
+    let cut = partition(idx, |&i| goes_left(i));
+    (cut != 0 && cut != idx.len()).then_some(cut)
 }
 
 fn count_labels(data: &Dataset, idx: &[u32]) -> (u32, u32) {
@@ -626,55 +665,14 @@ pub(crate) fn entropy(pos: f64, neg: f64) -> f64 {
     -(p * p.ln() + q * q.ln())
 }
 
-/// Counts below this side read [`entropy`] from an [`EntropyTable`]. A
-/// 10-tree fit of the 23,424-sample layer-6 training set makes 6.1 M
-/// entropy lookups, and 1.2 M of them miss a side of 256 (the large nodes
-/// near the root). Its split search took 91–104 ms at side 256 (512 KiB),
-/// 124 ms at 128 and 84–112 ms at 512 (2 MiB, four times the fill) on a
-/// shared 2-vCPU Xeon, so the larger table buys nothing measurable.
-const ENTROPY_TABLE_SIDE: usize = 256;
-
-/// [`entropy`] of every `(pos, neg)` pair below a side, each entry filled
-/// by calling `entropy` on the same operands, so a lookup returns the bits
-/// the call would.
-#[derive(Debug)]
-pub(crate) struct EntropyTable {
-    side: usize,
-    h: Vec<f64>,
-}
-
-impl EntropyTable {
-    /// A table for counts up to `max_count` (capped at the side bound).
-    pub(crate) fn new(max_count: usize) -> Self {
-        let side = max_count.saturating_add(1).min(ENTROPY_TABLE_SIDE);
-        let mut h = Vec::with_capacity(side * side);
-        for pos in 0..side {
-            h.extend((0..side).map(|neg| entropy(pos as f64, neg as f64)));
-        }
-        EntropyTable { side, h }
-    }
-
-    /// `entropy(f64::from(pos), f64::from(neg))`.
-    #[inline]
-    pub(crate) fn get(&self, pos: u32, neg: u32) -> f64 {
-        let (p, q) = (pos as usize, neg as usize);
-        if p < self.side && q < self.side {
-            self.h[p * self.side + q]
-        } else {
-            entropy(f64::from(pos), f64::from(neg))
-        }
-    }
-}
-
-/// A node visits only its occupied bins of a feature, found through a
-/// bitmap of its samples' codes, when the feature has more than this many
-/// thresholds per node sample; otherwise it scans the feature's bins in
-/// order. The bitmap costs a pass over the node's samples per feature, the
-/// scan one step per bin. On the layer-6 fit (10 trees, 23,424 samples,
-/// shared 2-vCPU Xeon) split search took 134–154 ms with the scan alone,
-/// 81–107 ms with the bitmap below 1, 2 or 4 bins per sample, and 98–120 ms
-/// with the bitmap everywhere; 2 keeps the root's 15,000-sample pass per
-/// feature out while every node of a few dozen samples skips its empty bins.
+/// A node finds its occupied bins of a feature from a bitmap of its
+/// samples' codes when the feature has more than this many thresholds per
+/// node sample, and otherwise from a bitmap of the feature's non-empty
+/// histogram bins. The first costs a pass over the node's samples, the
+/// second a branch-free step per bin. On the layer-6 fit (10 trees, 23,424
+/// samples, shared 2-vCPU Xeon, timers around each stage, ms of split
+/// search per 1 ms of presort to cancel the host's drift) 2 and 8 gave
+/// 4.3–4.45, 32 gave 5.0–5.3, and the histogram bitmap everywhere 5.3–5.4.
 const SPARSE_SCAN_BINS_PER_SAMPLE: usize = 2;
 
 /// One binned tree fit: the tree being grown, its read-only inputs and the
@@ -684,7 +682,7 @@ struct Grower<'g, R> {
     data: &'g Dataset,
     binned: &'g BinnedDataset,
     params: &'g TreeParams,
-    entropy: &'g EntropyTable,
+    xlx: &'g [f64],
     rng: &'g mut R,
     order: FeatureOrder,
     pool: HistPool,
@@ -695,8 +693,11 @@ struct Grower<'g, R> {
 
 impl<R: Rng> Grower<'_, R> {
     /// Grows the subtree of `idx` from histograms. Stop conditions, candidate
-    /// order, gain operands and the raw-`f64` partition predicate are those
-    /// of the oracle's per-node scan, so the grown tree is bit-identical.
+    /// order, gain operands and the partition predicate are those of the
+    /// oracle's per-node scan, so the grown tree is bit-identical. The
+    /// partition reads the feature's bin codes where they decide the raw
+    /// `x[feature] <= threshold` ([`BinnedDataset::code_column`]), and the
+    /// raw values elsewhere.
     ///
     /// `hist` is the node's full (pos, neg)-per-bin histogram on the
     /// all-feature path, `None` on the random-subset path. Buffers are
@@ -717,7 +718,7 @@ impl<R: Rng> Grower<'_, R> {
             Some(h) => {
                 let best = best_split_binned(
                     binned,
-                    self.entropy,
+                    self.xlx,
                     &h,
                     candidates,
                     idx,
@@ -733,7 +734,7 @@ impl<R: Rng> Grower<'_, R> {
                 }
                 let best = best_split_binned(
                     binned,
-                    self.entropy,
+                    self.xlx,
                     &h,
                     candidates,
                     idx,
@@ -747,7 +748,17 @@ impl<R: Rng> Grower<'_, R> {
                 (best, None)
             }
         };
-        let Some((feature, threshold, cut)) = split_samples(data, idx, best) else {
+        let split = best.and_then(|(feature, k, gain)| {
+            let threshold = binned.thresholds(feature)[k];
+            let cut = match binned.code_column(feature) {
+                Some(col) => split_cut(idx, gain, |i| usize::from(col[i as usize]) <= k),
+                None => split_cut(idx, gain, |i| {
+                    data.feature(i as usize, feature) <= threshold
+                }),
+            }?;
+            Some((feature, threshold, cut))
+        });
+        let Some((feature, threshold, cut)) = split else {
             release_node_hist(&mut self.pool, binned, idx, hist);
             return me;
         };
@@ -798,29 +809,73 @@ impl<R: Rng> Grower<'_, R> {
     }
 }
 
-/// The oracle's per-node gain scan over a pre-accumulated flat histogram.
-/// The candidate iteration order, the left/right accumulators and every
-/// operand of the gain expression mirror the scan exactly — only the
-/// per-sample binning (already folded into `hist`) differs.
+/// Slack, in nats of gain, of the bin screen in [`best_split_binned`].
+///
+/// The screen value of a bin is
+/// `S = xlx[l] + xlx[r] − xlx[lp] − xlx[ln] − xlx[rp] − xlx[rn]` over the
+/// child sizes `l`, `r` and their class counts, with `xlx[k] = k·ln k`. In
+/// exact arithmetic `S = l·H(lp, ln) + r·H(rp, rn)`, `n` times the weighted
+/// child entropy, so the exact gain is `parent − S/n`. A bin is skipped
+/// when `S ≥ (parent − best + SCREEN_SLACK)·n`, and it is safe to skip
+/// whenever the floating-point values of both sides differ by less than
+/// the slack. With `u = 2⁻⁵³`:
+///
+/// - each table entry is within `3u` of `k·ln k` (one rounding of `ln`
+///   within an ulp, one of the product), the six entries add up to at most
+///   `2n·ln n` in magnitude, and each of the five additions rounds a partial
+///   sum no larger than `n·ln n`: `S` is within `11u·n·ln n` of its exact
+///   value;
+/// - the exact expression's two entropies (each at most `ln 2`, each within
+///   about `4u`), their weights and the two subtractions put it within
+///   about `8u` of `parent − (l·H_l + r·H_r)/n`;
+/// - the bar `(parent − best + SCREEN_SLACK)·n` is within `3u·n`.
+///
+/// Together, with the division `S/n`, both sides are apart by at most
+/// about `1.2e-15·ln n + 1.3e-15`, under `SCREEN_ERROR·(1 + ln n)` with room
+/// to spare: at most 1.2e-13 for any count a `u32` holds, four orders of
+/// magnitude below the slack. A skipped bin therefore cannot have a gain
+/// above the best, and the exact `>` that follows still picks every winner,
+/// ties included, in the oracle's order.
+const SCREEN_SLACK: f64 = 1e-9;
+
+/// Per unit of `1 + ln n`, the bound on how far `parent − S/n` and the
+/// exact gain expression can be apart (see [`SCREEN_SLACK`]).
+const SCREEN_ERROR: f64 = 5e-15;
+
+/// The oracle's per-node gain scan over a pre-accumulated flat histogram,
+/// returning the best feature, bin and gain. The candidate iteration
+/// order, the left/right accumulators and every operand of the gain
+/// expression mirror the scan exactly — only the per-sample binning
+/// (already folded into `hist`) differs.
 ///
 /// Only non-empty bins are visited. An empty bin leaves (lp, ln)
 /// unchanged, so its gain is bit-identical to the previous bin's — which
 /// either already updated `best` or failed the strict `>` — and a leading
 /// empty bin has `l == 0`. Skipping it can never change the winner, and at
-/// deep nodes most bins are empty: a node with few samples per bin finds
-/// its occupied bins, in ascending order, from a bitmap of its codes.
+/// deep nodes most bins are empty. The occupied bins are walked in
+/// ascending order through a bitmap: of the node's codes when it has few
+/// samples per bin, of the histogram otherwise
+/// ([`SPARSE_SCAN_BINS_PER_SAMPLE`]).
+///
+/// A visited bin is first screened with one sum of six `k·ln k` lookups
+/// ([`SCREEN_SLACK`]), and only a bin that may beat the best so far has its
+/// exact gain computed; on the layer-6 training set that is one bin in 26.
 fn best_split_binned(
     binned: &BinnedDataset,
-    entropy: &EntropyTable,
+    xlx: &[f64],
     hist: &[u32],
     candidates: &[usize],
     idx: &[u32],
     (pos, neg): (u32, u32),
     occupied: &mut [u64],
-) -> Option<(usize, f64, f64)> {
-    let parent = entropy.get(pos, neg);
-    let n = f64::from(pos + neg);
-    let mut best: Option<(usize, f64, f64)> = None;
+) -> Option<(usize, usize, f64)> {
+    let parent = entropy(f64::from(pos), f64::from(neg));
+    let total = pos + neg;
+    let n = f64::from(total);
+    let x = |k: u32| xlx[k as usize];
+    let mut best: Option<(usize, usize, f64)> = None;
+    // A bin is evaluated exactly only while its screen value is below this.
+    let mut bar = f64::INFINITY;
     for &j in candidates {
         let ts = binned.thresholds(j);
         if ts.is_empty() {
@@ -832,39 +887,60 @@ fn best_split_binned(
         let mut visit = |k: usize| {
             lp += h[2 * k];
             ln += h[2 * k + 1];
-            let l = f64::from(lp + ln);
-            let r = n - l;
-            if l == 0.0 || r == 0.0 {
+            let (l, r) = (lp + ln, total - lp - ln);
+            if l == 0 || r == 0 {
                 return;
             }
-            let gain =
-                parent - (l / n) * entropy.get(lp, ln) - (r / n) * entropy.get(pos - lp, neg - ln);
+            let screen = x(l) + x(r) - x(lp) - x(ln) - x(pos - lp) - x(neg - ln);
+            if screen >= bar {
+                return;
+            }
+            let (l, r) = (f64::from(l), f64::from(r));
+            let gain = parent
+                - (l / n) * entropy(f64::from(lp), f64::from(ln))
+                - (r / n) * entropy(f64::from(pos - lp), f64::from(neg - ln));
+            debug_assert!(
+                (parent - screen / n - gain).abs() <= SCREEN_ERROR * (1.0 + n.ln()),
+                "screen {screen} off the gain {gain} at n = {n}"
+            );
             if best.is_none_or(|(_, _, g)| gain > g) {
-                best = Some((j, ts[k], gain));
+                best = Some((j, k, gain));
+                bar = (parent - gain + SCREEN_SLACK) * n;
             }
         };
-        if ts.len() > SPARSE_SCAN_BINS_PER_SAMPLE * idx.len() {
-            let words = binned.mark_bins(j, idx, occupied);
-            for (w, word) in words.iter_mut().enumerate() {
-                let mut bits = std::mem::take(word);
-                while bits != 0 {
-                    let k = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    // The last bin holds the samples above every threshold.
-                    if k < ts.len() {
-                        visit(k);
-                    }
-                }
-            }
+        let words = if ts.len() > SPARSE_SCAN_BINS_PER_SAMPLE * idx.len() {
+            binned.mark_bins(j, idx, occupied)
         } else {
-            for k in 0..ts.len() {
-                if h[2 * k] != 0 || h[2 * k + 1] != 0 {
+            occupied_bins(h, ts.len(), occupied)
+        };
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let k = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // The last bin holds the samples above every threshold.
+                if k < ts.len() {
                     visit(k);
                 }
             }
         }
     }
     best
+}
+
+/// Sets bit `k` of `occupied` for each of the first `bins` bins of the
+/// feature histogram `h` that holds a sample, and returns the words that
+/// cover them. Every word returned is written whole, so `occupied` needs
+/// no clearing first.
+fn occupied_bins<'o>(h: &[u32], bins: usize, occupied: &'o mut [u64]) -> &'o mut [u64] {
+    let words = &mut occupied[..bins.div_ceil(64)];
+    for (w, word) in words.iter_mut().enumerate() {
+        let slots = &h[2 * 64 * w..2 * bins.min(64 * w + 64)];
+        *word = slots.chunks_exact(2).enumerate().fold(0, |bits, (b, c)| {
+            bits | (u64::from((c[0] | c[1]) != 0) << b)
+        });
+    }
+    words
 }
 
 /// Returns a node's histogram to the pool, zeroing it the cheaper way:
@@ -1029,8 +1105,7 @@ mod tests {
         assert_eq!(leaf_pos as usize, ds.num_positive());
     }
 
-    /// 300–3,000 rows, so root counts pass the entropy table and nodes fall
-    /// on both sides of the sparse-scan switch, over four columns: more
+    /// 300–3,000 rows, so nodes fall on both sides of the sparse-scan switch, over four columns: more
     /// distinct values than 256 bins, heavy ties among ±0.0 and a few
     /// integers, NaNs of both signs among repeated integers, and noise.
     fn arb_large_dataset() -> impl Strategy<Value = Dataset> {
@@ -1102,6 +1177,110 @@ mod tests {
         }
     }
 
+    /// 300–3,000 rows over five columns: `base` (a few dozen tied
+    /// integers, or more distinct values than the bins), its duplicate, its
+    /// mirror `-base`, a column of only `±∞` (whose one threshold, their
+    /// midpoint, is NaN) and a constant.
+    fn arb_tie_dataset() -> impl Strategy<Value = Dataset> {
+        (300usize..3_000, any::<u64>(), any::<bool>()).prop_map(|(n, seed, wide)| {
+            let mut r = ChaCha8Rng::seed_from_u64(seed);
+            let mut ds = Dataset::new(5);
+            for _ in 0..n {
+                let base = if wide {
+                    r.gen_range(-1.0..1.0)
+                } else {
+                    f64::from(r.gen_range(0..40u8)) / 8.0
+                };
+                let inf = if r.gen_bool(0.5) {
+                    f64::INFINITY
+                } else {
+                    f64::NEG_INFINITY
+                };
+                let label = ((base * 5.0).sin() > 0.0) != r.gen_bool(0.2);
+                ds.push(&[base, base, -base, inf, 7.0], label)
+                    .expect("5 features");
+            }
+            ds
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The bin screen and the code partition against the oracle where
+        /// they are most fragile: a duplicated column ties its original on
+        /// every split, so the first candidate must win each; the mirror's
+        /// gains equal the original's up to rounding; the `±∞` column's
+        /// NaN threshold keeps it off the code partition; and a constant
+        /// column has no threshold at all.
+        #[test]
+        fn tied_mirrored_and_infinite_columns_keep_oracle_parity(
+            ds in arb_tie_dataset(),
+            bins in 2usize..300,
+            seed in any::<u64>()
+        ) {
+            let fit = FitData::new(&ds);
+            let boot = ds.bootstrap_indices(&mut ChaCha8Rng::seed_from_u64(seed));
+            let binned = BinnedDataset::build(&fit, &boot, bins).expect("fits in u16");
+            prop_assert!(binned.code_column(0).is_some() && binned.code_column(2).is_some());
+            prop_assert!(binned.thresholds(3).iter().all(|t| t.is_nan()));
+            prop_assert!(binned.code_column(3).is_none());
+            prop_assert!(binned.thresholds(4).is_empty());
+
+            let params = TreeParams { bins, ..TreeParams::default() };
+            let tree = Tree::fit(&ds, &boot, params, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            let scan = oracle::fit_tree(&ds, &boot, params, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            prop_assert_eq!(&tree, &scan);
+            prop_assert!(tree.nodes.iter().all(|n| n.feature != 1), "a tie went to the duplicate");
+
+            let rep = RepTreeLearner::default()
+                .fit_tree_on(&fit, &boot, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            let rep_oracle = oracle::RepTreeLearner::default()
+                .fit_tree(&ds, &boot, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            prop_assert_eq!(rep, rep_oracle);
+            let rt = RandomTreeLearner::default()
+                .fit_tree_on(&fit, &boot, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            let rt_oracle = oracle::RandomTreeLearner::default()
+                .fit_tree(&ds, &boot, &mut ChaCha8Rng::seed_from_u64(seed))
+                .expect("fit");
+            prop_assert_eq!(rt, rt_oracle);
+        }
+    }
+
+    proptest! {
+        /// The bound the split search asserts on every exact evaluation,
+        /// at any counts a `u32` holds, far past the training sets here.
+        #[test]
+        fn screen_stays_within_its_error_bound(
+            pos in 1u32..=u32::MAX / 2,
+            neg in 1u32..=u32::MAX / 2,
+            left_pos in 0.0f64..1.0,
+            left_neg in 0.0f64..1.0,
+            small in any::<bool>()
+        ) {
+            let (pos, neg) = if small { (pos % 300 + 1, neg % 300 + 1) } else { (pos, neg) };
+            // Both children non-empty: `ln >= 1` and `rp >= 1`.
+            let lp = ((left_pos * f64::from(pos)) as u32).min(pos - 1);
+            let ln = (left_neg * f64::from(neg)).max(1.0) as u32;
+            let (rp, rn) = (pos - lp, neg - ln);
+            let (l, r, total) = (lp + ln, rp + rn, pos + neg);
+            let x = |k: u32| xlx(k as usize);
+            let screen = x(l) + x(r) - x(lp) - x(ln) - x(rp) - x(rn);
+            let n = f64::from(total);
+            let parent = entropy(f64::from(pos), f64::from(neg));
+            let gain = parent
+                - (f64::from(l) / n) * entropy(f64::from(lp), f64::from(ln))
+                - (f64::from(r) / n) * entropy(f64::from(rp), f64::from(rn));
+            let off = (parent - screen / n - gain).abs();
+            prop_assert!(off <= SCREEN_ERROR * (1.0 + n.ln()), "{off} at n = {n}");
+        }
+    }
+
     #[test]
     fn feature_subset_still_learns() {
         let ds = xor_data(600);
@@ -1159,6 +1338,18 @@ mod tests {
         };
         let (oracle, binned) = fit_both(&ds, params);
         assert_eq!(oracle, binned);
+    }
+
+    /// An index set with more repeats than the dataset has rows holds
+    /// nodes larger than the ensemble's `k·ln k` table covers.
+    #[test]
+    fn index_sets_longer_than_the_dataset_keep_oracle_parity() {
+        let ds = xor_data(200);
+        let idx: Vec<u32> = (0..3).flat_map(|_| ds.all_indices()).collect();
+        let binned = Tree::fit(&ds, &idx, TreeParams::default(), &mut rng()).expect("fit");
+        let scan = oracle::fit_tree(&ds, &idx, TreeParams::default(), &mut rng()).expect("fit");
+        assert_eq!(binned, scan);
+        assert_eq!(binned.nodes[0].pos + binned.nodes[0].neg, 600);
     }
 
     /// Regression for the NaN-hostile `partial_cmp(..).unwrap_or(Equal)`
