@@ -30,7 +30,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 use sm_serve::{
     percentile_rank, Client, ClientError, ClientTimeouts, ErrorCode, Request, Response,
-    RetryPolicy, StatsSnapshot, Wire,
+    StatsSnapshot, Wire,
 };
 
 /// Reconnects one connection makes in a row, with no reply in between,
@@ -45,6 +45,69 @@ const TIMEOUTS: ClientTimeouts = ClientTimeouts {
 };
 /// Summary threshold of every `Attack` request (sent with `detail: false`).
 const ATTACK_THRESHOLD: f64 = 0.5;
+
+/// Bounded-retry schedule: exponential backoff with deterministic,
+/// seed-derived jitter. [`drive`] retries only transport failures and
+/// `Busy` sheds ([`ClientError::is_retryable`]), with the server's
+/// `retry_after_ms` as a floor on the delay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RetryPolicy {
+    /// Total attempts including the first (so `1` means no retries).
+    max_attempts: u32,
+    /// Backoff before the first retry, milliseconds; doubles per retry.
+    base_backoff_ms: u64,
+    /// Ceiling on any single backoff, milliseconds.
+    max_backoff_ms: u64,
+    /// Seed for the jitter hash — the schedule is a pure function of
+    /// `(seed, retry index)`, so tests and reproductions see identical
+    /// delays.
+    jitter_seed: u64,
+}
+
+impl Default for RetryPolicy {
+    fn default() -> Self {
+        Self {
+            max_attempts: 4,
+            base_backoff_ms: 25,
+            max_backoff_ms: 1_000,
+            jitter_seed: 0x5eed,
+        }
+    }
+}
+
+/// SplitMix64 — a tiny, high-quality hash for deterministic jitter.
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+impl RetryPolicy {
+    /// A default-shaped policy allowing `retries` retries after the
+    /// first attempt.
+    fn with_retries(retries: u32) -> Self {
+        Self {
+            max_attempts: retries.saturating_add(1),
+            ..Self::default()
+        }
+    }
+
+    /// The backoff before retry `retry` (1-based), in milliseconds:
+    /// "equal jitter" around the exponential envelope — half the capped
+    /// exponential plus a seeded-hash fraction of the other half.
+    /// Deterministic: the same `(jitter_seed, retry)` always yields the
+    /// same delay.
+    fn backoff_ms(&self, retry: u32) -> u64 {
+        let exp = retry.saturating_sub(1).min(20);
+        let envelope = self
+            .base_backoff_ms
+            .saturating_mul(1 << exp)
+            .min(self.max_backoff_ms);
+        let half = envelope / 2;
+        half + splitmix64(self.jitter_seed ^ u64::from(retry)) % (envelope - half + 1)
+    }
+}
 
 /// The shape of one run, from the command line.
 struct Load {
@@ -367,6 +430,47 @@ mod tests {
             model_id: None,
             attack: None,
         }
+    }
+
+    #[test]
+    fn backoff_schedule_is_deterministic_and_bounded() {
+        let policy = RetryPolicy {
+            max_attempts: 8,
+            base_backoff_ms: 25,
+            max_backoff_ms: 400,
+            jitter_seed: 42,
+        };
+        let schedule: Vec<u64> = (1..=7).map(|r| policy.backoff_ms(r)).collect();
+        // Deterministic: the same seed reproduces the same delays.
+        let again: Vec<u64> = (1..=7).map(|r| policy.backoff_ms(r)).collect();
+        assert_eq!(schedule, again);
+        // Each delay lives in the "equal jitter" envelope
+        // [env/2, env] for env = min(base * 2^(r-1), max).
+        for (k, &delay) in schedule.iter().enumerate() {
+            let envelope = (25u64 << k).min(400);
+            assert!(
+                delay >= envelope / 2 && delay <= envelope,
+                "retry {}: {delay} outside [{}, {envelope}]",
+                k + 1,
+                envelope / 2
+            );
+        }
+        // A different seed jitters differently somewhere in the schedule.
+        let other = RetryPolicy {
+            jitter_seed: 43,
+            ..policy
+        };
+        let shifted: Vec<u64> = (1..=7).map(|r| other.backoff_ms(r)).collect();
+        assert_ne!(schedule, shifted, "jitter must depend on the seed");
+        // And the envelope saturates instead of overflowing.
+        assert!(policy.backoff_ms(u32::MAX) <= 400);
+    }
+
+    #[test]
+    fn retry_policy_constructors_bound_attempts() {
+        assert_eq!(RetryPolicy::with_retries(0).max_attempts, 1);
+        assert_eq!(RetryPolicy::with_retries(3).max_attempts, 4);
+        assert_eq!(RetryPolicy::with_retries(u32::MAX).max_attempts, u32::MAX);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use std::time::{Duration, Instant};
 
 use sm_attack::attack::{AttackConfig, ScoreOptions};
-use sm_attack::loc::{LocCurve, LocCurveBuilder};
+use sm_attack::loc::LocCurve;
 use sm_attack::xval::{leave_one_out, FoldResult};
 use sm_layout::{SplitLayer, SplitView, Suite};
 
@@ -152,13 +152,7 @@ pub fn run_config(config: &AttackConfig, views: &[SplitView], opts: &ScoreOption
     let folds = leave_one_out(config, views, opts)
         .unwrap_or_else(|e| panic!("{} failed: {e}", config.name));
     let runtime = t.elapsed();
-    // Fold the curve incrementally instead of cloning every scored view;
-    // LocCurveBuilder is bit-identical to LocCurve::from_views.
-    let mut builder = LocCurveBuilder::new();
-    for fold in &folds {
-        builder.add_view(&fold.scored);
-    }
-    let curve = builder.finish();
+    let curve = LocCurve::from_views(folds.iter().map(|f| &f.scored));
     ConfigRun {
         folds,
         curve,

@@ -68,7 +68,7 @@ pub use checkpoint::{
 };
 pub use error::AttackError;
 pub use features::{FeatureSet, PairFeature, PairKernel, ALL_FEATURES};
-pub use loc::{CurvePoint, LocCurve, LocCurveBuilder};
+pub use loc::{CurvePoint, LocCurve};
 pub use matching::{greedy_matching, mutual_best, MatchingOutcome};
 pub use proximity::{proximity_attack, validate_pa_fraction, PaOutcome, PaValidation};
 pub use sm_ml::Parallelism;

@@ -77,97 +77,53 @@ impl ScoredView {
     }
 }
 
-/// Incremental builder for [`LocCurve`]: feed scored views one at a time,
-/// keeping none of them alive afterwards.
-///
-/// Produces bit-identical results to [`LocCurve::from_views`]: per-bin
-/// sums accumulate in view order, so the floating-point operand order is
-/// exactly the batch function's inner loop. Memory is bounded by the three
-/// `HIST_BINS` accumulator arrays instead of every scored view at once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocCurveBuilder {
-    num_views: usize,
-    acc: Vec<f64>,
-    mean_loc: Vec<f64>,
-    loc_fraction: Vec<f64>,
-}
-
-impl Default for LocCurveBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LocCurveBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self {
-            num_views: 0,
-            acc: vec![0.0; HIST_BINS],
-            mean_loc: vec![0.0; HIST_BINS],
-            loc_fraction: vec![0.0; HIST_BINS],
-        }
-    }
-
-    /// Folds one scored view into the running per-bin averages.
-    pub fn add_view(&mut self, view: &ScoredView) {
-        // Pre-sort the view's true probabilities for O(log) accuracy
-        // queries per bin.
-        let mut truths: Vec<f64> = view.slots.iter().filter_map(|s| s.true_prob).collect();
-        truths.sort_by(f64::total_cmp);
-        let n_slots = view.slots.len().max(1) as f64;
-        // Cumulative candidate count from the top bin down.
-        let mut suffix = 0u64;
-        for k in (0..HIST_BINS).rev() {
-            let t = bin_threshold(k);
-            suffix += view.hist[k];
-            // Count truths with p >= t. The histogram bins candidates by
-            // floor, so comparing against bin k's lower edge counts
-            // exactly the probabilities the suffix sum counts.
-            let hits = truths.len() - truths.partition_point(|p| *p < t);
-            self.acc[k] += hits as f64 / view.slots.len().max(1) as f64;
-            let ml = suffix as f64 / n_slots;
-            self.mean_loc[k] += ml;
-            self.loc_fraction[k] += ml / view.num_view_vpins.max(1) as f64;
-        }
-        self.num_views += 1;
-    }
-
-    /// The averaged curve over every added view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no view was added.
-    pub fn finish(self) -> LocCurve {
-        assert!(self.num_views > 0, "need at least one scored view");
-        let nv = self.num_views as f64;
-        let points = (0..HIST_BINS)
-            .map(|k| CurvePoint {
-                threshold: bin_threshold(k),
-                accuracy: self.acc[k] / nv,
-                mean_loc: self.mean_loc[k] / nv,
-                loc_fraction: self.loc_fraction[k] / nv,
-            })
-            .collect();
-        LocCurve { points }
-    }
-}
-
 impl LocCurve {
     /// Builds the averaged trade-off curve of several scored views (the
     /// paper's figures average accuracy and LoC fraction over the five
-    /// benchmarks at a common threshold).
+    /// benchmarks at a common threshold). Per-bin sums accumulate in view
+    /// order, one view at a time, so the curve needs no copy of the views.
     ///
     /// # Panics
     ///
     /// Panics if `views` is empty.
-    pub fn from_views(views: &[ScoredView]) -> Self {
-        assert!(!views.is_empty(), "need at least one scored view");
-        let mut builder = LocCurveBuilder::new();
+    pub fn from_views<'a>(views: impl IntoIterator<Item = &'a ScoredView>) -> Self {
+        let mut num_views = 0usize;
+        let mut acc = vec![0.0; HIST_BINS];
+        let mut mean_loc = vec![0.0; HIST_BINS];
+        let mut loc_fraction = vec![0.0; HIST_BINS];
         for view in views {
-            builder.add_view(view);
+            // Pre-sort the view's true probabilities for O(log) accuracy
+            // queries per bin.
+            let mut truths: Vec<f64> = view.slots.iter().filter_map(|s| s.true_prob).collect();
+            truths.sort_by(f64::total_cmp);
+            let n_slots = view.slots.len().max(1) as f64;
+            // Cumulative candidate count from the top bin down.
+            let mut suffix = 0u64;
+            for k in (0..HIST_BINS).rev() {
+                let t = bin_threshold(k);
+                suffix += view.hist[k];
+                // Count truths with p >= t. The histogram bins candidates
+                // by floor, so comparing against bin k's lower edge counts
+                // exactly the probabilities the suffix sum counts.
+                let hits = truths.len() - truths.partition_point(|p| *p < t);
+                acc[k] += hits as f64 / view.slots.len().max(1) as f64;
+                let ml = suffix as f64 / n_slots;
+                mean_loc[k] += ml;
+                loc_fraction[k] += ml / view.num_view_vpins.max(1) as f64;
+            }
+            num_views += 1;
         }
-        builder.finish()
+        assert!(num_views > 0, "need at least one scored view");
+        let nv = num_views as f64;
+        let points = (0..HIST_BINS)
+            .map(|k| CurvePoint {
+                threshold: bin_threshold(k),
+                accuracy: acc[k] / nv,
+                mean_loc: mean_loc[k] / nv,
+                loc_fraction: loc_fraction[k] / nv,
+            })
+            .collect();
+        LocCurve { points }
     }
 
     /// The curve points in ascending-threshold order.
@@ -347,22 +303,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_batch_curve_bit_for_bit() {
-        let a = synthetic(&[Some(0.9), Some(0.2)], &[0.9, 0.2, 0.4], 2);
-        let b = synthetic(&[None, Some(0.7)], &[0.7, 0.1], 4);
-        let c = synthetic(&[Some(0.5)], &[0.5, 0.5, 0.5], 1);
-        let batch = LocCurve::from_views(&[a.clone(), b.clone(), c.clone()]);
-        let mut builder = LocCurveBuilder::new();
-        for v in [&a, &b, &c] {
-            builder.add_view(v);
-        }
-        assert_eq!(builder.finish(), batch);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one scored view")]
-    fn empty_builder_panics_on_finish() {
-        let _ = LocCurveBuilder::new().finish();
+    fn empty_view_set_panics() {
+        let _ = LocCurve::from_views(&[]);
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!   shutdown, and exponential backoff on `accept()` errors — with
 //!   exact request/latency/error/shed accounting.
 //! - [`client`] — a blocking protocol client for either wire with
-//!   connect/io deadlines, a bounded reply reader, and a deterministic
-//!   [`client::RetryPolicy`] backoff schedule (exponential, seeded
-//!   jitter) for callers that retry the `Io`/`Busy` failures.
+//!   connect/io deadlines and a bounded reply reader. Its
+//!   [`ClientError::is_retryable`] states the retry contract: only `Io`
+//!   and `Busy` failures may be retried.
 //!
 //! Everything is offline-buildable: no async runtime, only `std::net`,
 //! `std::sync` and the workspace's vendored crates.
@@ -69,7 +69,7 @@ pub mod server;
 mod session;
 
 pub use artifact::{ArtifactError, ModelArtifact, TrainMeta, ARTIFACT_FORMAT, ARTIFACT_VERSION};
-pub use client::{Client, ClientError, ClientTimeouts, RetryPolicy};
+pub use client::{Client, ClientError, ClientTimeouts};
 pub use protocol::{
     AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot, Wire,
 };

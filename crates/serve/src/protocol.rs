@@ -140,14 +140,6 @@ impl ErrorCode {
             ErrorCode::NotFound => "not_found",
         }
     }
-
-    /// Whether a client may reasonably retry the same request. Only
-    /// congestion (`busy`) is retryable; the other codes indicate the
-    /// request itself (or its delivery) was defective.
-    #[must_use]
-    pub fn retryable(self) -> bool {
-        matches!(self, ErrorCode::Busy)
-    }
 }
 
 impl std::fmt::Display for ErrorCode {
@@ -207,8 +199,9 @@ pub struct StatsSnapshot {
     /// a response write that could not complete, or a peer that
     /// vanished mid-request-line (torn frame).
     pub io_errors: u64,
-    /// Connections shed with [`Response::Busy`] because the worker pool
-    /// and its queue were both full.
+    /// Connections shed with [`Response::Busy`] because the open
+    /// connections had reached the admission capacity (attack pool size
+    /// plus queue depth).
     pub shed: u64,
     /// Connections closed for exceeding the mid-request read deadline
     /// (a [`Response::Error`] with [`ErrorCode::Timeout`] is sent
@@ -226,13 +219,16 @@ pub struct StatsSnapshot {
     /// Feature rows those kernel calls scored (`batched_rows /
     /// score_batches` is the mean rows per `ScorePairs`).
     pub batched_rows: u64,
-    /// Median request latency in microseconds (0 until data exists).
+    /// Median latency in microseconds over every request since start (0
+    /// until data exists). The percentiles are read from fixed log-linear
+    /// buckets: exact below 128 µs, above that at most 1/64 below the
+    /// nearest-rank sample.
     pub p50_us: u64,
     /// 95th-percentile request latency in microseconds.
     pub p95_us: u64,
     /// 99th-percentile request latency in microseconds.
     pub p99_us: u64,
-    /// Worst observed request latency in microseconds.
+    /// Worst observed request latency in microseconds (exact).
     pub max_us: u64,
 }
 
@@ -1030,6 +1026,29 @@ mod tests {
             let back: Request = serde_json::from_str(&line).expect("parses");
             assert_eq!(req, back);
         }
+        for (line, _) in readme_session() {
+            serde_json::from_str::<Request>(line)
+                .unwrap_or_else(|e| panic!("README request {line}: {e}"));
+        }
+    }
+
+    /// The `(request, reply)` line pairs of README's `nc` session, so the
+    /// documented wire cannot drift from the types.
+    fn readme_session() -> Vec<(&'static str, &'static str)> {
+        let readme = include_str!("../../../README.md");
+        let start = readme
+            .find("$ nc 127.0.0.1 7878\n")
+            .expect("README has the nc session");
+        let lines: Vec<&str> = readme[start..]
+            .lines()
+            .skip(1)
+            .take_while(|l| !l.starts_with("```"))
+            .collect();
+        assert!(
+            lines.len() >= 8 && lines.len().is_multiple_of(2),
+            "{lines:?}"
+        );
+        lines.chunks(2).map(|p| (p[0], p[1])).collect()
     }
 
     #[test]
@@ -1116,20 +1135,26 @@ mod tests {
             let back: Response = serde_json::from_str(&line).expect("parses");
             assert_eq!(resp, back);
         }
+        // README's replies parse and print back byte for byte: a field
+        // added, dropped or renamed fails here.
+        for (_, line) in readme_session() {
+            let resp: Response =
+                serde_json::from_str(line).unwrap_or_else(|e| panic!("README reply {line}: {e}"));
+            assert_eq!(serde_json::to_string(&resp).expect("serializes"), line);
+        }
     }
 
     #[test]
     fn error_codes_name_themselves_and_classify_retryability() {
-        for (code, name, retryable) in [
-            (ErrorCode::BadRequest, "bad_request", false),
-            (ErrorCode::TooLarge, "too_large", false),
-            (ErrorCode::Timeout, "timeout", false),
-            (ErrorCode::Busy, "busy", true),
-            (ErrorCode::NotFound, "not_found", false),
+        for (code, name) in [
+            (ErrorCode::BadRequest, "bad_request"),
+            (ErrorCode::TooLarge, "too_large"),
+            (ErrorCode::Timeout, "timeout"),
+            (ErrorCode::Busy, "busy"),
+            (ErrorCode::NotFound, "not_found"),
         ] {
             assert_eq!(code.as_str(), name);
             assert_eq!(code.to_string(), name);
-            assert_eq!(code.retryable(), retryable, "{name}");
             let line = serde_json::to_string(&code).expect("serializes");
             let back: ErrorCode = serde_json::from_str(&line).expect("parses");
             assert_eq!(code, back);

@@ -72,13 +72,8 @@ use crate::protocol::{
     binary, AttackSummary, ErrorCode, ModelInfo, Request, Response, ShadowReport, StatsSnapshot,
 };
 use crate::registry::{Catalog, ModelEntry, RegistryError};
+pub use crate::session::percentile_rank;
 use crate::session::{bad_request, Counters, Decoded, Limits, Routed, Session};
-
-/// Cap on retained per-request latency samples. The store is a ring:
-/// once full, new samples overwrite the oldest, so a long-lived server
-/// reports *current* percentiles from bounded memory instead of freezing
-/// on its first hour of traffic.
-const MAX_LATENCY_SAMPLES: usize = 1 << 20;
 
 /// Backoff hint carried by [`Response::Busy`] when a connection is shed.
 pub const BUSY_RETRY_AFTER_MS: u64 = 50;
@@ -262,106 +257,6 @@ fn accept_backoff(consecutive_failures: u32) -> Duration {
     ACCEPT_BACKOFF_MAX.min(ACCEPT_BACKOFF_BASE.saturating_mul(1 << exp))
 }
 
-/// The rank a full sort would read for percentile `pct` of `len` samples:
-/// nearest rank on the `(len - 1)`-scaled index. The latency percentiles
-/// of [`StatsSnapshot`] select exactly that element without sorting, and
-/// load drivers index their sorted samples with it to report the same
-/// statistic. 0 when `len` is 0.
-#[must_use]
-pub fn percentile_rank(len: usize, pct: f64) -> usize {
-    let last = len.saturating_sub(1);
-    let idx = ((pct / 100.0) * last as f64).round() as usize;
-    idx.min(last)
-}
-
-/// Fixed-capacity ring of latency samples: pushes past the capacity
-/// overwrite the oldest sample, so percentiles always describe recent
-/// traffic from bounded memory.
-pub(crate) struct LatencyRing {
-    samples: Vec<u64>,
-    cap: usize,
-    /// Next slot to overwrite once the ring is full.
-    next: usize,
-    /// Reused working copy for [`Self::quantiles`]: a `Stats` probe must
-    /// not allocate (and free) a full ring's worth of samples — at
-    /// capacity that was ~8 MiB of churn per monitoring poll.
-    scratch: Vec<u64>,
-}
-
-impl Default for LatencyRing {
-    fn default() -> Self {
-        Self::with_capacity(MAX_LATENCY_SAMPLES)
-    }
-}
-
-impl LatencyRing {
-    fn with_capacity(cap: usize) -> Self {
-        Self {
-            samples: Vec::new(),
-            cap: cap.max(1),
-            next: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    pub(crate) fn push(&mut self, sample: u64) {
-        if self.samples.len() < self.cap {
-            self.samples.push(sample);
-        } else {
-            self.samples[self.next] = sample;
-            self.next = (self.next + 1) % self.cap;
-        }
-    }
-
-    ///`[p50, p95, p99, max]` over the retained samples — the exact
-    /// elements a full sort + [`percentile_rank`] would pick, found with
-    /// chained `select_nth_unstable` partitions over the reused scratch
-    /// buffer instead of an O(n log n) sort of a fresh allocation.
-    ///
-    /// Ranks are selected in ascending order; each selection partitions
-    /// the scratch so the next one only touches the tail above the
-    /// previous rank, and the max is a linear scan of the final tail.
-    fn quantiles(&mut self) -> [u64; 4] {
-        let n = self.samples.len();
-        if n == 0 {
-            return [0; 4];
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.samples);
-        let ranks = [
-            percentile_rank(n, 50.0),
-            percentile_rank(n, 95.0),
-            percentile_rank(n, 99.0),
-        ];
-        let mut out = [0u64; 4];
-        let mut done = 0usize;
-        let mut prev: Option<(usize, u64)> = None;
-        for (slot, &rank) in ranks.iter().enumerate() {
-            if let Some((r, v)) = prev {
-                if r == rank {
-                    out[slot] = v;
-                    continue;
-                }
-            }
-            let (_, nth, _) = self.scratch[done..].select_nth_unstable(rank - done);
-            out[slot] = *nth;
-            prev = Some((rank, *nth));
-            done = rank;
-        }
-        out[3] = self.scratch[done..].iter().copied().max().unwrap_or(0);
-        out
-    }
-
-    /// The retained samples, sorted ascending (a copy; the ring order is
-    /// an implementation detail). Test-only oracle for `quantiles`.
-    #[cfg(test)]
-    pub(crate) fn sorted(&self) -> Vec<u64> {
-        let mut out = self.samples.clone();
-        out.sort_unstable();
-        out
-    }
-}
-
 /// Exact running totals behind the shadow divergence report.
 #[derive(Default)]
 struct ShadowAccum {
@@ -417,11 +312,7 @@ impl ServerState {
 
     fn snapshot(&self) -> StatsSnapshot {
         let counters = &self.counters;
-        let [p50_us, p95_us, p99_us, max_us] = counters
-            .latencies_us
-            .lock()
-            .expect("latency lock")
-            .quantiles();
+        let [p50_us, p95_us, p99_us, max_us] = counters.latencies_us.quantiles();
         let catalog = self.catalog();
         let entry = catalog.default_entry();
         let shadow = self.shadow.as_ref().map(|cfg| {
@@ -1516,9 +1407,18 @@ fn run_attack(state: &ServerState, attack: &Attack) -> Response {
 mod tests {
     use super::*;
 
-    /// The full-sort oracle [`LatencyRing::quantiles`] must agree with.
+    use crate::session::LatencyHistogram;
+
+    /// The full-sort oracle the histogram's percentiles are read against.
     fn percentile(sorted: &[u64], pct: f64) -> u64 {
         sorted[percentile_rank(sorted.len(), pct)]
+    }
+
+    /// The lower bound of the histogram bucket that holds `v`.
+    fn floor_of(v: u64) -> u64 {
+        let h = LatencyHistogram::default();
+        h.record(v);
+        h.quantiles()[0]
     }
 
     #[test]
@@ -1544,30 +1444,35 @@ mod tests {
 
     #[test]
     fn ring_quantiles_match_the_full_sort_oracle() {
-        let mut ring = LatencyRing::with_capacity(512);
-        assert_eq!(ring.quantiles(), [0; 4], "empty ring is all zero");
-        // A deterministic scramble with duplicates and a rollover.
-        for i in 0u64..700 {
-            ring.push((i * 7919) % 257);
+        let h = LatencyHistogram::default();
+        assert_eq!(h.quantiles(), [0; 4], "empty histogram is all zero");
+        // A deterministic scramble with duplicates, below and far above
+        // the exact range.
+        let mut samples: Vec<u64> = (0u64..700).map(|i| (i * 7919) % 100_003).collect();
+        samples.extend([0, 5, 127, 128, 129, 100, 100]);
+        for &v in &samples {
+            h.record(v);
         }
-        let sorted = ring.sorted();
-        let expect = [
-            percentile(&sorted, 50.0),
-            percentile(&sorted, 95.0),
-            percentile(&sorted, 99.0),
-            *sorted.last().unwrap(),
-        ];
-        assert_eq!(ring.quantiles(), expect);
-        // The scratch buffer is reused, not re-sorted state: a second
-        // probe after more pushes still matches.
-        ring.push(u64::MAX);
-        let sorted = ring.sorted();
-        assert_eq!(ring.quantiles()[3], u64::MAX);
-        assert_eq!(ring.quantiles()[0], percentile(&sorted, 50.0));
-        // Single sample: every quantile is that sample.
-        let mut one = LatencyRing::with_capacity(4);
-        one.push(17);
-        assert_eq!(one.quantiles(), [17, 17, 17, 17]);
+        let check = |samples: &mut Vec<u64>| {
+            samples.sort_unstable();
+            let expect = [50.0, 95.0, 99.0].map(|p| floor_of(percentile(samples, p)));
+            let got = h.quantiles();
+            assert_eq!(got[..3], expect, "percentiles");
+            assert_eq!(got[3], *samples.last().unwrap(), "max is exact");
+            assert_eq!(h.count(), samples.len() as u64);
+        };
+        check(&mut samples);
+        // The extreme value lands in the top bucket and is the max.
+        h.record(u64::MAX);
+        samples.push(u64::MAX);
+        check(&mut samples);
+        // Single sample: every percentile is that sample's bucket.
+        let one = LatencyHistogram::default();
+        one.record(17);
+        assert_eq!(one.quantiles(), [17, 17, 17, 17], "exact below 128");
+        let big = LatencyHistogram::default();
+        big.record(1_000_003);
+        assert_eq!(big.quantiles(), [999_424, 999_424, 999_424, 1_000_003]);
     }
 
     #[test]
@@ -1602,25 +1507,6 @@ mod tests {
         assert!((1..=MAX_AUTO_EVENT_LOOPS).contains(&auto), "auto in range");
         opts.event_loops = 7;
         assert_eq!(event_loop_count(&opts), 7, "explicit counts are honored");
-    }
-
-    #[test]
-    fn latency_ring_rolls_over_to_recent_samples() {
-        // Regression: recording used to stop dead at the cap, so a
-        // long-lived server reported its first hour forever. The ring
-        // must retain exactly the newest `cap` samples.
-        let mut ring = LatencyRing::with_capacity(4);
-        for v in 1..=4 {
-            ring.push(v);
-        }
-        assert_eq!(ring.sorted(), vec![1, 2, 3, 4]);
-        ring.push(5);
-        ring.push(6);
-        assert_eq!(ring.sorted(), vec![3, 4, 5, 6], "oldest evicted first");
-        for v in 7..=14 {
-            ring.push(v);
-        }
-        assert_eq!(ring.sorted(), vec![11, 12, 13, 14], "full wrap-around");
     }
 
     #[test]

@@ -42,17 +42,15 @@
 //! | EOF inside a frame (torn frame), socket failure, stalled reply write | close | `io_errors` |
 //! | idle deadline, EOF between requests | close | — |
 //!
-//! Every counted request also records one latency sample, from the
-//! moment its frame was split off the buffer to the moment its reply was
-//! queued.
+//! Every counted request also records one latency sample in the
+//! [`LatencyHistogram`], from the moment its frame was split off the
+//! buffer to the moment its reply was queued.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::framing::{Frame, ReadBuf, Split};
 use crate::protocol::{binary, ErrorCode, Request, Response, Wire, MAX_REPLY_LINE_BYTES};
-use crate::server::LatencyRing;
 
 /// The per-connection deadlines and cap a session enforces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +70,99 @@ pub(crate) struct Counters {
     pub(crate) errors: AtomicU64,
     pub(crate) io_errors: AtomicU64,
     pub(crate) timeouts: AtomicU64,
-    pub(crate) latencies_us: Mutex<LatencyRing>,
+    pub(crate) latencies_us: LatencyHistogram,
 }
 
 impl Counters {
     fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The rank a full sort would read for percentile `pct` of `len` samples:
+/// nearest rank on the `(len - 1)`-scaled index. The latency percentiles
+/// of [`crate::protocol::StatsSnapshot`] are read at that rank, and load
+/// drivers index their sorted samples with it to report the same
+/// statistic. 0 when `len` is 0.
+#[must_use]
+pub fn percentile_rank(len: usize, pct: f64) -> usize {
+    let last = len.saturating_sub(1);
+    let idx = ((pct / 100.0) * last as f64).round() as usize;
+    idx.min(last)
+}
+
+/// Bits of sub-bucket index per power-of-two range of the histogram.
+const SUB_BUCKET_BITS: u32 = 6;
+
+/// Buckets of a [`LatencyHistogram`]: 128 exact ones, then 64 for each of
+/// the 57 ranges `[2^k, 2^(k+1))`, `k = 7..=63` (3,776 in all).
+const LATENCY_BUCKETS: usize = bucket_of(u64::MAX) + 1;
+
+/// The bucket holding `v`: `v` itself below 128, else 64 buckets per
+/// power of two, each `2^(k-6)` wide for values in `[2^k, 2^(k+1))`.
+const fn bucket_of(v: u64) -> usize {
+    let shift = (u64::BITS - v.leading_zeros()).saturating_sub(SUB_BUCKET_BITS + 1);
+    ((shift as usize) << SUB_BUCKET_BITS) + (v >> shift) as usize
+}
+
+/// The smallest value [`bucket_of`] maps to `bucket`.
+fn bucket_floor(bucket: usize) -> u64 {
+    let shift = (bucket >> SUB_BUCKET_BITS).saturating_sub(1);
+    ((bucket - (shift << SUB_BUCKET_BITS)) as u64) << shift
+}
+
+/// Every request latency since the server started, in fixed log-linear
+/// buckets as in HdrHistogram (<http://hdrhistogram.org/>). Values below
+/// 128 µs are exact; above, a bucket's lower bound is less than 1/64
+/// below any value in it. Recording is two relaxed atomic updates, with
+/// no lock; the memory (about 30 KiB) is fixed at construction.
+pub(crate) struct LatencyHistogram {
+    buckets: Box<[AtomicU64]>,
+    max: AtomicU64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        Self {
+            buckets: (0..LATENCY_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+            max: AtomicU64::new(0),
+        }
+    }
+}
+
+impl LatencyHistogram {
+    pub(crate) fn record(&self, us: u64) {
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
+        self.max.fetch_max(us, Ordering::Relaxed);
+    }
+
+    /// The number of samples recorded.
+    pub(crate) fn count(&self) -> u64 {
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+    }
+
+    /// `[p50, p95, p99, max]`. Each percentile is the lower bound of the
+    /// bucket holding the sample a full sort would read at
+    /// [`percentile_rank`]; the max is exact. All zero when empty.
+    pub(crate) fn quantiles(&self) -> [u64; 4] {
+        let n = self.count();
+        let mut out = [0; 4];
+        let ranks = [50.0, 95.0, 99.0].map(|pct| percentile_rank(n as usize, pct) as u64);
+        // Buckets only grow, so this walk reaches at least `n` samples
+        // even while other threads record.
+        let (mut seen, mut next) = (0u64, 0);
+        for (bucket, count) in self.buckets.iter().enumerate() {
+            seen += count.load(Ordering::Relaxed);
+            while next < ranks.len() && ranks[next] < seen {
+                out[next] = bucket_floor(bucket);
+                next += 1;
+            }
+            if next == ranks.len() {
+                break;
+            }
+        }
+        out[3] = self.max.load(Ordering::Relaxed);
+        out
     }
 }
 
@@ -438,9 +523,7 @@ impl Session {
         let us = clock().saturating_duration_since(start).as_micros();
         counters
             .latencies_us
-            .lock()
-            .expect("latency lock")
-            .push(u64::try_from(us).unwrap_or(u64::MAX));
+            .record(u64::try_from(us).unwrap_or(u64::MAX));
     }
 
     /// A best-effort error reply to a request that never finished

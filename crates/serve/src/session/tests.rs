@@ -164,13 +164,8 @@ impl Harness {
         [&c.requests, &c.errors, &c.io_errors, &c.timeouts].map(|a| a.load(Ordering::Relaxed))
     }
 
-    fn latency_samples(&self) -> usize {
-        self.counters
-            .latencies_us
-            .lock()
-            .expect("latency lock")
-            .sorted()
-            .len()
+    fn latency_samples(&self) -> u64 {
+        self.counters.latencies_us.count()
     }
 }
 
@@ -914,7 +909,7 @@ fn run_case(wire: Wire, kinds: &[Kind], cut: Option<usize>, steps: &[Step], end:
     assert_eq!(counts, model.counts, "counters: {case}");
     assert_eq!(h.session.is_closed(), model.closed, "closed: {case}");
     assert_eq!(
-        h.latency_samples() as u64,
+        h.latency_samples(),
         counts[0],
         "one sample per request: {case}"
     );
@@ -945,5 +940,53 @@ proptest! {
             .collect();
         let end = [End::Eof, End::Idle, End::Stall, End::Quiet][usize::from(end)];
         run_case(wire, &kinds, cut, &steps, end);
+    }
+}
+
+/// The bucket invariants for one value: in range, a lower bound less
+/// than 1/64 below it, and exact below 128.
+fn check_bucket(v: u64) {
+    let bucket = bucket_of(v);
+    assert!(bucket < LATENCY_BUCKETS, "{v}: bucket {bucket}");
+    let floor = bucket_floor(bucket);
+    assert!(floor <= v, "{v} read as {floor}");
+    assert!(v - floor < (v / 64).max(1), "{v} read as {floor}");
+    if v < 128 {
+        assert_eq!(floor, v);
+    }
+}
+
+#[test]
+fn concurrent_records_are_all_counted() {
+    let h = LatencyHistogram::default();
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (h, start) = (&h, &start);
+            s.spawn(move || {
+                start.wait();
+                for i in 0..50_000u64 {
+                    h.record(i % 300 + t);
+                }
+            });
+        }
+    });
+    assert_eq!(h.count(), 100_000);
+    assert_eq!(h.quantiles()[3], 300);
+    assert_eq!(h.buckets.len(), 3_776, "fixed size");
+}
+
+proptest! {
+    fn latency_buckets_bound_every_value(
+        raw in any::<u64>(),
+        shift in 0u32..64,
+        edge in 0usize..6,
+    ) {
+        check_bucket(raw);
+        check_bucket(raw >> shift);
+        check_bucket([0, 127, 128, 1 << 63, u64::MAX - 1, u64::MAX][edge]);
+        // Every bucket's lower bound lies in that bucket.
+        let bucket = (raw % LATENCY_BUCKETS as u64) as usize;
+        prop_assert_eq!(bucket_of(bucket_floor(bucket)), bucket);
     }
 }

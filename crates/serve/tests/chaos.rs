@@ -27,7 +27,7 @@ use sm_attack::attack::{AttackConfig, TrainedAttack};
 use sm_attack::Parallelism;
 use sm_layout::{SplitLayer, Suite};
 use sm_serve::artifact::{ModelArtifact, TrainMeta};
-use sm_serve::client::{Client, ClientError, ClientTimeouts, RetryPolicy};
+use sm_serve::client::{Client, ClientError, ClientTimeouts};
 use sm_serve::protocol::{binary, ErrorCode, Request, Response, StatsSnapshot, Wire};
 use sm_serve::registry::publish;
 use sm_serve::server::{ModelSource, ServeOptions, ServerHandle};
@@ -84,16 +84,20 @@ fn chaos_options(request_timeout_ms: u64, idle_timeout_ms: u64) -> ServeOptions 
     }
 }
 
+/// Attempts [`GoodClient::call`] makes per request, the first included.
+const MAX_ATTEMPTS: u32 = 25;
+
 /// The well-behaved side's connection: a retryable failure
 /// ([`ClientError::is_retryable`]: a transport failure or a `Busy` shed)
-/// reconnects and sends the request again, up to 25 attempts, backing
-/// off per [`RetryPolicy`] with the server's hint as a floor. It counts
+/// reconnects and sends the request again, up to [`MAX_ATTEMPTS`]
+/// attempts, backing off with the server's hint as a floor. It counts
 /// its retries, and the `Busy` ones apart, so a test can audit the
 /// server's `shed` counter exactly.
 struct GoodClient {
     addr: String,
     wire: Wire,
-    policy: RetryPolicy,
+    /// Jitter state, advanced once per backoff.
+    jitter: u64,
     conn: Option<Client>,
     retries: u64,
     busy_retries: u64,
@@ -104,12 +108,7 @@ impl GoodClient {
         Self {
             addr: addr.to_owned(),
             wire,
-            policy: RetryPolicy {
-                max_attempts: 25,
-                base_backoff_ms: 20,
-                max_backoff_ms: 200,
-                jitter_seed,
-            },
+            jitter: jitter_seed,
             conn: None,
             retries: 0,
             busy_retries: 0,
@@ -126,7 +125,7 @@ impl GoodClient {
                 Some(conn) => conn,
                 None => match Client::connect_wire(self.addr.as_str(), timeouts, self.wire) {
                     Ok(conn) => conn,
-                    Err(e) if attempt < self.policy.max_attempts => {
+                    Err(e) if attempt < MAX_ATTEMPTS => {
                         self.backoff(attempt, &e);
                         continue;
                     }
@@ -138,7 +137,7 @@ impl GoodClient {
                     self.conn = Some(conn);
                     return Ok(response);
                 }
-                Err(e) if e.is_retryable() && attempt < self.policy.max_attempts => {
+                Err(e) if e.is_retryable() && attempt < MAX_ATTEMPTS => {
                     self.backoff(attempt, &e);
                 }
                 Err(e) => return Err(e),
@@ -147,9 +146,15 @@ impl GoodClient {
         unreachable!("the attempts are bounded")
     }
 
+    /// Sleeps 20 ms doubled per attempt, capped at 200 ms, less up to
+    /// half of it by a seeded xorshift jitter; never under a `Busy` hint.
     fn backoff(&mut self, attempt: u32, error: &ClientError) {
         self.retries += 1;
-        let mut delay = self.policy.backoff_ms(attempt);
+        let envelope = (20u64 << (attempt - 1).min(4)).min(200);
+        self.jitter ^= self.jitter << 13;
+        self.jitter ^= self.jitter >> 7;
+        self.jitter ^= self.jitter << 17;
+        let mut delay = envelope - self.jitter % (envelope / 2 + 1);
         if let ClientError::Busy { retry_after_ms } = *error {
             self.busy_retries += 1;
             delay = delay.max(retry_after_ms);
